@@ -9,7 +9,6 @@ detection and scaling laws, continued-fraction tooling for irrational fields,
 a noisy-field ensemble model, the gauged/electric formulation, and a CLI.
 """
 
-from ._kernels import USING_NUMBA, backend_name
 from .cfrac import (ContinuedFraction, Convergent, FieldClassification,
                     approximation_check, cf_expand, classify_field,
                     evaluate, golden_ratio_fraction)
@@ -35,8 +34,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # backends
-    "USING_NUMBA", "backend_name",
     # spin operators
     "IDENTITY", "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "HADAMARD_BASIS",
     "rotation_x", "rotation_y", "make_coin", "is_unitary",

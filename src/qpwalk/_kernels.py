@@ -1,14 +1,6 @@
-"""Position-space evolution kernels with optional numba acceleration.
+"""Position-space evolution kernels: one vectorized numpy loop per step order.
 
-Every kernel exists twice: a scalar-loop version that numba jit-compiles and a
-vectorized pure-numpy fallback. The active backend is chosen at import time by
-the environment variable ``QPWALK_NUMBA``:
-
-- unset or empty: use numba when importable, else the numpy fallback;
-- ``0``/``off``/``false``: force the numpy fallback;
-- ``1``/``on``/``true``: require numba (ImportError if missing).
-
-All kernels work in place on a preallocated buffer ``psi`` of shape
+Both kernels work in place on a preallocated buffer ``psi`` of shape
 ``(width, 2)`` (column 0 is the spin-up amplitude, column 1 spin-down) and
 return the updated inclusive support bounds ``(lo, hi)``. Callers must size
 ``psi`` so that ``lo - steps >= 0`` and ``hi + steps < width``.
@@ -23,38 +15,18 @@ subnormal floats, where hardware arithmetic is orders of magnitude slower.
 
 The state convention: one walk step applies a 2x2 matrix in spin space and a
 spin-conditioned shift (up moves one site right, down one site left). The two
-step orders in use are matrix-before-shift and shift-before-matrix; the
-electric variant is shift, then coin, then a per-site phase ``exp(i*phi*x)``.
+step orders are matrix-before-shift, with an optional probe of the return
+probability at one buffer index, and shift-before-matrix, with an optional
+per-site phase applied after the matrix (the electric walk).
 """
 
 from __future__ import annotations
-
-import os
-
-import numpy as np
-
-_FLAG = os.environ.get("QPWALK_NUMBA", "").strip().lower()
-if _FLAG in ("0", "off", "false", "no"):
-    _numba = None
-else:
-    try:
-        import numba as _numba
-    except ImportError:
-        if _FLAG in ("1", "on", "true", "yes"):
-            raise
-        _numba = None
-
-USING_NUMBA = _numba is not None
 
 # Boundary sites where every component is below this magnitude are zeroed and
 # dropped from the live window after each step. Chosen ~10^108 above the
 # smallest normal float (so subnormals never arise) and ~10^190 below every
 # tolerance used anywhere in the package.
 TRIM_THRESHOLD = 1e-200
-
-
-def backend_name() -> str:
-    return "numba" if USING_NUMBA else "numpy"
 
 
 def _trim_bounds(psi, lo, hi):
@@ -81,11 +53,12 @@ def _trim_bounds(psi, lo, hi):
     return lo, hi
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
+def steps_matrix_then_shift(psi, lo, hi, mats, origin=None, out_p0=None):
+    """Apply ``mats[t]`` then the shift for each t.
 
-def _steps_matrix_then_shift_np(psi, lo, hi, mats):
+    When ``origin`` is given, ``out_p0[t]`` receives the probability at buffer
+    index ``origin`` after step t.
+    """
     for t in range(mats.shape[0]):
         m = mats[t]
         block = psi[lo:hi + 1]
@@ -97,10 +70,17 @@ def _steps_matrix_then_shift_np(psi, lo, hi, mats):
         lo -= 1
         hi += 1
         lo, hi = _trim_bounds(psi, lo, hi)
+        if origin is not None:
+            out_p0[t] = abs(psi[origin, 0]) ** 2 + abs(psi[origin, 1]) ** 2
     return lo, hi
 
 
-def _steps_shift_then_matrix_np(psi, lo, hi, mats):
+def steps_shift_then_matrix(psi, lo, hi, mats, site_phase=None):
+    """Apply the shift then ``mats[t]`` for each t.
+
+    When ``site_phase`` is given (one entry per buffer index), each site's
+    new spinor is multiplied by its phase after the matrix product.
+    """
     for t in range(mats.shape[0]):
         m = mats[t]
         up = psi[lo:hi + 1, 0].copy()
@@ -113,186 +93,11 @@ def _steps_shift_then_matrix_np(psi, lo, hi, mats):
         block = psi[lo:hi + 1]
         new_up = m[0, 0] * block[:, 0] + m[0, 1] * block[:, 1]
         new_dn = m[1, 0] * block[:, 0] + m[1, 1] * block[:, 1]
+        if site_phase is not None:
+            ph = site_phase[lo:hi + 1]
+            new_up *= ph
+            new_dn *= ph
         block[:, 0] = new_up
         block[:, 1] = new_dn
         lo, hi = _trim_bounds(psi, lo, hi)
     return lo, hi
-
-
-def _steps_electric_np(psi, lo, hi, coin, site_phase, steps):
-    for t in range(steps):
-        up = psi[lo:hi + 1, 0].copy()
-        dn = psi[lo:hi + 1, 1].copy()
-        psi[lo - 1:hi + 2] = 0.0
-        psi[lo + 1:hi + 2, 0] = up
-        psi[lo - 1:hi, 1] = dn
-        lo -= 1
-        hi += 1
-        block = psi[lo:hi + 1]
-        ph = site_phase[lo:hi + 1]
-        new_up = (coin[0, 0] * block[:, 0] + coin[0, 1] * block[:, 1]) * ph
-        new_dn = (coin[1, 0] * block[:, 0] + coin[1, 1] * block[:, 1]) * ph
-        block[:, 0] = new_up
-        block[:, 1] = new_dn
-        lo, hi = _trim_bounds(psi, lo, hi)
-    return lo, hi
-
-
-def _steps_matrix_then_shift_origin_np(psi, lo, hi, mats, origin, out_p0):
-    for t in range(mats.shape[0]):
-        m = mats[t]
-        block = psi[lo:hi + 1]
-        up = m[0, 0] * block[:, 0] + m[0, 1] * block[:, 1]
-        dn = m[1, 0] * block[:, 0] + m[1, 1] * block[:, 1]
-        psi[lo - 1:hi + 2] = 0.0
-        psi[lo + 1:hi + 2, 0] = up
-        psi[lo - 1:hi, 1] = dn
-        lo -= 1
-        hi += 1
-        lo, hi = _trim_bounds(psi, lo, hi)
-        out_p0[t] = abs(psi[origin, 0]) ** 2 + abs(psi[origin, 1]) ** 2
-    return lo, hi
-
-
-# ---------------------------------------------------------------------------
-# numba implementations (scalar loops; jitted below when numba is active)
-# ---------------------------------------------------------------------------
-
-def _steps_matrix_then_shift_jit(psi, lo, hi, mats):
-    width = hi - lo + 1 + 2 * mats.shape[0]
-    tmp_up = np.empty(width, dtype=np.complex128)
-    tmp_dn = np.empty(width, dtype=np.complex128)
-    for t in range(mats.shape[0]):
-        m00 = mats[t, 0, 0]
-        m01 = mats[t, 0, 1]
-        m10 = mats[t, 1, 0]
-        m11 = mats[t, 1, 1]
-        w = hi - lo + 1
-        for i in range(w):
-            x = lo + i
-            tmp_up[i] = m00 * psi[x, 0] + m01 * psi[x, 1]
-            tmp_dn[i] = m10 * psi[x, 0] + m11 * psi[x, 1]
-        for x in range(lo - 1, hi + 2):
-            psi[x, 0] = 0.0
-            psi[x, 1] = 0.0
-        for i in range(w):
-            psi[lo + i + 1, 0] = tmp_up[i]
-            psi[lo + i - 1, 1] = tmp_dn[i]
-        lo -= 1
-        hi += 1
-        lo, hi = _trim_bounds(psi, lo, hi)
-    return lo, hi
-
-
-def _steps_shift_then_matrix_jit(psi, lo, hi, mats):
-    width = hi - lo + 1 + 2 * mats.shape[0]
-    tmp_up = np.empty(width, dtype=np.complex128)
-    tmp_dn = np.empty(width, dtype=np.complex128)
-    for t in range(mats.shape[0]):
-        m00 = mats[t, 0, 0]
-        m01 = mats[t, 0, 1]
-        m10 = mats[t, 1, 0]
-        m11 = mats[t, 1, 1]
-        w = hi - lo + 1
-        for i in range(w):
-            x = lo + i
-            tmp_up[i] = psi[x, 0]
-            tmp_dn[i] = psi[x, 1]
-        for x in range(lo - 1, hi + 2):
-            psi[x, 0] = 0.0
-            psi[x, 1] = 0.0
-        for i in range(w):
-            psi[lo + i + 1, 0] = tmp_up[i]
-            psi[lo + i - 1, 1] = tmp_dn[i]
-        lo -= 1
-        hi += 1
-        for x in range(lo, hi + 1):
-            u = psi[x, 0]
-            d = psi[x, 1]
-            psi[x, 0] = m00 * u + m01 * d
-            psi[x, 1] = m10 * u + m11 * d
-        lo, hi = _trim_bounds(psi, lo, hi)
-    return lo, hi
-
-
-def _steps_electric_jit(psi, lo, hi, coin, site_phase, steps):
-    width = hi - lo + 1 + 2 * steps
-    tmp_up = np.empty(width, dtype=np.complex128)
-    tmp_dn = np.empty(width, dtype=np.complex128)
-    c00 = coin[0, 0]
-    c01 = coin[0, 1]
-    c10 = coin[1, 0]
-    c11 = coin[1, 1]
-    for t in range(steps):
-        w = hi - lo + 1
-        for i in range(w):
-            x = lo + i
-            tmp_up[i] = psi[x, 0]
-            tmp_dn[i] = psi[x, 1]
-        for x in range(lo - 1, hi + 2):
-            psi[x, 0] = 0.0
-            psi[x, 1] = 0.0
-        for i in range(w):
-            psi[lo + i + 1, 0] = tmp_up[i]
-            psi[lo + i - 1, 1] = tmp_dn[i]
-        lo -= 1
-        hi += 1
-        for x in range(lo, hi + 1):
-            u = psi[x, 0]
-            d = psi[x, 1]
-            ph = site_phase[x]
-            psi[x, 0] = (c00 * u + c01 * d) * ph
-            psi[x, 1] = (c10 * u + c11 * d) * ph
-        lo, hi = _trim_bounds(psi, lo, hi)
-    return lo, hi
-
-
-def _steps_matrix_then_shift_origin_jit(psi, lo, hi, mats, origin, out_p0):
-    width = hi - lo + 1 + 2 * mats.shape[0]
-    tmp_up = np.empty(width, dtype=np.complex128)
-    tmp_dn = np.empty(width, dtype=np.complex128)
-    for t in range(mats.shape[0]):
-        m00 = mats[t, 0, 0]
-        m01 = mats[t, 0, 1]
-        m10 = mats[t, 1, 0]
-        m11 = mats[t, 1, 1]
-        w = hi - lo + 1
-        for i in range(w):
-            x = lo + i
-            tmp_up[i] = m00 * psi[x, 0] + m01 * psi[x, 1]
-            tmp_dn[i] = m10 * psi[x, 0] + m11 * psi[x, 1]
-        for x in range(lo - 1, hi + 2):
-            psi[x, 0] = 0.0
-            psi[x, 1] = 0.0
-        for i in range(w):
-            psi[lo + i + 1, 0] = tmp_up[i]
-            psi[lo + i - 1, 1] = tmp_dn[i]
-        lo -= 1
-        hi += 1
-        lo, hi = _trim_bounds(psi, lo, hi)
-        u = psi[origin, 0]
-        d = psi[origin, 1]
-        out_p0[t] = (u.real * u.real + u.imag * u.imag
-                     + d.real * d.real + d.imag * d.imag)
-    return lo, hi
-
-
-if USING_NUMBA:
-    _jit = _numba.njit(cache=True)
-    # Rebind the shared trim helper to its compiled form first: the kernels
-    # below resolve it by global name when they compile on first call.
-    _trim_bounds = _jit(_trim_bounds)
-    _steps_matrix_then_shift_nb = _jit(_steps_matrix_then_shift_jit)
-    _steps_shift_then_matrix_nb = _jit(_steps_shift_then_matrix_jit)
-    _steps_electric_nb = _jit(_steps_electric_jit)
-    _steps_matrix_then_shift_origin_nb = _jit(_steps_matrix_then_shift_origin_jit)
-
-    steps_matrix_then_shift = _steps_matrix_then_shift_nb
-    steps_shift_then_matrix = _steps_shift_then_matrix_nb
-    steps_electric = _steps_electric_nb
-    steps_matrix_then_shift_origin = _steps_matrix_then_shift_origin_nb
-else:
-    steps_matrix_then_shift = _steps_matrix_then_shift_np
-    steps_shift_then_matrix = _steps_shift_then_matrix_np
-    steps_electric = _steps_electric_np
-    steps_matrix_then_shift_origin = _steps_matrix_then_shift_origin_np

@@ -29,7 +29,7 @@ from math import gcd
 
 import numpy as np
 
-from . import __version__, _kernels
+from . import __version__
 from .cfrac import approximation_check, cf_expand, classify_field, golden_ratio_fraction
 from .gauge import verify_gauge_equivalence
 from .momentum import alpha_tilde_sup, trace_formula
@@ -104,6 +104,8 @@ def parse_spinor(text: str) -> tuple[complex, complex]:
     except ValueError as exc:
         raise ConfigError(f"bad spinor {text!r}: {exc}") from exc
     norm = math.sqrt(abs(u) ** 2 + abs(d) ** 2)
+    if not math.isfinite(norm):
+        raise ConfigError(f"spinor entries must be finite, got {text!r}")
     if norm == 0:
         raise ConfigError("spinor must be nonzero")
     return u / norm, d / norm
@@ -161,7 +163,7 @@ class Options:
 
 def record_rows(experiment: str, metadata: dict, columns: list[str], rows: list):
     meta = {"experiment": experiment, "version": __version__,
-            "backend": _kernels.backend_name()}
+            "backend": "numpy"}
     meta.update(metadata)
     return {"experiment": experiment, "metadata": meta,
             "columns": columns, "rows": rows}

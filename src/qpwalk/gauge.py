@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .walk import Field, TimeRule, WalkParams, WalkState, evolve
+from .walk import Field, TimeRule, WalkParams, WalkState, evolve, run_padded
 from . import _kernels
 
 
@@ -52,16 +52,15 @@ def apply_gauge(state: WalkState, g: GaugePhase) -> WalkState:
 
 def _electric_run(state: WalkState, phi: float, coin: np.ndarray,
                   steps: int) -> WalkState:
-    coin = np.asarray(coin, dtype=complex)
-    width = state.amplitudes.shape[0]
-    pad = steps + 2
-    buf = np.zeros((width + 2 * pad, 2), dtype=complex)
-    buf[pad:pad + width] = state.amplitudes
-    lo, hi = pad, pad + width - 1
-    xs = np.arange(buf.shape[0]) - (pad - state.x_min)
-    site_phase = np.exp(1j * phi * xs).astype(complex)
-    lo, hi = _kernels.steps_electric(buf, lo, hi, coin, site_phase, steps)
-    return WalkState(x_min=state.x_min - (pad - lo), amplitudes=buf[lo:hi + 1])
+    mats = np.broadcast_to(np.asarray(coin, dtype=complex), (steps, 2, 2))
+
+    def run(buf, lo, hi, offset):
+        xs = np.arange(buf.shape[0]) - offset
+        site_phase = np.exp(1j * phi * xs).astype(complex)
+        return _kernels.steps_shift_then_matrix(buf, lo, hi, mats,
+                                                site_phase=site_phase)
+
+    return run_padded(state, steps, run)
 
 
 def electric_step(state: WalkState, phi: float, coin: np.ndarray) -> WalkState:

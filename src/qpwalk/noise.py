@@ -8,12 +8,13 @@ ones, and a telescoping estimate gives the worst-case deviation from the clean
 walk as sum_t t*epsilon = t(t+1)/2 * epsilon after t steps.
 
 Reproducibility: trajectory i of a config with seed s draws from
-numpy's PCG64 seeded with SeedSequence((s, i)). All draws happen outside the
-evolution kernels, so results do not depend on the accelerated backend.
+numpy's PCG64 seeded with SeedSequence((s, i)). All draws happen before the
+trajectory is evolved, outside the evolution kernels.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +35,8 @@ class NoiseConfig:
     support: str = "pm1"
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
+        if not math.isfinite(self.epsilon) or self.epsilon < 0:
+            raise ValueError(f"epsilon must be finite and nonnegative, got {self.epsilon!r}")
         if self.ensemble_size < 1:
             raise ValueError("ensemble_size must be at least 1")
         if self.support not in SUPPORTS:

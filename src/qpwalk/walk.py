@@ -59,6 +59,10 @@ class Field:
     denominator: int | None = None
     label: str = ""
 
+    def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise ValueError(f"field value must be finite, got {self.value!r}")
+
     @classmethod
     def rational(cls, numerator: int, denominator: int) -> "Field":
         """Field phi = 2*pi*numerator/denominator, reduced to lowest terms."""
@@ -118,7 +122,7 @@ class WalkParams:
 
     def __post_init__(self):
         norm = abs(self.coin_a) ** 2 + abs(self.coin_b) ** 2
-        if abs(norm - 1.0) > 1e-10:
+        if not math.isfinite(norm) or abs(norm - 1.0) > 1e-10:
             raise ValueError(f"coin entries must satisfy |a|^2+|b|^2=1, got {norm!r}")
         if not isinstance(self.time_rule, TimeRule):
             # Accept the enum's value ("rx-field") or name ("RX_FIELD") as a
@@ -231,6 +235,22 @@ class WalkState:
         return WalkState(x_min=self.x_min, amplitudes=self.amplitudes.copy())
 
 
+def run_padded(state: WalkState, steps: int, run) -> WalkState:
+    """Copy the state into a zero-padded buffer, run a kernel on it, cut the window.
+
+    The padding leaves room for ``steps`` steps of growth on each side.
+    ``run(buf, lo, hi, offset)`` advances the buffer in place and returns the
+    new inclusive bounds; buffer index i holds site i - offset.
+    """
+    width = state.amplitudes.shape[0]
+    pad = steps + 2
+    buf = np.zeros((width + 2 * pad, 2), dtype=complex)
+    buf[pad:pad + width] = state.amplitudes
+    offset = pad - state.x_min
+    lo, hi = run(buf, pad, pad + width - 1, offset)
+    return WalkState(x_min=lo - offset, amplitudes=buf[lo:hi + 1])
+
+
 def evolve(state: WalkState, t_from: int, t_to: int, params: WalkParams,
            field_values=None) -> WalkState:
     """Apply W(t_to) ... W(t_from) to the state (empty product when t_from > t_to).
@@ -244,16 +264,10 @@ def evolve(state: WalkState, t_from: int, t_to: int, params: WalkParams,
     if field_values is not None and len(field_values) != steps:
         raise ValueError("field_values must supply one angle per step")
     mats = params.step_matrices(t_from, t_to, field_values=field_values)
-    width = state.amplitudes.shape[0]
-    pad = steps + 2
-    buf = np.zeros((width + 2 * pad, 2), dtype=complex)
-    buf[pad:pad + width] = state.amplitudes
-    lo, hi = pad, pad + width - 1
-    if params.matrix_before_shift:
-        lo, hi = _kernels.steps_matrix_then_shift(buf, lo, hi, mats)
-    else:
-        lo, hi = _kernels.steps_shift_then_matrix(buf, lo, hi, mats)
-    return WalkState(x_min=state.x_min - (pad - lo), amplitudes=buf[lo:hi + 1])
+    kernel = (_kernels.steps_matrix_then_shift if params.matrix_before_shift
+              else _kernels.steps_shift_then_matrix)
+    return run_padded(state, steps,
+                      lambda buf, lo, hi, offset: kernel(buf, lo, hi, mats))
 
 
 def step(state: WalkState, t: int, params: WalkParams) -> WalkState:
@@ -272,19 +286,17 @@ def evolve_tracking_origin(state: WalkState, t_max: int, params: WalkParams,
     if not params.matrix_before_shift:
         raise ValueError("origin tracking is implemented for the RX_FIELD rule")
     mats = params.step_matrices(1, t_max, field_values=field_values)
-    width = state.amplitudes.shape[0]
-    pad = t_max + 2
-    buf = np.zeros((width + 2 * pad, 2), dtype=complex)
-    buf[pad:pad + width] = state.amplitudes
-    lo, hi = pad, pad + width - 1
-    origin = pad - state.x_min
-    if not (0 <= origin < buf.shape[0]):
-        raise ValueError("origin x=0 must lie inside the padded window")
     p0 = np.empty(t_max + 1)
     p0[0] = abs(state.amplitude(0, +1)) ** 2 + abs(state.amplitude(0, -1)) ** 2
-    lo, hi = _kernels.steps_matrix_then_shift_origin(buf, lo, hi, mats, origin, p0[1:])
-    out = WalkState(x_min=state.x_min - (pad - lo), amplitudes=buf[lo:hi + 1])
-    return out, p0
+
+    def run(buf, lo, hi, offset):
+        # Site x sits at buffer index x + offset, so the origin is at ``offset``.
+        if not (0 <= offset < buf.shape[0]):
+            raise ValueError("origin x=0 must lie inside the padded window")
+        return _kernels.steps_matrix_then_shift(buf, lo, hi, mats,
+                                                origin=offset, out_p0=p0[1:])
+
+    return run_padded(state, t_max, run), p0
 
 
 def position_distribution(state: WalkState) -> dict[int, float]:

@@ -170,6 +170,12 @@ def test_config_errors_exit_2(tmp_path, capsys):
     noeq.write_text("tmax\n")
     assert run_cli(["evolve", "--config", str(noeq)], capsys)[0] == 2
     assert run_cli(["evolve", "--coin", "1,1"], capsys)[0] == 2
+    for argv in (["evolve", "--field", "nan"],
+                 ["evolve", "--coin", "nan,0"],
+                 ["evolve", "--spinor", "nan,0"],
+                 ["noise-series", "--tmax", "2", "--ensemble", "1",
+                  "--epsilon", "nan"]):
+        assert run_cli(argv, capsys)[0] == 2
 
 
 def test_unknown_flag_exits_2():

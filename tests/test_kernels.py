@@ -1,16 +1,12 @@
-"""Backend equivalence: the compiled kernels and the numpy fallbacks must agree."""
-
-import math
-import os
-import subprocess
-import sys
-import textwrap
+"""The two step-order kernels, through the paths that share them, against the dict references."""
 
 import numpy as np
-import pytest
 
+from conftest import max_diff, random_su2, reference_electric, reference_evolve, state_to_dict
 from qpwalk import _kernels
-from qpwalk.walk import Field, WalkState, evolve, hadamard_params
+from qpwalk.gauge import electric_evolve
+from qpwalk.walk import (Field, WalkParams, WalkState, evolve, evolve_tracking_origin,
+                         hadamard_params, return_probability)
 
 
 def _random_case(rng, steps=9, width=5):
@@ -26,59 +22,6 @@ def _random_case(rng, steps=9, width=5):
     return buf, pad, pad + width - 1, mats
 
 
-@pytest.mark.skipif(not _kernels.USING_NUMBA,
-                    reason="compiled backend not active in this process")
-@pytest.mark.parametrize("name", ["steps_matrix_then_shift",
-                                  "steps_shift_then_matrix"])
-def test_compiled_matches_fallback(rng, name):
-    compiled = getattr(_kernels, name)
-    fallback = getattr(_kernels, f"_{name}_np")
-    for _ in range(10):
-        buf, lo, hi, mats = _random_case(rng)
-        buf2 = buf.copy()
-        lo1, hi1 = compiled(buf, lo, hi, mats)
-        lo2, hi2 = fallback(buf2, lo, hi, mats)
-        assert (lo1, hi1) == (lo2, hi2)
-        assert np.allclose(buf, buf2, atol=1e-13)
-
-
-@pytest.mark.skipif(not _kernels.USING_NUMBA,
-                    reason="compiled backend not active in this process")
-def test_compiled_electric_matches_fallback(rng):
-    for _ in range(10):
-        buf, lo, hi, _ = _random_case(rng)
-        steps = 9
-        q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-        xs = np.arange(buf.shape[0]) - lo
-        site_phase = np.exp(1j * 0.7123 * xs)
-        buf2 = buf.copy()
-        lo1, hi1 = _kernels.steps_electric(buf, lo, hi, np.ascontiguousarray(q),
-                                           site_phase, steps)
-        lo2, hi2 = _kernels._steps_electric_np(buf2, lo, hi,
-                                               np.ascontiguousarray(q),
-                                               site_phase, steps)
-        assert (lo1, hi1) == (lo2, hi2)
-        assert np.allclose(buf, buf2, atol=1e-13)
-
-
-@pytest.mark.skipif(not _kernels.USING_NUMBA,
-                    reason="compiled backend not active in this process")
-def test_compiled_origin_tracker_matches_fallback(rng):
-    for _ in range(5):
-        buf, lo, hi, mats = _random_case(rng)
-        buf2 = buf.copy()
-        p1 = np.empty(mats.shape[0])
-        p2 = np.empty(mats.shape[0])
-        origin = lo + 2
-        out1 = _kernels.steps_matrix_then_shift_origin(buf, lo, hi, mats,
-                                                       origin, p1)
-        out2 = _kernels._steps_matrix_then_shift_origin_np(buf2, lo, hi, mats,
-                                                           origin, p2)
-        assert out1 == out2
-        assert np.allclose(buf, buf2, atol=1e-13)
-        assert np.allclose(p1, p2, atol=1e-13)
-
-
 def test_window_bounds_track_support(rng):
     buf, lo, hi, mats = _random_case(rng, steps=4, width=3)
     lo2, hi2 = _kernels.steps_matrix_then_shift(buf, lo, hi, mats)
@@ -86,57 +29,30 @@ def test_window_bounds_track_support(rng):
     assert np.all(buf[:lo2] == 0) and np.all(buf[hi2 + 1:] == 0)
 
 
-def _run_flagged(flag: str) -> str:
-    code = textwrap.dedent("""
-        import numpy as np
-        from qpwalk import backend_name
-        from qpwalk.walk import Field, WalkState, evolve, hadamard_params
-        params = hadamard_params(Field.rational(1, 7))
-        state = evolve(WalkState.single_site(), 1, 40, params)
-        print(backend_name())
-        print(repr(float(np.abs(state.amplitudes).sum())))
-    """)
-    env = dict(os.environ)
-    env["QPWALK_NUMBA"] = flag
-    result = subprocess.run([sys.executable, "-c", code], env=env,
-                            capture_output=True, text=True, check=True)
-    return result.stdout.split()
+def test_electric_evolve_matches_dict_reference(rng):
+    for _ in range(4):
+        a, b = random_su2(rng)
+        coin = WalkParams(field=Field.rational(1, 7), coin_a=a, coin_b=b).coin
+        phi = float(rng.uniform(-np.pi, np.pi))
+        x0 = int(rng.integers(1, 6)) * int(rng.choice([-1, 1]))
+        steps = int(rng.integers(20, 41))
+        state = WalkState.single_site(x=x0, spinor=random_su2(rng))
+        out = electric_evolve(state, steps, phi, coin)
+        ref = reference_electric(state_to_dict(state), coin, phi, steps)
+        assert max_diff(out, ref) < 1e-12
 
 
-def test_env_flag_selects_backend():
-    name_off, total_off = _run_flagged("0")
-    assert name_off == "numpy"
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        pytest.skip("numba not installed")
-    name_on, total_on = _run_flagged("1")
-    assert name_on == "numba"
-    assert abs(float(total_on) - float(total_off)) < 1e-10
-
-
-@pytest.mark.parametrize("flag", ["off", "false", "OFF"])
-def test_env_flag_spellings(flag):
-    assert _run_flagged(flag)[0] == "numpy"
-
-
-def test_evolution_identical_across_backends():
-    params = hadamard_params(Field.golden())
-    state = evolve(WalkState.single_site(), 1, 60, params)
-    code = textwrap.dedent("""
-        import numpy as np
-        from qpwalk.walk import Field, WalkState, evolve, hadamard_params
-        params = hadamard_params(Field.golden())
-        state = evolve(WalkState.single_site(), 1, 60, params)
-        np.save({out!r}, state.amplitudes)
-    """)
-    import tempfile
-    with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "amps.npy")
-        env = dict(os.environ)
-        env["QPWALK_NUMBA"] = "0"
-        subprocess.run([sys.executable, "-c", code.format(out=out)], env=env,
-                       check=True)
-        other = np.load(out)
-    assert other.shape == state.amplitudes.shape
-    assert np.abs(other - state.amplitudes).max() < 1e-12
+def test_origin_tracking_from_off_origin_start():
+    params = hadamard_params(Field.rational(1, 9))
+    start = WalkState.single_site(x=3, spinor=(0.6, 0.8j))
+    final, p0 = evolve_tracking_origin(start, 30, params)
+    state = start
+    expected = [return_probability(state)]
+    for t in range(1, 31):
+        state = evolve(state, t, t, params)
+        expected.append(return_probability(state))
+    assert np.all(p0[:3] == 0.0) and p0[3] > 0.0
+    assert np.allclose(p0, expected, atol=1e-13)
+    ref = reference_evolve(state_to_dict(start), list(params.step_matrices(1, 30)),
+                           matrix_before_shift=True)
+    assert max_diff(final, ref) < 1e-12

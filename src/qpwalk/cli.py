@@ -32,13 +32,12 @@ import numpy as np
 from . import __version__
 from .cfrac import approximation_check, cf_expand, classify_field, golden_ratio_fraction
 from .gauge import verify_gauge_equivalence
-from .momentum import alpha_tilde_sup, trace_formula
+from .momentum import trace_formula
 from .noise import NoiseConfig, return_series
-from .revivals import (appendix_table, detect_sign, irrational_revival_bound,
-                       revival_deviation, revival_report, revival_time)
+from .revivals import appendix_table, irrational_revival_bound, revival_report
 from .spinops import rotation_x
-from .walk import (Field, TimeRule, WalkParams, WalkState, bloch_vector, evolve,
-                   evolve_tracking_origin, position_distribution)
+from .walk import (Field, WalkParams, WalkState, bloch_vector, evolve,
+                   position_distribution)
 
 TRACE_CHECK_TOL = 1e-9
 GAUGE_CHECK_TOL = 1e-10
@@ -49,9 +48,38 @@ NAMED_COINS = {
     "i-sigma-y": (0.0j, 1.0 + 0.0j),
 }
 
-KNOWN_CONFIG_KEYS = {
-    "field", "coin", "tmax", "epsilon", "seed", "ensemble", "out", "format",
-    "m_list", "depth", "trials", "noise_support", "spinor", "x0", "stride",
+# option -> argparse keywords; the flag is --option with '-' for '_', and the
+# option names are also the config-file keys
+FLAGS = {
+    "field": {"help": "phi/(2*pi): n/m, a float, or 'golden'"},
+    "coin": {"help": "hadamard | identity | i-sigma-y | a,b"},
+    "tmax": {"help": "number of steps (or horizon)"},
+    "epsilon": {"help": "noise amplitude(s), comma separated"},
+    "seed": {"help": "master RNG seed"},
+    "ensemble": {"help": "ensemble size for noise runs"},
+    "out": {"help": "output path, '-' for stdout (default)"},
+    "format": {"choices": ("csv", "json"), "help": "output format"},
+    "m_list": {"help": "comma-separated m values"},
+    "depth": {"help": "continued-fraction depth"},
+    "trials": {"help": "number of random trials"},
+    "noise_support": {"choices": ("pm1", "01"), "help": "x_t support: [-1,1] or [0,1]"},
+    "spinor": {"help": "initial spinor 'up,down' (normalized)"},
+    "x0": {"help": "initial site"},
+    "stride": {"help": "emit every stride-th step"},
+}
+KNOWN_CONFIG_KEYS = set(FLAGS)
+
+# the options each experiment reads besides --out and --format; argparse
+# rejects any other flag
+EXPERIMENT_FLAGS = {
+    "evolve": "field coin tmax stride x0 spinor",
+    "revival-scan": "field coin tmax depth m_list",
+    "trace-check": "trials seed",
+    "cf": "field depth",
+    "noise-series": "field coin tmax epsilon seed ensemble noise_support",
+    "gauge-check": "field coin tmax trials seed",
+    "appendix-table": "m_list",
+    "bloch-trace": "field coin tmax x0 spinor",
 }
 
 
@@ -216,20 +244,11 @@ def _json_default(value):
     raise TypeError(f"not JSON serializable: {type(value)!r}")
 
 
-def _common_meta(opts, field: Field | None, coin_label: str | None) -> dict:
-    meta = {}
-    if field is not None:
-        meta["field"] = field.label
-    if coin_label is not None:
-        meta["coin"] = coin_label
-    return meta
-
-
 # ---------------------------------------------------------------------------
 # experiment handlers
 # ---------------------------------------------------------------------------
 
-def run_evolve(opts: Options) -> int:
+def run_evolve(opts: Options) -> tuple[dict, int]:
     field = parse_field(opts.get("field", "1/155", str))
     a, b, coin_label = parse_coin(opts.get("coin", "hadamard", str))
     t_max = opts.get("tmax", 310, int)
@@ -248,21 +267,19 @@ def run_evolve(opts: Options) -> int:
         if t % stride == 0 or t == t_max:
             for x, p in sorted(position_distribution(state).items()):
                 rows.append((t, x, p))
-    meta = _common_meta(opts, field, coin_label)
-    meta.update({"tmax": t_max, "stride": stride, "x0": x0,
-                 "spinor": opts.get("spinor", "1,0", str)})
-    record = record_rows("evolve", meta, ["t", "x", "probability"], rows)
-    write_record(record, opts.get("out", "-", str), opts.get("format", "csv", str))
-    return 0
+    meta = {"field": field.label, "coin": coin_label, "tmax": t_max, "stride": stride,
+            "x0": x0, "spinor": opts.get("spinor", "1,0", str)}
+    return record_rows("evolve", meta, ["t", "x", "probability"], rows), 0
 
 
-def run_revival_scan(opts: Options) -> int:
+def run_revival_scan(opts: Options) -> tuple[dict, int]:
     field_spec = opts.get("field", "", str)
     a, b, coin_label = parse_coin(opts.get("coin", "hadamard", str))
     t_max = opts.get("tmax", 400, int)
-    out_path = opts.get("out", "-", str)
-    fmt = opts.get("format", "csv", str)
 
+    if field_spec not in ("", "golden"):
+        raise ConfigError("revival-scan takes --field golden only; rational "
+                          "fields 1/m are chosen with --m-list")
     if field_spec == "golden":
         depth = opts.get("depth", 12, int)
         x = golden_ratio_fraction(max(60, 3 * depth))
@@ -274,18 +291,16 @@ def run_revival_scan(opts: Options) -> int:
             time, bound = irrational_revival_bound(cf, k_index)
             if time > t_max:
                 break
-            sign = detect_sign(params, time)
-            dev = revival_deviation(params, time, sign)
+            # the convergent's revival time 2*d_k or d_k is revival_time(d_k)
             d_k = cf.convergents[k_index - 1].denominator
-            rows.append((k_index, d_k, time, sign, dev, bound))
-        meta = _common_meta(opts, field, coin_label)
-        meta.update({"tmax": t_max, "depth": depth})
-        record = record_rows(
+            report = revival_report(params, d_k)
+            rows.append((k_index, d_k, time, report.sign,
+                         report.measured_deviation, bound))
+        meta = {"field": field.label, "coin": coin_label, "tmax": t_max, "depth": depth}
+        return record_rows(
             "revival-scan", meta,
             ["k_index", "d_k", "revival_time", "sign", "measured_deviation",
-             "bound_leading"], rows)
-        write_record(record, out_path, fmt)
-        return 0
+             "bound_leading"], rows), 0
 
     m_list = parse_int_list(opts.get("m_list", "3,4,5,6,7,8,9,10,11,12", str))
     if any(m < 1 for m in m_list):
@@ -296,17 +311,14 @@ def run_revival_scan(opts: Options) -> int:
         report = revival_report(params, m)
         rows.append((report.m, report.parity, report.revival_time, report.sign,
                      report.measured_deviation, report.predicted_scale))
-    meta = _common_meta(opts, None, coin_label)
-    meta.update({"m_list": ",".join(str(m) for m in m_list)})
-    record = record_rows(
+    meta = {"coin": coin_label, "m_list": ",".join(str(m) for m in m_list)}
+    return record_rows(
         "revival-scan", meta,
         ["m", "parity", "revival_time", "sign", "measured_deviation",
-         "predicted_scale"], rows)
-    write_record(record, out_path, fmt)
-    return 0
+         "predicted_scale"], rows), 0
 
 
-def run_trace_check(opts: Options) -> int:
+def run_trace_check(opts: Options) -> tuple[dict, int]:
     trials = opts.get("trials", 200, int)
     seed = opts.get("seed", 0, int)
     if trials < 1:
@@ -328,10 +340,8 @@ def run_trace_check(opts: Options) -> int:
         rows.append((trial, m, n, residual, residual <= TRACE_CHECK_TOL))
     meta = {"trials": trials, "seed": seed, "tolerance": TRACE_CHECK_TOL,
             "worst_residual": worst}
-    record = record_rows("trace-check", meta,
-                         ["trial", "m", "n", "residual", "pass"], rows)
-    write_record(record, opts.get("out", "-", str), opts.get("format", "csv", str))
-    return 0 if worst <= TRACE_CHECK_TOL else 3
+    code = 0 if worst <= TRACE_CHECK_TOL else 3
+    return record_rows("trace-check", meta, ["trial", "m", "n", "residual", "pass"], rows), code
 
 
 def _direct_cyclic_trace(mat: np.ndarray, rot: np.ndarray, m: int) -> complex:
@@ -343,7 +353,7 @@ def _direct_cyclic_trace(mat: np.ndarray, rot: np.ndarray, m: int) -> complex:
     return complex(np.trace(prod))
 
 
-def run_cf(opts: Options) -> int:
+def run_cf(opts: Options) -> tuple[dict, int]:
     field_spec = opts.get("field", "golden", str)
     depth = opts.get("depth", 40, int)
     if depth < 1:
@@ -374,14 +384,12 @@ def run_cf(opts: Options) -> int:
                      checks[i - 1] if i - 1 < len(checks) else True))
     meta = {"field": label, "depth": depth, "finite": cf.finite,
             "truncated": cf.truncated, "classification": classification.kind}
-    record = record_rows("cf", meta,
-                         ["k", "c_k", "n_k", "d_k", "abs_error", "bound",
-                          "within_bound"], rows)
-    write_record(record, opts.get("out", "-", str), opts.get("format", "csv", str))
-    return 0
+    return record_rows("cf", meta,
+                       ["k", "c_k", "n_k", "d_k", "abs_error", "bound",
+                        "within_bound"], rows), 0
 
 
-def run_noise_series(opts: Options) -> int:
+def run_noise_series(opts: Options) -> tuple[dict, int]:
     field = parse_field(opts.get("field", "1/100", str))
     a, b, coin_label = parse_coin(opts.get("coin", "hadamard", str))
     t_max = opts.get("tmax", 1000, int)
@@ -402,17 +410,14 @@ def run_noise_series(opts: Options) -> int:
         series = return_series(params, noise, t_max)
         for t, mean, mini, maxi in series:
             rows.append((eps, int(t), mean, mini, maxi))
-    meta = _common_meta(opts, field, coin_label)
-    meta.update({"tmax": t_max, "seed": seed, "ensemble": ensemble,
-                 "noise_support": support,
-                 "epsilon": ",".join(repr(e) for e in epsilons)})
-    record = record_rows("noise-series", meta,
-                         ["epsilon", "t", "p_mean", "p_min", "p_max"], rows)
-    write_record(record, opts.get("out", "-", str), opts.get("format", "csv", str))
-    return 0
+    meta = {"field": field.label, "coin": coin_label, "tmax": t_max, "seed": seed,
+            "ensemble": ensemble, "noise_support": support,
+            "epsilon": ",".join(repr(e) for e in epsilons)}
+    return record_rows("noise-series", meta,
+                       ["epsilon", "t", "p_mean", "p_min", "p_max"], rows), 0
 
 
-def run_gauge_check(opts: Options) -> int:
+def run_gauge_check(opts: Options) -> tuple[dict, int]:
     field_spec = opts.get("field", "", str)
     a, b, coin_label = parse_coin(opts.get("coin", "hadamard", str))
     t_steps = opts.get("tmax", 50, int)
@@ -432,16 +437,14 @@ def run_gauge_check(opts: Options) -> int:
                                        trials=trials, seed=seed)
         worst = max(worst, dev)
         rows.append((field.label, t_steps, trials, dev, dev <= GAUGE_CHECK_TOL))
-    meta = _common_meta(opts, None, coin_label)
-    meta.update({"tmax": t_steps, "trials": trials, "seed": seed,
-                 "tolerance": GAUGE_CHECK_TOL, "worst_deviation": worst})
-    record = record_rows("gauge-check", meta,
-                         ["field", "t", "trials", "max_deviation", "pass"], rows)
-    write_record(record, opts.get("out", "-", str), opts.get("format", "csv", str))
-    return 0 if worst <= GAUGE_CHECK_TOL else 3
+    meta = {"coin": coin_label, "tmax": t_steps, "trials": trials, "seed": seed,
+            "tolerance": GAUGE_CHECK_TOL, "worst_deviation": worst}
+    code = 0 if worst <= GAUGE_CHECK_TOL else 3
+    columns = ["field", "t", "trials", "max_deviation", "pass"]
+    return record_rows("gauge-check", meta, columns, rows), code
 
 
-def run_appendix_table(opts: Options) -> int:
+def run_appendix_table(opts: Options) -> tuple[dict, int]:
     m_list = parse_int_list(opts.get("m_list", "2,3,4,5,6,7,8,9,10,11,12", str))
     if any(m < 1 for m in m_list):
         raise ConfigError("m values must be positive")
@@ -451,15 +454,13 @@ def run_appendix_table(opts: Options) -> int:
                      report.sign, report.measured_deviation, expected,
                      abs(report.measured_deviation - expected) <= 1e-9))
     meta = {"m_list": ",".join(str(m) for m in m_list)}
-    record = record_rows("appendix-table", meta,
-                         ["coin", "m", "parity", "revival_time", "sign",
-                          "measured_deviation", "expected_deviation", "match"],
-                         rows)
-    write_record(record, opts.get("out", "-", str), opts.get("format", "csv", str))
-    return 0
+    return record_rows("appendix-table", meta,
+                       ["coin", "m", "parity", "revival_time", "sign",
+                        "measured_deviation", "expected_deviation", "match"],
+                       rows), 0
 
 
-def run_bloch_trace(opts: Options) -> int:
+def run_bloch_trace(opts: Options) -> tuple[dict, int]:
     field = parse_field(opts.get("field", "golden", str))
     a, b, coin_label = parse_coin(opts.get("coin", "hadamard", str))
     t_max = opts.get("tmax", 1000, int)
@@ -484,14 +485,10 @@ def run_bloch_trace(opts: Options) -> int:
         if dist < nearest_dist:
             nearest_dist = dist
             nearest_t = t
-    meta = _common_meta(opts, field, coin_label)
-    meta.update({"tmax": t_max, "x0": x0,
-                 "spinor": opts.get("spinor", "1,0", str),
-                 "nearest_return_t": nearest_t,
-                 "nearest_return_dist": nearest_dist})
-    record = record_rows("bloch-trace", meta, ["t", "sx", "sy", "sz", "r"], rows)
-    write_record(record, opts.get("out", "-", str), opts.get("format", "csv", str))
-    return 0
+    meta = {"field": field.label, "coin": coin_label, "tmax": t_max, "x0": x0,
+            "spinor": opts.get("spinor", "1,0", str), "nearest_return_t": nearest_t,
+            "nearest_return_dist": nearest_dist}
+    return record_rows("bloch-trace", meta, ["t", "sx", "sy", "sz", "r"], rows), 0
 
 
 HANDLERS = {
@@ -515,22 +512,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in HANDLERS:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", help="key=value config file; flags override")
-        p.add_argument("--field", help="phi/(2*pi): n/m, a float, or 'golden'")
-        p.add_argument("--coin", help="hadamard | identity | i-sigma-y | a,b")
-        p.add_argument("--tmax", help="number of steps (or horizon)")
-        p.add_argument("--epsilon", help="noise amplitude(s), comma separated")
-        p.add_argument("--seed", help="master RNG seed")
-        p.add_argument("--ensemble", help="ensemble size for noise runs")
-        p.add_argument("--out", help="output path, '-' for stdout (default)")
-        p.add_argument("--format", choices=("csv", "json"), help="output format")
-        p.add_argument("--m-list", dest="m_list", help="comma-separated m values")
-        p.add_argument("--depth", help="continued-fraction depth")
-        p.add_argument("--trials", help="number of random trials")
-        p.add_argument("--noise-support", dest="noise_support",
-                       choices=("pm1", "01"), help="x_t support: [-1,1] or [0,1]")
-        p.add_argument("--spinor", help="initial spinor 'up,down' (normalized)")
-        p.add_argument("--x0", help="initial site")
-        p.add_argument("--stride", help="emit every stride-th step (evolve)")
+        for option in ("out", "format", *EXPERIMENT_FLAGS[name].split()):
+            p.add_argument("--" + option.replace("_", "-"), dest=option, **FLAGS[option])
     return parser
 
 
@@ -539,12 +522,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config_file(args.config) if args.config else {}
-        handler = HANDLERS[args.experiment]
-        return handler(Options(args, cfg))
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        opts = Options(args, cfg)
+        record, code = HANDLERS[args.experiment](opts)
+        write_record(record, opts.get("out", "-", str), opts.get("format", "csv", str))
+        return code
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -37,7 +37,7 @@ from math import gcd
 
 import numpy as np
 
-from .spinops import HADAMARD_BASIS, eigenbasis_unitary2, is_unitary
+from .spinops import eigenbasis_unitary2, is_unitary
 from .walk import TimeRule, WalkParams
 
 TWO_PI = 2.0 * math.pi
@@ -51,18 +51,27 @@ def shift_momentum(k: float) -> np.ndarray:
 
 def step_block(k: float, t: int, params: WalkParams) -> np.ndarray:
     """The single-step momentum block W(t, k)."""
-    m = params.step_matrix(t)
-    s = shift_momentum(k)
-    return s @ m if params.matrix_before_shift else m @ s
+    return regrouped_block(k, params, 1, t_from=t)
 
 
-def regrouped_block(k: float, params: WalkParams, m: int, t_from: int = 1) -> np.ndarray:
-    """Momentum block of W(t_from+m-1) ... W(t_from): m steps composed in time order."""
+def regrouped_block(k, params: WalkParams, m: int, t_from: int = 1) -> np.ndarray:
+    """Momentum block of W(t_from+m-1) ... W(t_from): m steps composed in time order.
+
+    ``k`` is a scalar, giving one (2, 2) block, or an array of momenta, giving
+    a stack of shape k.shape + (2, 2) composed in one pass over the steps.
+    """
     if m < 1:
         raise ValueError("m must be positive")
-    out = np.eye(2, dtype=complex)
-    for t in range(t_from, t_from + m):
-        out = step_block(k, t, params) @ out
+    phase = np.exp(1j * np.asarray(k, dtype=float))
+    # diag(S(k)) as a column scales rows (S(k) @ M), as a row columns (M @ S(k))
+    shift = np.stack([phase, phase.conj()], axis=-1)[..., None]
+    if not params.matrix_before_shift:
+        shift = np.swapaxes(shift, -1, -2)
+    out = np.broadcast_to(np.eye(2, dtype=complex), phase.shape + (2, 2))
+    for mat in params.step_matrices(t_from, t_from + m - 1):
+        block = shift * mat
+        # block @ out as column-times-row products: faster than np.matmul on 2x2 stacks
+        out = block[..., :, :1] * out[..., :1, :] + block[..., :, 1:] * out[..., 1:, :]
     return out
 
 
@@ -177,7 +186,8 @@ def dispersion(k: float, params: WalkParams, m: int) -> tuple[float, float]:
     """Eigenphases (omega_plus, omega_minus) of the regrouped block W^{[m,1]}(k).
 
     The block is special-unitary, so its eigenvalues are exp(+/- i*omega) with
-    2*cos(omega) = tr W^{[m,1]}(k). In terms of a~ = |a~| e^(i*theta):
+    2*cos(omega) = tr W^{[m,1]}(k), taken from ``regrouped_trace``. In terms
+    of a~ = |a~| e^(i*theta):
 
         m odd:  cos(omega) = |a~|^m cos(m*theta)
         m even: cos(omega) = -|a~|^m cos(m*theta) + (-1)^(m/2+1) (1 - |a~|^m)
@@ -195,17 +205,7 @@ def dispersion(k: float, params: WalkParams, m: int) -> tuple[float, float]:
     field = params.field
     if not field.is_rational or field.denominator != m:
         raise ValueError("dispersion requires a rational field with denominator m")
-    at = alpha_tilde(params, k)
-    r = abs(at)
-    if r == 0.0:
-        cos_m_theta_term = 0.0
-    else:
-        theta = cmath.phase(at)
-        cos_m_theta_term = (r ** m) * math.cos(m * theta)
-    if m % 2 == 1:
-        c = cos_m_theta_term
-    else:
-        c = -cos_m_theta_term + (-1) ** (m // 2 + 1) * (1.0 - r ** m)
+    c = regrouped_trace(k, params, m).real / 2.0
     if abs(c) > 1.0 + 1e-9:
         raise ValueError(f"dispersion cosine {c!r} leaves [-1, 1]: inconsistent inputs")
     c = min(1.0, max(-1.0, c))

@@ -7,9 +7,10 @@ space: the walk is translation invariant at every t, so
 
     || W^{[T,1]} - c*I || = sup_k || W^{[T,1]}(k) - c*I ||
 
-with 2x2 blocks; the sup is taken over a dense k-grid refined by a
-golden-section search around the coarse maximum (absolute accuracy about 1e-6,
-see ``revival_deviation``).
+with 2x2 blocks. These are SU(2), so U - c*I = [[p - c, q], [-conj(q), conj(p) - c]]
+is a multiple of a unitary: its norm is its Frobenius norm over sqrt(2), with
+no SVD. One k-grid scan gives the curves for c = +1 and c = -1 together, and
+each maximum is sharpened by zooming in (see ``revival_deviation``).
 
 Exact values for the balanced (Hadamard-class) coin under the RX_FIELD rule
 with field 2*pi/m, derived from the dispersion relation and verified
@@ -43,10 +44,10 @@ import numpy as np
 
 from .cfrac import ContinuedFraction
 from .momentum import alpha_tilde_sup, regrouped_block
-from .spinops import operator_norm_2x2
 from .walk import Field, TimeRule, WalkParams
 
-_GOLDEN_SECTION = (math.sqrt(5.0) - 1.0) / 2.0
+_SIGNS = np.array([+1, -1])
+_ZOOM_POINTS = 17
 
 
 @dataclass(frozen=True)
@@ -76,55 +77,65 @@ class RevivalReport:
             raise ValueError("sign must be +1 or -1")
 
 
-def _block_deviation(k: float, params: WalkParams, steps: int, target_sign: int) -> float:
-    block = regrouped_block(k, params, steps)
-    return operator_norm_2x2(block - target_sign * np.eye(2))
+def _phase_distance(blocks: np.ndarray, sign) -> np.ndarray:
+    """||U - sign*I|| for each SU(2) block U of a stack; ``sign`` broadcasts.
+
+    Taken from the entries: sqrt(2 - c*tr U) is the same number but loses half
+    the digits near a perfect revival.
+    """
+    diag = np.abs(blocks[..., 0, 0] - sign) ** 2 + np.abs(blocks[..., 1, 1] - sign) ** 2
+    off = np.abs(blocks[..., 0, 1]) ** 2 + np.abs(blocks[..., 1, 0]) ** 2
+    return np.sqrt((diag + off) / 2.0)
+
+
+def _signed_deviations(params: WalkParams, steps: int, grid: int) -> np.ndarray:
+    """sup_k || W^{[steps,1]}(k) - c*I || for c = +1, -1 from one scan of ``grid`` momenta.
+
+    Each curve's bracket (the neighbours of its best sample) is re-sampled at
+    _ZOOM_POINTS momenta and narrowed around the best of them until it is
+    below 1e-8 wide; one block composition serves both brackets.
+    """
+    if steps < 1:
+        raise ValueError("steps must be positive")
+    ks = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
+    curves = _phase_distance(regrouped_block(ks, params, steps), _SIGNS[:, None])
+    rows = np.arange(len(_SIGNS))
+    peak = np.argmax(curves, axis=1)
+    centers, best = ks[peak], curves[rows, peak]
+    half = 2.0 * math.pi / grid
+    offsets = np.linspace(-1.0, 1.0, _ZOOM_POINTS)
+    while 2.0 * half > 1e-8:
+        zoom = centers[:, None] + half * offsets
+        values = _phase_distance(regrouped_block(zoom, params, steps), _SIGNS[:, None])
+        peak = np.argmax(values, axis=1)
+        centers = zoom[rows, peak]
+        best = np.maximum(best, values[rows, peak])
+        half *= 2.0 / (_ZOOM_POINTS - 1)
+    return best
+
+
+def _closest_phase(params: WalkParams, steps: int, grid: int) -> tuple[int, float]:
+    """(c, deviation) for the phase c in {+1, -1} closer to W^{[steps,1]}; ties give +1."""
+    dev_plus, dev_minus = (float(d) for d in _signed_deviations(params, steps, grid))
+    return (+1, dev_plus) if dev_plus <= dev_minus else (-1, dev_minus)
 
 
 def revival_deviation(params: WalkParams, steps: int, target_sign: int,
                       grid: int = 1024) -> float:
     """sup_k || W^{[steps,1]}(k) - target_sign*I || over k in [0, 2*pi).
 
-    Evaluates a uniform grid (default 1024 points), then sharpens the maximum
-    with a golden-section search on the bracketing interval. The refinement
-    drives the k-interval below 1e-8, giving the sup to about 1e-6 absolute
-    accuracy for the smooth deviation curves that arise here; the value is
-    also never below the best grid sample.
+    A uniform grid (default 1024 points), then zoom refinement of the maximum
+    to a k-bracket below 1e-8; never below the best grid sample.
     """
-    if steps < 1:
-        raise ValueError("steps must be positive")
     if target_sign not in (+1, -1):
         raise ValueError("target_sign must be +1 or -1")
-    ks = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
-    values = [_block_deviation(k, params, steps, target_sign) for k in ks]
-    best_idx = int(np.argmax(values))
-    best = values[best_idx]
-    spacing = 2.0 * math.pi / grid
-    lo = ks[best_idx] - spacing
-    hi = ks[best_idx] + spacing
-
-    a, b = lo, hi
-    c = b - _GOLDEN_SECTION * (b - a)
-    d = a + _GOLDEN_SECTION * (b - a)
-    fc = _block_deviation(c, params, steps, target_sign)
-    fd = _block_deviation(d, params, steps, target_sign)
-    while b - a > 1e-8:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN_SECTION * (b - a)
-            fc = _block_deviation(c, params, steps, target_sign)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN_SECTION * (b - a)
-            fd = _block_deviation(d, params, steps, target_sign)
-    return max(best, fc, fd)
+    dev_plus, dev_minus = _signed_deviations(params, steps, grid)
+    return float(dev_plus if target_sign == +1 else dev_minus)
 
 
 def detect_sign(params: WalkParams, steps: int, grid: int = 256) -> int:
     """The phase c in {+1, -1} minimizing the measured deviation at ``steps``."""
-    dev_plus = revival_deviation(params, steps, +1, grid=grid)
-    dev_minus = revival_deviation(params, steps, -1, grid=grid)
-    return +1 if dev_plus <= dev_minus else -1
+    return _closest_phase(params, steps, grid)[0]
 
 
 def expected_sign(m: int) -> int:
@@ -146,8 +157,7 @@ def revival_report(params: WalkParams, m: int, grid: int = 1024) -> RevivalRepor
     shows up as data; for clean revivals it coincides with ``expected_sign``.
     """
     steps = revival_time(m)
-    sign = detect_sign(params, steps)
-    dev = revival_deviation(params, steps, sign, grid=grid)
+    sign, dev = _closest_phase(params, steps, grid)
     scale = 2.0 * alpha_tilde_sup(params.coin_a, params.coin_b) ** m
     parity = "odd" if m % 2 == 1 else "even"
     return RevivalReport(m=m, parity=parity, revival_time=steps,

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import _kernels
 from .cfrac import golden_ratio_fraction
-from .spinops import make_coin, rotation_x
+from .spinops import make_coin
 
 TWO_PI = 2.0 * math.pi
 
@@ -136,10 +136,11 @@ class WalkParams:
                 except KeyError:
                     raise ValueError(f"unknown time rule: {self.time_rule!r}") from None
             object.__setattr__(self, "time_rule", rule)
+        object.__setattr__(self, "_coin", make_coin(self.coin_a, self.coin_b))
 
     @property
     def coin(self) -> np.ndarray:
-        return make_coin(self.coin_a, self.coin_b)
+        return self._coin.copy()
 
     @property
     def matrix_before_shift(self) -> bool:
@@ -147,33 +148,37 @@ class WalkParams:
         return self.time_rule is TimeRule.RX_FIELD
 
     def step_matrix(self, t: int, field_value: float | None = None) -> np.ndarray:
-        """The 2x2 spin matrix of step t (shift excluded).
-
-        ``field_value`` overrides the field angle for this step (used for noisy
-        evolution); the default uses the exact field.
-        """
-        if self.time_rule is TimeRule.RX_FIELD:
-            if field_value is None:
-                angle = self.field.angle(t)
-            else:
-                angle = math.fmod(t * field_value, TWO_PI)
-            return rotation_x(angle) @ self.coin
-        if field_value is None:
-            angle = self.field.angle(t - 1)
-        else:
-            angle = math.fmod((t - 1) * field_value, TWO_PI)
-        phases = np.array([[np.exp(-1j * angle), 0], [0, np.exp(1j * angle)]])
-        return self.coin @ phases
+        """The 2x2 spin matrix of step t (shift excluded): the one-row ``step_matrices``."""
+        values = None if field_value is None else (field_value,)
+        return self.step_matrices(t, t, field_values=values)[0]
 
     def step_matrices(self, t_from: int, t_to: int,
                       field_values=None) -> np.ndarray:
-        """Stacked step matrices for t = t_from..t_to inclusive, shape (T, 2, 2)."""
-        count = t_to - t_from + 1
-        out = np.empty((max(count, 0), 2, 2), dtype=complex)
-        for i, t in enumerate(range(t_from, t_to + 1)):
-            fv = None if field_values is None else float(field_values[i])
-            out[i] = self.step_matrix(t, field_value=fv)
-        return out
+        """Stacked step matrices for t = t_from..t_to inclusive, shape (T, 2, 2).
+
+        ``field_values``, one angle per step, overrides the exact field (noisy
+        evolution).
+        """
+        before = self.matrix_before_shift
+        lag = 0 if before else 1
+        multiples = range(t_from - lag, t_to + 1 - lag)
+        if field_values is None:
+            # per-step Python ints: exact where int64 t*numerator could wrap,
+            # and cheaper than array arithmetic for single-step evolution
+            angles = np.fromiter(map(self.field.angle, multiples), float, len(multiples))
+        else:
+            field_values = np.asarray(field_values, dtype=float)
+            if field_values.shape != (len(multiples),):
+                raise ValueError("field_values must supply one angle per step")
+            angles = np.fmod(np.array(multiples) * field_values, TWO_PI)
+        spin = np.zeros((len(angles), 2, 2), dtype=complex)
+        if before:
+            spin[:, 0, 0] = spin[:, 1, 1] = np.cos(angles)
+            spin[:, 0, 1] = spin[:, 1, 0] = 1j * np.sin(angles)
+            return spin @ self._coin
+        spin[:, 0, 0] = np.exp(-1j * angles)
+        spin[:, 1, 1] = np.exp(1j * angles)
+        return self._coin @ spin
 
 
 def hadamard_params(field: Field, time_rule: TimeRule = TimeRule.RX_FIELD) -> WalkParams:
@@ -261,8 +266,6 @@ def evolve(state: WalkState, t_from: int, t_to: int, params: WalkParams,
     if t_from > t_to:
         return state.copy()
     steps = t_to - t_from + 1
-    if field_values is not None and len(field_values) != steps:
-        raise ValueError("field_values must supply one angle per step")
     mats = params.step_matrices(t_from, t_to, field_values=field_values)
     kernel = (_kernels.steps_matrix_then_shift if params.matrix_before_shift
               else _kernels.steps_shift_then_matrix)

@@ -174,8 +174,14 @@ def test_config_errors_exit_2(tmp_path, capsys):
                  ["evolve", "--coin", "nan,0"],
                  ["evolve", "--spinor", "nan,0"],
                  ["noise-series", "--tmax", "2", "--ensemble", "1",
-                  "--epsilon", "nan"]):
+                  "--epsilon", "nan"],
+                 # rational fields are scanned through --m-list only
+                 ["revival-scan", "--field", "1/7"]):
         assert run_cli(argv, capsys)[0] == 2
+    # a flag the experiment does not read is rejected by argparse
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["cf", "--coin", "foo"])
+    assert exc.value.code == 2
 
 
 def test_unknown_flag_exits_2():

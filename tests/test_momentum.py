@@ -53,23 +53,37 @@ def test_step_block_matches_real_space_fourier(rng, rule):
 
 
 def test_regrouped_block_matches_multi_step_fourier(rng):
-    params = hadamard_params(Field.rational(1, 5))
-    state = WalkState.single_site()
-    final = evolve(state, 1, 5, params)
-    for k in rng.uniform(-math.pi, math.pi, 8):
-        block = regrouped_block(k, params, 5)
-        assert is_unitary(block, tol=1e-12)
-        assert np.allclose(block @ fourier_component(state, k),
-                           fourier_component(final, k), atol=1e-11)
+    """A batched block stack reproduces the real-space evolution at every k."""
+    for rule in TimeRule:
+        params = WalkParams(field=Field.rational(1, 5), coin_a=HALF,
+                            coin_b=HALF, time_rule=rule)
+        state = WalkState.single_site()
+        final = evolve(state, 1, 5, params)
+        ks = rng.uniform(-math.pi, math.pi, 8)
+        blocks = regrouped_block(ks, params, 5)
+        assert blocks.shape == (8, 2, 2)
+        for k, block in zip(ks, blocks):
+            assert is_unitary(block, tol=1e-12)
+            assert np.allclose(block @ fourier_component(state, k),
+                               fourier_component(final, k), atol=1e-11)
+            assert np.allclose(regrouped_block(k, params, 5), block, atol=1e-14)
 
 
 def test_regrouped_block_second_period(rng):
-    # the product over t = m+1 .. 2m equals the first period for rational fields
-    params = hadamard_params(Field.rational(3, 8))
-    for k in rng.uniform(-math.pi, math.pi, 4):
-        first = regrouped_block(k, params, 8, t_from=1)
-        second = regrouped_block(k, params, 8, t_from=9)
+    # the product over t = m+1 .. 2m equals the first period for rational
+    # fields, and each slice carries the real-space evolution over t = 9..16
+    for rule in TimeRule:
+        params = WalkParams(field=Field.rational(3, 8), coin_a=HALF,
+                            coin_b=HALF, time_rule=rule)
+        state = evolve(WalkState.single_site(), 1, 8, params)
+        final = evolve(state, 9, 16, params)
+        ks = rng.uniform(-math.pi, math.pi, 4)
+        first = regrouped_block(ks, params, 8, t_from=1)
+        second = regrouped_block(ks, params, 8, t_from=9)
         assert np.allclose(first, second, atol=1e-12)
+        for k, block in zip(ks, second):
+            assert np.allclose(block @ fourier_component(state, k),
+                               fourier_component(final, k), atol=1e-11)
 
 
 def test_tilde_pair_is_hadamard_basis_transform(rng):

@@ -6,12 +6,13 @@ import pytest
 from conftest import random_su2
 from qpwalk.cfrac import cf_expand, golden_ratio_fraction
 from qpwalk.momentum import regrouped_block
-from qpwalk.revivals import (RevivalReport, appendix_expected, appendix_table,
-                             detect_sign, expected_sign,
+from qpwalk.revivals import (RevivalReport, _phase_distance, appendix_expected,
+                             appendix_table, detect_sign, expected_sign,
                              irrational_revival_bound, revival_deviation,
                              revival_report, revival_time)
 from qpwalk.spinops import operator_norm_2x2
-from qpwalk.walk import Field, WalkParams, WalkState, evolve, hadamard_params
+from qpwalk.walk import (Field, TimeRule, WalkParams, WalkState, evolve,
+                         hadamard_params)
 
 HALF = 1.0 / math.sqrt(2.0)
 
@@ -31,6 +32,41 @@ def test_revival_deviation_refines_brute_force_grid():
     brute = brute_force_deviation(params, 10, -1)
     assert dev >= brute - 1e-12
     assert dev == pytest.approx(brute, abs=1e-6)
+
+
+@pytest.mark.parametrize("rule", [TimeRule.RX_FIELD, TimeRule.GAUGED_SZ])
+def test_phase_distance_matches_svd(rng, rule):
+    """Frobenius/sqrt(2) of U - c*I equals its largest singular value for SU(2) U."""
+    ks = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+    cases = []
+    for field in (Field.rational(1, 5), Field.rational(2, 7), Field.golden()):
+        for _ in range(3):
+            a, b = random_su2(rng)
+            cases.append((WalkParams(field=field, coin_a=a, coin_b=b,
+                                     time_rule=rule), int(rng.integers(1, 15))))
+    # near-perfect revivals, where sqrt(2 - c*tr U) keeps only half the digits
+    cases.append((WalkParams(field=Field.rational(1, 4), coin_a=1.0, coin_b=0.0), 4))
+    cases.append((WalkParams(field=Field.rational(1, 5), coin_a=0.0, coin_b=1.0), 10))
+    for params, steps in cases:
+        blocks = regrouped_block(ks, params, steps)
+        for sign in (+1, -1):
+            svd = np.array([operator_norm_2x2(b - sign * np.eye(2)) for b in blocks])
+            assert np.abs(_phase_distance(blocks, sign) - svd).max() <= 1e-13
+    assert svd.max() <= 1e-14  # the i*sigma_y case really is a perfect revival
+
+
+def test_revival_deviation_finds_off_grid_maximum(rng):
+    """With a generic coin the maximum falls between grid points: the zoom must
+    reach it, to within what a 2^16-point SVD scan can resolve."""
+    ks = np.linspace(0.0, 2.0 * math.pi, 2 ** 16, endpoint=False)
+    for field, steps in ((Field.golden(), 10), (Field.rational(2, 7), 7)):
+        a, b = random_su2(rng)
+        params = WalkParams(field=field, coin_a=a, coin_b=b)
+        blocks = regrouped_block(ks, params, steps)
+        for sign in (+1, -1):
+            dense = np.linalg.svd(blocks - sign * np.eye(2), compute_uv=False)[:, 0].max()
+            dev = revival_deviation(params, steps, sign)
+            assert dense - 1e-12 <= dev <= dense + 1e-6
 
 
 def test_exact_hadamard_laws_odd():
@@ -102,6 +138,9 @@ def test_revival_report_fields():
     assert report.predicted_scale == pytest.approx(2.0 * 2.0 ** (-6 / 2.0))
     assert report.measured_deviation == pytest.approx(2.0 ** (-6 / 4.0 + 1.0),
                                                       abs=1e-9)
+    # sign and deviation come from the same scan as revival_deviation's
+    assert report.measured_deviation == revival_deviation(
+        hadamard_params(Field.rational(1, 6)), 6, report.sign)
 
 
 def test_revival_report_rejects_bad_values():
@@ -130,6 +169,9 @@ def test_appendix_table_measures_match_expected():
     for coin_name, report, expected in rows:
         assert report.measured_deviation == pytest.approx(expected, abs=1e-9), (
             coin_name, report.m)
+        if coin_name == "identity" and report.m % 4 == 2:
+            # both phases lie at distance exactly 2: ties go to +1
+            assert report.sign == 1, report.m
 
 
 def test_identity_coin_two_step_is_pure_transport():

@@ -86,6 +86,29 @@ def test_gauged_step_matrix_structure():
                            atol=1e-12)
 
 
+@pytest.mark.parametrize("rule", [TimeRule.RX_FIELD, TimeRule.GAUGED_SZ])
+def test_step_matrices_noisy_override(rng, rule):
+    """Per-step field values phi_t, away from t = 1, row by row."""
+    a, b = random_su2(rng)
+    params = WalkParams(field=Field.golden(), coin_a=a, coin_b=b,
+                        time_rule=rule)
+    t_from, t_to = 17, 80
+    phis = params.field.value + 0.01 * rng.uniform(-1.0, 1.0, t_to - t_from + 1)
+    mats = params.step_matrices(t_from, t_to, field_values=phis)
+    assert mats.shape == (len(phis), 2, 2)
+    for t, phi, mat in zip(range(t_from, t_to + 1), phis, mats):
+        if rule is TimeRule.RX_FIELD:
+            expected = rotation_x(math.fmod(t * phi, 2.0 * math.pi)) @ params.coin
+        else:
+            angle = math.fmod((t - 1) * phi, 2.0 * math.pi)
+            expected = params.coin @ np.diag([np.exp(-1j * angle),
+                                              np.exp(1j * angle)])
+        assert np.abs(mat - expected).max() <= 1e-15
+        assert np.array_equal(params.step_matrix(t, field_value=phi), mat)
+    with pytest.raises(ValueError):
+        params.step_matrices(t_from, t_to, field_values=phis[:-1])
+
+
 # ---------------------------------------------------------------------------
 # WalkState and evolution
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from .noise import NoiseConfig, return_series
 from .revivals import appendix_table, irrational_revival_bound, revival_report
 from .spinops import rotation_x
 from .walk import (Field, WalkParams, WalkState, bloch_vector, evolve,
-                   position_distribution)
+                   position_distribution, spinor_bloch_vector, track_origin)
 
 TRACE_CHECK_TOL = 1e-9
 GAUGE_CHECK_TOL = 1e-10
@@ -262,11 +262,11 @@ def run_evolve(opts: Options) -> tuple[dict, int]:
     rows = []
     for x, p in sorted(position_distribution(state).items()):
         rows.append((0, x, p))
-    for t in range(1, t_max + 1):
-        state = evolve(state, t, t, params)
-        if t % stride == 0 or t == t_max:
-            for x, p in sorted(position_distribution(state).items()):
-                rows.append((t, x, p))
+    for t_from in range(1, t_max + 1, stride):
+        t = min(t_from + stride - 1, t_max)
+        state = evolve(state, t_from, t, params)
+        for x, p in sorted(position_distribution(state).items()):
+            rows.append((t, x, p))
     meta = {"field": field.label, "coin": coin_label, "tmax": t_max, "stride": stride,
             "x0": x0, "spinor": opts.get("spinor", "1,0", str)}
     return record_rows("evolve", meta, ["t", "x", "probability"], rows), 0
@@ -476,9 +476,9 @@ def run_bloch_trace(opts: Options) -> tuple[dict, int]:
                  math.sqrt(sx0 ** 2 + sy0 ** 2 + sz0 ** 2)))
     nearest_t = None
     nearest_dist = math.inf
-    for t in range(1, t_max + 1):
-        state = evolve(state, t, t, params)
-        sx, sy, sz = bloch_vector(state, 0)
+    _, spinors = track_origin(state, t_max, params)
+    for t, (u, d) in enumerate(spinors, start=1):
+        sx, sy, sz = spinor_bloch_vector(u, d)
         r = math.sqrt(sx ** 2 + sy ** 2 + sz ** 2)
         rows.append((t, sx, sy, sz, r))
         dist = math.sqrt((sx - sx0) ** 2 + (sy - sy0) ** 2 + (sz - sz0) ** 2)

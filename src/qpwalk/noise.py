@@ -105,13 +105,13 @@ def return_series(params: WalkParams, noise: NoiseConfig, t_max: int,
         raise ValueError("t_max must be positive")
     start = initial if initial is not None else WalkState.single_site()
     tracks = np.empty((noise.ensemble_size, t_max + 1))
-    for i in range(noise.ensemble_size):
-        if noise.epsilon == 0.0:
-            fields = None
-        else:
+    if noise.epsilon == 0.0:
+        # every trajectory is the clean one: evolve it once
+        tracks[:] = evolve_tracking_origin(start, t_max, params)[1]
+    else:
+        for i in range(noise.ensemble_size):
             fields = noise.draw_fields(params.field.value, t_max, i)
-        _, p0 = evolve_tracking_origin(start, t_max, params, field_values=fields)
-        tracks[i] = p0
+            tracks[i] = evolve_tracking_origin(start, t_max, params, field_values=fields)[1]
     ts = np.arange(t_max + 1, dtype=float)
     return np.column_stack([ts, tracks.mean(axis=0), tracks.min(axis=0),
                             tracks.max(axis=0)])

@@ -278,28 +278,42 @@ def step(state: WalkState, t: int, params: WalkParams) -> WalkState:
     return evolve(state, t, t, params)
 
 
+def track_origin(state: WalkState, t_max: int, params: WalkParams,
+                 field_values=None):
+    """Evolve through steps 1..t_max; return (final state, origin spinors).
+
+    Row t-1 of the (t_max, 2) spinor array is the (up, down) spinor at the
+    origin x = 0 after step t; it is zero while the origin lies outside the
+    window. Only the RX_FIELD rule is supported here; it is the rule the
+    return-probability and Bloch-trace experiments use.
+    """
+    if not params.matrix_before_shift:
+        raise ValueError("origin tracking is implemented for the RX_FIELD rule")
+    mats = params.step_matrices(1, t_max, field_values=field_values)
+    spinors = np.empty((t_max, 2), dtype=complex)
+
+    def run(buf, lo, hi, offset):
+        # Site x sits at buffer index x + offset, so the origin is at ``offset``.
+        return _kernels.steps_matrix_then_shift(buf, lo, hi, mats,
+                                                origin=offset, out_spinor=spinors)
+
+    return run_padded(state, t_max, run), spinors
+
+
 def evolve_tracking_origin(state: WalkState, t_max: int, params: WalkParams,
                            field_values=None):
     """Evolve through steps 1..t_max; return (final state, p0 array of length t_max+1).
 
     p0[t] is the probability at the origin after step t (p0[0] is the initial
-    value). Only the RX_FIELD rule is supported here; it is the rule the
-    return-probability experiments use.
+    value); it reads zero while the origin lies outside the window. Only the
+    RX_FIELD rule is supported, as in ``track_origin``.
     """
-    if not params.matrix_before_shift:
-        raise ValueError("origin tracking is implemented for the RX_FIELD rule")
-    mats = params.step_matrices(1, t_max, field_values=field_values)
+    final, spinors = track_origin(state, t_max, params, field_values=field_values)
     p0 = np.empty(t_max + 1)
     p0[0] = abs(state.amplitude(0, +1)) ** 2 + abs(state.amplitude(0, -1)) ** 2
-
-    def run(buf, lo, hi, offset):
-        # Site x sits at buffer index x + offset, so the origin is at ``offset``.
-        if not (0 <= offset < buf.shape[0]):
-            raise ValueError("origin x=0 must lie inside the padded window")
-        return _kernels.steps_matrix_then_shift(buf, lo, hi, mats,
-                                                origin=offset, out_p0=p0[1:])
-
-    return run_padded(state, t_max, run), p0
+    for t, (u, d) in enumerate(spinors, start=1):
+        p0[t] = abs(u) ** 2 + abs(d) ** 2
+    return final, p0
 
 
 def position_distribution(state: WalkState) -> dict[int, float]:
@@ -332,7 +346,11 @@ def bloch_vector(state: WalkState, x: int) -> tuple[float, float, float]:
     land inside the Bloch ball. Outside the window the result is (0, 0, 0).
     """
     sp = state.spinor(x)
-    u, d = sp[0], sp[1]
+    return spinor_bloch_vector(sp[0], sp[1])
+
+
+def spinor_bloch_vector(u, d) -> tuple[float, float, float]:
+    """``bloch_vector`` of the spinor (u, d), given as numpy complex scalars."""
     cross = np.conj(u) * d
     return (float(2.0 * cross.real), float(2.0 * cross.imag),
             float(abs(u) ** 2 - abs(d) ** 2))

@@ -68,6 +68,85 @@ def reference_electric(amps: Amplitudes, coin: np.ndarray, phi: float,
     return amps
 
 
+# ---------------------------------------------------------------------------
+# interleaved reference kernels: the step loops as they were before the
+# comoving layout, shifting the (width, 2) buffer in place every step
+# ---------------------------------------------------------------------------
+
+REFERENCE_TRIM_THRESHOLD = 1e-200
+
+
+def _reference_trim_bounds(psi, lo, hi):
+    while hi > lo:
+        u = psi[hi, 0]
+        d = psi[hi, 1]
+        if (abs(u.real) < REFERENCE_TRIM_THRESHOLD and abs(u.imag) < REFERENCE_TRIM_THRESHOLD
+                and abs(d.real) < REFERENCE_TRIM_THRESHOLD
+                and abs(d.imag) < REFERENCE_TRIM_THRESHOLD):
+            psi[hi, 0] = 0.0
+            psi[hi, 1] = 0.0
+            hi -= 1
+        else:
+            break
+    while lo < hi:
+        u = psi[lo, 0]
+        d = psi[lo, 1]
+        if (abs(u.real) < REFERENCE_TRIM_THRESHOLD and abs(u.imag) < REFERENCE_TRIM_THRESHOLD
+                and abs(d.real) < REFERENCE_TRIM_THRESHOLD
+                and abs(d.imag) < REFERENCE_TRIM_THRESHOLD):
+            psi[lo, 0] = 0.0
+            psi[lo, 1] = 0.0
+            lo += 1
+        else:
+            break
+    return lo, hi
+
+
+def reference_matrix_then_shift(psi, lo, hi, mats, origin=None, out_p0=None,
+                                out_spinor=None):
+    """Apply ``mats[t]`` then the shift; probe p0 (and the spinor) at ``origin``."""
+    for t in range(mats.shape[0]):
+        m = mats[t]
+        block = psi[lo:hi + 1]
+        up = m[0, 0] * block[:, 0] + m[0, 1] * block[:, 1]
+        dn = m[1, 0] * block[:, 0] + m[1, 1] * block[:, 1]
+        psi[lo - 1:hi + 2] = 0.0
+        psi[lo + 1:hi + 2, 0] = up
+        psi[lo - 1:hi, 1] = dn
+        lo -= 1
+        hi += 1
+        lo, hi = _reference_trim_bounds(psi, lo, hi)
+        if origin is not None:
+            out_p0[t] = abs(psi[origin, 0]) ** 2 + abs(psi[origin, 1]) ** 2
+            if out_spinor is not None:
+                out_spinor[t] = psi[origin]
+    return lo, hi
+
+
+def reference_shift_then_matrix(psi, lo, hi, mats, site_phase=None):
+    """Apply the shift then ``mats[t]``, then the optional per-site phase."""
+    for t in range(mats.shape[0]):
+        m = mats[t]
+        up = psi[lo:hi + 1, 0].copy()
+        dn = psi[lo:hi + 1, 1].copy()
+        psi[lo - 1:hi + 2] = 0.0
+        psi[lo + 1:hi + 2, 0] = up
+        psi[lo - 1:hi, 1] = dn
+        lo -= 1
+        hi += 1
+        block = psi[lo:hi + 1]
+        new_up = m[0, 0] * block[:, 0] + m[0, 1] * block[:, 1]
+        new_dn = m[1, 0] * block[:, 0] + m[1, 1] * block[:, 1]
+        if site_phase is not None:
+            ph = site_phase[lo:hi + 1]
+            new_up *= ph
+            new_dn *= ph
+        block[:, 0] = new_up
+        block[:, 1] = new_dn
+        lo, hi = _reference_trim_bounds(psi, lo, hi)
+    return lo, hi
+
+
 def max_diff(state: WalkState, reference: Amplitudes) -> float:
     mine = state_to_dict(state)
     keys = set(mine) | set(reference)

@@ -92,9 +92,9 @@ def _even_trace_deficits():
     for m in EVEN_MS:
         params = hadamard_params(Field.rational(1, m))
         sign = expected_sign(m)
-        deficits[m] = max(
-            1.0 - sign * np.trace(regrouped_block(k, params, m)).real / 2.0
-            for k in ks)
+        blocks = regrouped_block(ks, params, m)
+        traces = np.trace(blocks, axis1=-2, axis2=-1).real
+        deficits[m] = float(np.max(1.0 - sign * traces / 2.0))
     return deficits
 
 

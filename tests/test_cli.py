@@ -9,6 +9,7 @@ import pytest
 from qpwalk import cli
 from qpwalk.cli import (ConfigError, parse_coin, parse_field, parse_int_list,
                         parse_spinor)
+from qpwalk.walk import WalkParams, WalkState, bloch_vector, evolve, position_distribution
 
 ALL_EXPERIMENTS = ["evolve", "revival-scan", "trace-check", "cf",
                    "noise-series", "gauge-check", "appendix-table",
@@ -209,6 +210,56 @@ def test_revival_scan_golden_mode(capsys):
                       "measured_deviation", "bound_leading"]
     for row in rows:
         assert float(row[4]) <= float(row[5]) + 1e-9
+
+
+def test_evolve_rows_match_per_step_loop(capsys):
+    """Strided rows (one evolve call per chunk, partial last chunk) equal a step-by-step loop."""
+    code, out, _ = run_cli(["evolve", "--field", "golden", "--tmax", "23", "--stride", "5",
+                            "--x0", "-3", "--spinor", "0.6,0.8j"], capsys)
+    assert code == 0
+    _, header, rows = parse_csv(out)
+    assert header == ["t", "x", "probability"]
+    a, b, _ = parse_coin("hadamard")
+    params = WalkParams(field=parse_field("golden"), coin_a=a, coin_b=b)
+    state = WalkState.single_site(x=-3, spinor=parse_spinor("0.6,0.8j"))
+    expected = []
+    for t in range(24):
+        if t:
+            state = evolve(state, t, t, params)
+        if t % 5 == 0 or t == 23:
+            expected += [[t, x, p] for x, p in sorted(position_distribution(state).items())]
+    assert [[int(t), int(x), float(p)] for t, x, p in rows] == expected
+
+
+def _bloch_trace_rows(argv, capsys):
+    code, out, _ = run_cli(["bloch-trace"] + argv, capsys)
+    assert code == 0
+    meta, header, rows = parse_csv(out)
+    assert header == ["t", "sx", "sy", "sz", "r"]
+    return meta, [[int(row[0])] + [float(v) for v in row[1:]] for row in rows]
+
+
+def test_bloch_trace_rows_match_per_step_loop(capsys):
+    """One origin-tracking call gives the rows of a step-by-step bloch_vector loop, bit for bit."""
+    meta, rows = _bloch_trace_rows(["--field", "1/7", "--coin", "0.6,0.8", "--x0", "-2",
+                                    "--spinor", "1j,2", "--tmax", "60"], capsys)
+    a, b, _ = parse_coin("0.6,0.8")
+    params = WalkParams(field=parse_field("1/7"), coin_a=a, coin_b=b)
+    state = WalkState.single_site(x=-2, spinor=parse_spinor("1j,2"))
+    expected = []
+    for t in range(61):
+        if t:
+            state = evolve(state, t, t, params)
+        sx, sy, sz = bloch_vector(state, 0)
+        expected.append([t, sx, sy, sz, math.sqrt(sx ** 2 + sy ** 2 + sz ** 2)])
+    assert rows == expected
+    assert any(row[1:] != [0.0] * 4 for row in rows)
+
+
+def test_bloch_trace_far_start_reads_zero(capsys):
+    meta, rows = _bloch_trace_rows(["--x0", "1000", "--tmax", "5"], capsys)
+    assert [row[0] for row in rows] == list(range(6))
+    assert all(row[1:] == [0.0] * 4 for row in rows)
 
 
 def test_cf_rational_field(capsys):

@@ -1,25 +1,45 @@
-"""The two step-order kernels, through the paths that share them, against the dict references."""
+"""The two step-order kernels, through the paths that share them, against the references.
+
+The dict references check the physics; the interleaved reference kernels in
+``conftest`` check that the comoving layout reproduces the in-place shifting
+loops bit for bit.
+"""
 
 import numpy as np
+import pytest
 
-from conftest import max_diff, random_su2, reference_electric, reference_evolve, state_to_dict
+from conftest import (max_diff, random_su2, reference_electric, reference_evolve,
+                      reference_matrix_then_shift, reference_shift_then_matrix, state_to_dict)
 from qpwalk import _kernels
 from qpwalk.gauge import electric_evolve
-from qpwalk.walk import (Field, WalkParams, WalkState, evolve, evolve_tracking_origin,
-                         hadamard_params, return_probability)
+from qpwalk.walk import (Field, TimeRule, WalkParams, WalkState, evolve, evolve_tracking_origin,
+                         hadamard_params, return_probability, run_padded)
 
 
-def _random_case(rng, steps=9, width=5):
-    pad = steps + 2
+def _random_case(rng, steps=9, width=5, margin=2, tiny_edges=False):
+    """A random normalized window padded by ``steps + margin`` sites on each side.
+
+    With ``tiny_edges`` the outer sites of the window are scaled below the trim
+    threshold, so the kernels trim from the first step on.
+    """
+    pad = steps + margin
     buf = np.zeros((width + 2 * pad, 2), dtype=complex)
     block = rng.normal(size=(width, 2)) + 1j * rng.normal(size=(width, 2))
     block /= np.linalg.norm(block)
+    if tiny_edges and width > 2:
+        edge = int(rng.integers(1, width // 2 + 1))
+        block[:edge] *= 1e-230
+        block[width - edge:] *= 1e-215
     buf[pad:pad + width] = block
     mats = np.empty((steps, 2, 2), dtype=complex)
     for i in range(steps):
         q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
         mats[i] = q
     return buf, pad, pad + width - 1, mats
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_window_bounds_track_support(rng):
@@ -56,3 +76,124 @@ def test_origin_tracking_from_off_origin_start():
     ref = reference_evolve(state_to_dict(start), list(params.step_matrices(1, 30)),
                            matrix_before_shift=True)
     assert max_diff(final, ref) < 1e-12
+
+
+@pytest.mark.parametrize("margin", [0, 1, 2])
+def test_kernels_match_interleaved_reference(rng, margin):
+    """Bounds, every buffer entry and the probe agree bit for bit with the old loops.
+
+    ``margin`` 0 puts the final window's ends on the buffer's first and last
+    index, 1 one site from them.
+    """
+    for case in range(24):
+        steps = int(rng.integers(1, 25))
+        width = int(rng.integers(1, 12))
+        buf, lo, hi, mats = _random_case(rng, steps, width, margin, tiny_edges=case % 2 == 1)
+
+        for origin in (None, int(rng.integers(0, buf.shape[0])), lo, hi):
+            ref = buf.copy()
+            ref_p0 = np.empty(steps)
+            ref_spinor = np.empty((steps, 2), dtype=complex)
+            ref_bounds = reference_matrix_then_shift(ref, lo, hi, mats, origin, ref_p0, ref_spinor)
+            new = buf.copy()
+            spinor = np.full((steps, 2), np.nan, dtype=complex)
+            bounds = _kernels.steps_matrix_then_shift(new, lo, hi, mats, origin=origin,
+                                                      out_spinor=spinor)
+            assert bounds == ref_bounds
+            assert _same_bits(new, ref)
+            if origin is not None:
+                assert _same_bits(spinor, ref_spinor)
+                p0 = np.array([abs(u) ** 2 + abs(d) ** 2 for u, d in spinor])
+                assert _same_bits(p0, ref_p0)
+
+        phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, buf.shape[0]))
+        for site_phase in (None, phase):
+            ref = buf.copy()
+            ref_bounds = reference_shift_then_matrix(ref, lo, hi, mats, site_phase)
+            new = buf.copy()
+            assert _kernels.steps_shift_then_matrix(new, lo, hi, mats, site_phase) == ref_bounds
+            assert _same_bits(new, ref)
+
+
+def test_trimming_cases_do_trim(rng):
+    buf, lo, hi, mats = _random_case(rng, steps=6, width=9, tiny_edges=True)
+    lo2, hi2 = _kernels.steps_matrix_then_shift(buf, lo, hi, mats)
+    assert hi2 - lo2 < hi - lo + 2 * 6
+
+
+def test_probe_reads_zero_outside_the_buffer(rng):
+    buf, lo, hi, mats = _random_case(rng, steps=5, width=3)
+    for origin in (-7, -1, buf.shape[0], buf.shape[0] + 40):
+        spinor = np.full((5, 2), np.nan, dtype=complex)
+        _kernels.steps_matrix_then_shift(buf.copy(), lo, hi, mats, origin=origin,
+                                         out_spinor=spinor)
+        assert np.all(spinor == 0.0)
+
+
+def _reference_evolve(state, t_from, t_to, params):
+    mats = params.step_matrices(t_from, t_to)
+    kernel = (reference_matrix_then_shift if params.matrix_before_shift
+              else reference_shift_then_matrix)
+    return run_padded(state, t_to - t_from + 1,
+                      lambda buf, lo, hi, offset: kernel(buf, lo, hi, mats))
+
+
+@pytest.mark.parametrize("rule", list(TimeRule))
+def test_long_golden_evolution_matches_interleaved_reference(rule):
+    """2500 golden-field steps: the localized window is trimmed, and every bit agrees."""
+    params = hadamard_params(Field.golden(), rule)
+    start = WalkState.single_site(x=2, spinor=(0.6, 0.8j))
+    new = evolve(start, 1, 2500, params)
+    ref = _reference_evolve(start, 1, 2500, params)
+    assert new.x_min == ref.x_min
+    assert _same_bits(new.amplitudes, ref.amplitudes)
+    assert new.amplitudes.shape[0] < 2 * 2500 + 1
+
+
+def test_electric_evolve_matches_interleaved_reference():
+    golden = Field.golden()
+    coin = hadamard_params(golden).coin
+    start = WalkState.single_site(x=-3, spinor=(0.6, 0.8j))
+    new = electric_evolve(start, 2000, golden.value, coin)
+    mats = np.broadcast_to(coin, (2000, 2, 2))
+
+    def run(buf, lo, hi, offset):
+        site_phase = np.exp(1j * golden.value * (np.arange(buf.shape[0]) - offset)).astype(complex)
+        return reference_shift_then_matrix(buf, lo, hi, mats, site_phase)
+
+    ref = run_padded(start, 2000, run)
+    assert new.x_min == ref.x_min
+    assert _same_bits(new.amplitudes, ref.amplitudes)
+
+
+def test_origin_tracking_matches_interleaved_reference():
+    params = hadamard_params(Field.golden())
+    start = WalkState.single_site(x=1, spinor=(0.6, 0.8j))
+    final, p0 = evolve_tracking_origin(start, 2000, params)
+    mats = params.step_matrices(1, 2000)
+    ref_p0 = np.empty(2001)
+    ref_p0[0] = return_probability(start)
+    ref = run_padded(start, 2000, lambda buf, lo, hi, offset: reference_matrix_then_shift(
+        buf, lo, hi, mats, origin=offset, out_p0=ref_p0[1:]))
+    assert _same_bits(p0, ref_p0)
+    assert final.x_min == ref.x_min
+    assert _same_bits(final.amplitudes, ref.amplitudes)
+
+
+def test_origin_outside_the_window_reads_zero():
+    params = hadamard_params(Field.rational(1, 9))
+    final, p0 = evolve_tracking_origin(WalkState.single_site(1000), 5, params)
+    assert p0.shape == (6,) and np.all(p0 == 0.0)
+    assert final.window == (995, 1005)
+
+
+@pytest.mark.parametrize("rule", list(TimeRule))
+def test_chunked_evolve_is_bit_identical(rng, rule):
+    for field in (Field.rational(1, 155), Field.golden()):
+        params = WalkParams(field, *random_su2(rng), time_rule=rule)
+        start = WalkState.single_site(x=-4, spinor=random_su2(rng))
+        whole = evolve(start, 3, 400, params)
+        for b in (3, 57, 399):
+            chunked = evolve(evolve(start, 3, b, params), b + 1, 400, params)
+            assert chunked.x_min == whole.x_min
+            assert _same_bits(chunked.amplitudes, whole.amplitudes)

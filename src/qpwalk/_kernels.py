@@ -1,10 +1,11 @@
-"""Position-space evolution kernels: one vectorized numpy loop per step order.
+"""Position-space evolution kernels: one vectorized numpy loop per step order,
+and an ensemble probe that runs many walks in one loop.
 
-Both kernels advance a preallocated buffer ``psi`` of shape ``(width, 2)``
-(column 0 is the spin-up amplitude, column 1 spin-down) in place through one
-step per entry of ``mats`` and return the updated inclusive support bounds
-``(lo, hi)``. Callers must size ``psi`` so that ``lo - steps >= 0`` and
-``hi + steps < width``.
+Both step-order kernels advance a preallocated buffer ``psi`` of shape
+``(width, 2)`` (column 0 is the spin-up amplitude, column 1 spin-down) in
+place through one step per entry of ``mats`` and return the updated
+inclusive support bounds ``(lo, hi)``. Callers must size ``psi`` so that
+``lo - steps >= 0`` and ``hi + steps < width``.
 
 The state convention: one walk step applies a 2x2 matrix in spin space and a
 spin-conditioned shift (up moves one site right, down one site left). The two
@@ -29,6 +30,14 @@ state by less than ~1e-196 per step — far below every tolerance in use — and
 keeps the live window proportional to the physically occupied region, which
 matters for localized walks: without it their exponential tails descend into
 subnormal floats, where hardware arithmetic is orders of magnitude slower.
+
+The ensemble probe (``probe_ensemble``) advances E matrix-before-shift walks
+from one start and returns only their return probabilities. Its comoving
+arrays are site-major, shape (sites, E), so a step is the same six ufunc
+calls with a row of one matrix entry per walk, and each product runs over
+contiguous rows. Because no final state comes back, each step keeps only the
+sites that can still reach the origin (the light cone), about half the
+site-steps of a full run.
 """
 
 from __future__ import annotations
@@ -42,28 +51,22 @@ import numpy as np
 TRIM_THRESHOLD = 1e-200
 
 
+def _negligible(u, d):
+    """True when every component of the Python complex spinor (u, d) is below the threshold."""
+    return (abs(u.real) < TRIM_THRESHOLD and abs(u.imag) < TRIM_THRESHOLD
+            and abs(d.real) < TRIM_THRESHOLD and abs(d.imag) < TRIM_THRESHOLD)
+
+
 def _trim_bounds(up, dn, lo, hi, drift):
     """Drop negligible boundary sites; site i is at up[i + drift], dn[i - drift]."""
-    while hi > lo:
-        u = up[hi + drift]
-        d = dn[hi - drift]
-        if (abs(u.real) < TRIM_THRESHOLD and abs(u.imag) < TRIM_THRESHOLD
-                and abs(d.real) < TRIM_THRESHOLD and abs(d.imag) < TRIM_THRESHOLD):
-            up[hi + drift] = 0.0
-            dn[hi - drift] = 0.0
-            hi -= 1
-        else:
-            break
-    while lo < hi:
-        u = up[lo + drift]
-        d = dn[lo - drift]
-        if (abs(u.real) < TRIM_THRESHOLD and abs(u.imag) < TRIM_THRESHOLD
-                and abs(d.real) < TRIM_THRESHOLD and abs(d.imag) < TRIM_THRESHOLD):
-            up[lo + drift] = 0.0
-            dn[lo - drift] = 0.0
-            lo += 1
-        else:
-            break
+    while hi > lo and _negligible(up.item(hi + drift), dn.item(hi - drift)):
+        up[hi + drift] = 0.0
+        dn[hi - drift] = 0.0
+        hi -= 1
+    while lo < hi and _negligible(up.item(lo + drift), dn.item(lo - drift)):
+        up[lo + drift] = 0.0
+        dn[lo - drift] = 0.0
+        lo += 1
     return lo, hi
 
 
@@ -77,7 +80,9 @@ def _merge(psi, lo0, hi0, up, dn, lo, hi):
 def _spin_product(m, u, d, u_out, d_out, x, y, phase=None):
     """(u_out, d_out) <- m @ (u, d) site by site, then times ``phase`` if given.
 
-    The outputs may be the inputs; ``x`` and ``y`` are scratch. Each matrix
+    ``m`` holds the matrix entries m00, m01, m10, m11 along its first axis:
+    scalars for one walk, rows of one entry per walk for an ensemble. The
+    outputs may be the inputs; ``x`` and ``y`` are scratch. Each matrix
     product goes to contiguous memory other than its input, because numpy
     rounds a complex product differently when its output is strided or, for
     one element, its own input. The phase is applied in place, as the
@@ -85,7 +90,7 @@ def _spin_product(m, u, d, u_out, d_out, x, y, phase=None):
     """
     n = u.shape[0]
     x, y = x[:n], y[:n]
-    m00, m01, m10, m11 = m.flat
+    m00, m01, m10, m11 = m
     np.multiply(m00, u, out=x)
     np.multiply(m10, u, out=y)
     np.multiply(m01, d, out=u_out)
@@ -112,6 +117,7 @@ def steps_matrix_then_shift(psi, lo, hi, mats, origin=None, out_spinor=None):
     lies outside the live window, including outside the buffer.
     """
     steps = mats.shape[0]
+    entries = mats.reshape(steps, 4)
     lo0, hi0 = lo, hi
     up, dn, x, y = _workspace(psi, lo, hi, steps)
     for t in range(steps):
@@ -121,9 +127,9 @@ def steps_matrix_then_shift(psi, lo, hi, mats, origin=None, out_spinor=None):
         u = up[lo + drift + 1:hi + drift + 2]
         d = dn[lo - drift - 1:hi - drift]
         if t == 0:  # the first product reads psi and fills the comoving arrays
-            _spin_product(mats[0], psi[lo:hi + 1, 0], psi[lo:hi + 1, 1], u, d, x, y)
+            _spin_product(entries[0], psi[lo:hi + 1, 0], psi[lo:hi + 1, 1], u, d, x, y)
         else:
-            _spin_product(mats[t], u, d, u, d, x, y)
+            _spin_product(entries[t], u, d, u, d, x, y)
         lo, hi = _trim_bounds(up, dn, lo - 1, hi + 1, drift)
         if origin is not None:
             if lo <= origin <= hi:
@@ -135,6 +141,139 @@ def steps_matrix_then_shift(psi, lo, hi, mats, origin=None, out_spinor=None):
     return lo, hi
 
 
+def spinor_probabilities(ups, downs):
+    """|u|^2 + |d|^2 for each spinor, over sequences of Python complex values.
+
+    Python's ``abs`` and ``** 2`` round exactly as numpy's scalar forms do;
+    ``np.abs`` on a complex array differs from them in the last ulp.
+    """
+    return [abs(u) ** 2 + abs(d) ** 2 for u, d in zip(ups, downs)]
+
+
+def _trim_shared(up, dn, lo, hi, ui, di):
+    """``_trim_bounds`` for walks that share the window [lo, hi].
+
+    Walk r's site i is at up[i + ui, r] and dn[i + di, r]. Returns the new
+    bounds and whether the walks still share them: False as soon as an edge
+    site is negligible in some walks but not in all.
+    """
+    for inward in (-1, 1):
+        while hi > lo:
+            i = hi if inward < 0 else lo
+            u, d = up[i + ui], dn[i + di]
+            # the part the shift brings to this edge (up on the right, down on
+            # the left) is usually the large one; a modulus of at least twice
+            # the threshold in every walk puts a component above it
+            if np.abs(u if inward < 0 else d).min() >= 2.0 * TRIM_THRESHOLD:
+                break
+            cut = [_negligible(p, q) for p, q in zip(u.tolist(), d.tolist())]
+            if not all(cut):
+                if any(cut):
+                    return lo, hi, False
+                break
+            up[i + ui] = 0.0
+            dn[i + di] = 0.0
+            if inward < 0:
+                hi -= 1
+            else:
+                lo += 1
+    return lo, hi, True
+
+
+def _trim_rows(up, dn, lo, hi, ui, di):
+    """``_trim_bounds`` walk by walk, on the per-walk bound arrays ``lo`` and ``hi`` in place.
+
+    Walk r's site i is at up[i + ui, r] and dn[i + di, r].
+    """
+    for end, inward in ((hi, -1), (lo, 1)):
+        rows = np.flatnonzero(hi > lo)
+        while rows.size:
+            i = end[rows]
+            u, d = up[i + ui, rows], dn[i + di, rows]
+            cut = ((abs(u.real) < TRIM_THRESHOLD) & (abs(u.imag) < TRIM_THRESHOLD)
+                   & (abs(d.real) < TRIM_THRESHOLD) & (abs(d.imag) < TRIM_THRESHOLD))
+            rows, i = rows[cut], i[cut]
+            up[i + ui, rows] = 0.0
+            dn[i + di, rows] = 0.0
+            end[rows] += inward
+            rows = rows[hi[rows] > lo[rows]]
+
+
+def _step_entries(blocks, walks):
+    """Per-step matrix entries, shape (4, E), from consecutive (n, 2, 2, E) blocks.
+
+    One walk gets numpy scalars, so that a one-site product takes the numpy
+    loop ``steps_matrix_then_shift`` takes (a one-element array rounds
+    differently).
+    """
+    for block in blocks:
+        entries = block.reshape(block.shape[0], 4, walks)
+        yield from (entries[:, :, 0] if walks == 1 else entries)
+
+
+def probe_ensemble(psi, origin, steps, walks, blocks):
+    """Return probabilities at buffer index ``origin`` of E walks that share a start.
+
+    ``blocks`` yields the step matrices as consecutive arrays of shape
+    (n, 2, 2, E) that cover the T = ``steps`` steps; walk e applies matrix
+    [t, :, :, e] then the shift at step t, as ``steps_matrix_then_shift``
+    does, to the window ``psi`` of shape (width, 2). ``origin`` may lie
+    outside the window. Returns p0 of shape (E, T + 1): p0[e, t] is walk e's
+    |up|^2 + |down|^2 at the origin after t steps.
+
+    No final state comes back, so each step keeps only the light cone: the
+    sites within T - t of the origin, which alone can reach it by step T. The
+    amplitudes live in comoving arrays of shape (sites, E), one row per site.
+    The walks share one window until a trim would cut a site in some of them
+    but not in all; from then on each walk has its own bounds and trims
+    exactly the sites its own run trims. Where the cone cuts a window, the
+    trim at the cut can differ from the full run's by amplitudes below
+    ``TRIM_THRESHOLD``; unitary steps keep those far below one ulp of any
+    non-zero p0, so for unitary matrices every p0 is bit for bit the value
+    the walk's own origin-probed ``steps_matrix_then_shift`` run gives.
+    """
+    p0 = np.zeros((walks, steps + 1))
+    if 0 <= origin < psi.shape[0]:
+        p0[:, 0] = spinor_probabilities([psi.item(origin, 0)], [psi.item(origin, 1)])
+    lo, hi = max(0, origin - steps), min(psi.shape[0] - 1, origin + steps)
+    if lo > hi:
+        return p0
+    # After t steps site i's up amplitude is at up[i + steps - t - ub] and its
+    # down amplitude at dn[i - steps + t - db]; the rows span every index the
+    # cone and the window growth can reach.
+    ub, db = max(lo - steps, origin), max(lo - steps, origin - 2 * steps)
+    up = np.zeros((min(hi + steps, origin + 2 * steps) - ub + 1, walks), dtype=complex)
+    dn = np.zeros((min(hi + steps, origin) - db + 1, walks), dtype=complex)
+    x, y = np.empty_like(up), np.empty_like(up)
+    shared = True
+    for t, m in enumerate(_step_entries(blocks, walks)):
+        drift = steps - t - 1
+        a, b = (lo, hi) if shared else (int(lo.min()), int(hi.max()))
+        u = up[a + drift + 1 - ub:b + drift + 2 - ub]
+        d = dn[a - drift - 1 - db:b - drift - db]
+        if t == 0:
+            _spin_product(m, psi[a:b + 1, 0:1], psi[a:b + 1, 1:2], u, d, x, y)
+        else:
+            _spin_product(m, u, d, u, d, x, y)
+        # grow by one site, clip to the cone of half-width drift, trim
+        ui, di = drift - ub, -drift - db
+        if shared:
+            lo, hi = max(lo - 1, origin - drift), min(hi + 1, origin + drift)
+            lo, hi, shared = _trim_shared(up, dn, lo, hi, ui, di)
+            if not shared:
+                lo, hi = np.full(walks, lo), np.full(walks, hi)
+                _trim_rows(up, dn, lo, hi, ui, di)
+        else:
+            np.maximum(lo - 1, origin - drift, out=lo)
+            np.minimum(hi + 1, origin + drift, out=hi)
+            _trim_rows(up, dn, lo, hi, ui, di)
+        # the origin's slots hold zeros in every walk whose window misses it
+        if 0 <= origin + ui < up.shape[0] and 0 <= origin + di < dn.shape[0]:
+            p0[:, t + 1] = spinor_probabilities(up[origin + ui].tolist(),
+                                                dn[origin + di].tolist())
+    return p0
+
+
 def steps_shift_then_matrix(psi, lo, hi, mats, site_phase=None):
     """Apply the shift then ``mats[t]`` for each t.
 
@@ -142,6 +281,7 @@ def steps_shift_then_matrix(psi, lo, hi, mats, site_phase=None):
     new spinor is multiplied by its phase after the matrix product.
     """
     steps = mats.shape[0]
+    entries = mats.reshape(steps, 4)
     lo0, hi0 = lo, hi
     up, dn, x, y = _workspace(psi, lo, hi, steps)
     # the copy into the comoving arrays is the first shift
@@ -154,7 +294,7 @@ def steps_shift_then_matrix(psi, lo, hi, mats, site_phase=None):
         u = up[lo + drift:hi + drift + 1]
         d = dn[lo - drift:hi - drift + 1]
         phase = None if site_phase is None else site_phase[lo:hi + 1]
-        _spin_product(mats[t], u, d, u, d, x, y, phase)
+        _spin_product(entries[t], u, d, u, d, x, y, phase)
         lo, hi = _trim_bounds(up, dn, lo, hi, drift)
     _merge(psi, lo0, hi0, up, dn, lo, hi)
     return lo, hi

@@ -198,6 +198,11 @@ def record_rows(experiment: str, metadata: dict, columns: list[str], rows: list)
 
 
 def _format_cell(value):
+    # exact-type fast paths for the common cells; bool is a subclass of int
+    if type(value) is float:
+        return repr(value)
+    if type(value) is int:
+        return str(value)
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
@@ -408,7 +413,7 @@ def run_noise_series(opts: Options) -> tuple[dict, int]:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         series = return_series(params, noise, t_max)
-        for t, mean, mini, maxi in series:
+        for t, mean, mini, maxi in series.tolist():
             rows.append((eps, int(t), mean, mini, maxi))
     meta = {"field": field.label, "coin": coin_label, "tmax": t_max, "seed": seed,
             "ensemble": ensemble, "noise_support": support,
@@ -477,7 +482,7 @@ def run_bloch_trace(opts: Options) -> tuple[dict, int]:
     nearest_t = None
     nearest_dist = math.inf
     _, spinors = track_origin(state, t_max, params)
-    for t, (u, d) in enumerate(spinors, start=1):
+    for t, (u, d) in enumerate(spinors.tolist(), start=1):
         sx, sy, sz = spinor_bloch_vector(u, d)
         r = math.sqrt(sx ** 2 + sy ** 2 + sz ** 2)
         rows.append((t, sx, sy, sz, r))

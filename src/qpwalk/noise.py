@@ -10,6 +10,13 @@ walk as sum_t t*epsilon = t(t+1)/2 * epsilon after t steps.
 Reproducibility: trajectory i of a config with seed s draws from
 numpy's PCG64 seeded with SeedSequence((s, i)). All draws happen before the
 trajectory is evolved, outside the evolution kernels.
+
+``return_series`` advances all trajectories of one epsilon together through
+one ensemble-probe kernel call (``walk.ensemble_tracking_origin``), which
+keeps only the sites that can still reach the origin by t_max. Every
+trajectory's p0 is bit for bit the one ``evolve_tracking_origin`` gives, so
+the series does not depend on how the ensemble is evolved. At epsilon = 0
+every trajectory is the clean walk, which is evolved once.
 """
 
 from __future__ import annotations
@@ -20,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .momentum import alpha_tilde_sup
-from .walk import WalkParams, WalkState, evolve, evolve_tracking_origin
+from .walk import (WalkParams, WalkState, ensemble_tracking_origin, evolve,
+                   evolve_tracking_origin)
 
 SUPPORTS = ("pm1", "01")
 
@@ -104,14 +112,14 @@ def return_series(params: WalkParams, noise: NoiseConfig, t_max: int,
     if t_max < 1:
         raise ValueError("t_max must be positive")
     start = initial if initial is not None else WalkState.single_site()
-    tracks = np.empty((noise.ensemble_size, t_max + 1))
     if noise.epsilon == 0.0:
         # every trajectory is the clean one: evolve it once
+        tracks = np.empty((noise.ensemble_size, t_max + 1))
         tracks[:] = evolve_tracking_origin(start, t_max, params)[1]
     else:
-        for i in range(noise.ensemble_size):
-            fields = noise.draw_fields(params.field.value, t_max, i)
-            tracks[i] = evolve_tracking_origin(start, t_max, params, field_values=fields)[1]
+        fields = [noise.draw_fields(params.field.value, t_max, i)
+                  for i in range(noise.ensemble_size)]
+        tracks = ensemble_tracking_origin(start, t_max, params, fields)
     ts = np.arange(t_max + 1, dtype=float)
     return np.column_stack([ts, tracks.mean(axis=0), tracks.min(axis=0),
                             tracks.max(axis=0)])

@@ -36,6 +36,9 @@ from .spinops import make_coin
 
 TWO_PI = 2.0 * math.pi
 
+# steps whose matrices ensemble_tracking_origin builds at a time
+ENSEMBLE_MATRIX_BLOCK = 64
+
 
 class TimeRule(enum.Enum):
     """Which time-dependent spin operation the walk uses (see module docstring)."""
@@ -309,11 +312,35 @@ def evolve_tracking_origin(state: WalkState, t_max: int, params: WalkParams,
     RX_FIELD rule is supported, as in ``track_origin``.
     """
     final, spinors = track_origin(state, t_max, params, field_values=field_values)
-    p0 = np.empty(t_max + 1)
-    p0[0] = abs(state.amplitude(0, +1)) ** 2 + abs(state.amplitude(0, -1)) ** 2
-    for t, (u, d) in enumerate(spinors, start=1):
-        p0[t] = abs(u) ** 2 + abs(d) ** 2
-    return final, p0
+    p0 = _kernels.spinor_probabilities([state.amplitude(0, +1), *spinors[:, 0].tolist()],
+                                       [state.amplitude(0, -1), *spinors[:, 1].tolist()])
+    return final, np.array(p0)
+
+
+def ensemble_tracking_origin(state: WalkState, t_max: int, params: WalkParams,
+                             field_values) -> np.ndarray:
+    """Return probabilities of one walk per entry of ``field_values``, shape (E, t_max+1).
+
+    Row e is bit for bit the p0 of ``evolve_tracking_origin(state, t_max,
+    params, field_values[e])``. All E walks advance together through one
+    kernel call, which keeps only the sites that can still reach the origin
+    by step t_max and so hands back no final state. Only the RX_FIELD rule is
+    supported, as in ``track_origin``.
+    """
+    if not params.matrix_before_shift:
+        raise ValueError("origin tracking is implemented for the RX_FIELD rule")
+    walks = len(field_values)
+
+    def blocks():
+        # a block of steps at a time keeps the matrices' memory independent of t_max
+        for t0 in range(0, t_max, ENSEMBLE_MATRIX_BLOCK):
+            t1 = min(t0 + ENSEMBLE_MATRIX_BLOCK, t_max)
+            block = np.empty((t1 - t0, 2, 2, walks), dtype=complex)
+            for e, fields in enumerate(field_values):
+                block[..., e] = params.step_matrices(t0 + 1, t1, field_values=fields[t0:t1])
+            yield block
+
+    return _kernels.probe_ensemble(state.amplitudes, -state.x_min, t_max, walks, blocks())
 
 
 def position_distribution(state: WalkState) -> dict[int, float]:
@@ -350,8 +377,11 @@ def bloch_vector(state: WalkState, x: int) -> tuple[float, float, float]:
 
 
 def spinor_bloch_vector(u, d) -> tuple[float, float, float]:
-    """``bloch_vector`` of the spinor (u, d), given as numpy complex scalars."""
-    cross = np.conj(u) * d
+    """``bloch_vector`` of the spinor (u, d), given as Python or numpy complex scalars.
+
+    Both give the same bits; Python complex values are several times faster.
+    """
+    cross = u.conjugate() * d
     return (float(2.0 * cross.real), float(2.0 * cross.imag),
             float(abs(u) ** 2 - abs(d) ** 2))
 

@@ -1,8 +1,9 @@
-"""The two step-order kernels, through the paths that share them, against the references.
+"""The position kernels, through the paths that share them, against the references.
 
 The dict references check the physics; the interleaved reference kernels in
 ``conftest`` check that the comoving layout reproduces the in-place shifting
-loops bit for bit.
+loops bit for bit. The ensemble probe is checked against one probed
+single-walk run per walk.
 """
 
 import numpy as np
@@ -12,8 +13,9 @@ from conftest import (max_diff, random_su2, reference_electric, reference_evolve
                       reference_matrix_then_shift, reference_shift_then_matrix, state_to_dict)
 from qpwalk import _kernels
 from qpwalk.gauge import electric_evolve
-from qpwalk.walk import (Field, TimeRule, WalkParams, WalkState, evolve, evolve_tracking_origin,
-                         hadamard_params, return_probability, run_padded)
+from qpwalk.noise import NoiseConfig
+from qpwalk.walk import (Field, TimeRule, WalkParams, WalkState, ensemble_tracking_origin, evolve,
+                         evolve_tracking_origin, hadamard_params, return_probability, run_padded)
 
 
 def _random_case(rng, steps=9, width=5, margin=2, tiny_edges=False):
@@ -197,3 +199,127 @@ def test_chunked_evolve_is_bit_identical(rng, rule):
             chunked = evolve(evolve(start, 3, b, params), b + 1, 400, params)
             assert chunked.x_min == whole.x_min
             assert _same_bits(chunked.amplitudes, whole.amplitudes)
+
+
+def _probe_each_walk(psi, mats, origin):
+    """The ensemble probe's reference: each walk alone through the probed single-walk kernel.
+
+    p0 comes from the numpy-scalar formula. Also returns each walk's final bounds.
+    """
+    steps, walks = mats.shape[0], mats.shape[3]
+    width, pad = psi.shape[0], steps + 2
+    first = psi[origin] if 0 <= origin < width else np.zeros(2, dtype=complex)
+    p0 = np.empty((walks, steps + 1))
+    bounds = []
+    for e in range(walks):
+        buf = np.zeros((width + 2 * pad, 2), dtype=complex)
+        buf[pad:pad + width] = psi
+        spinor = np.empty((steps, 2), dtype=complex)
+        bounds.append(_kernels.steps_matrix_then_shift(
+            buf, pad, pad + width - 1, mats[..., e].copy(), origin=pad + origin, out_spinor=spinor))
+        p0[e] = [abs(u) ** 2 + abs(d) ** 2 for u, d in [first, *spinor]]
+    return p0, bounds
+
+
+def _random_ensemble(rng, steps, walks, width, gain=1.0, gain_steps=0):
+    """A shared start with sub-threshold components, and unitary matrices per walk.
+
+    A third of the matrices are diagonal or antidiagonal, so a sub-threshold
+    component lands on an edge site in some walks but not in others, and the
+    walks' windows split. The first ``gain_steps`` matrices are scaled by ``gain``.
+    """
+    psi = rng.normal(size=(width, 2)) + 1j * rng.normal(size=(width, 2))
+    psi /= np.linalg.norm(psi)
+    tiny = rng.random(size=(width, 2)) < 0.35
+    psi[tiny] *= 10.0 ** -rng.uniform(201, 240, size=tiny.sum())
+    psi[rng.random(size=(width, 2)) < 0.1] = 0.0
+    mats = np.empty((steps, 2, 2, walks), dtype=complex)
+    for t in range(steps):
+        for e in range(walks):
+            a, b = random_su2(rng)
+            kind = rng.integers(0, 6)
+            if kind == 0:
+                a, b = a / abs(a), 0j
+            elif kind == 1:
+                a, b = 0j, b / abs(b)
+            mats[t, :, :, e] = [[a, b], [-b.conjugate(), a.conjugate()]]
+    mats[:gain_steps] *= gain
+    return psi, mats
+
+
+@pytest.mark.parametrize("walks", [1, 2, 5])
+def test_probe_ensemble_matches_each_walk(rng, walks):
+    """Every walk's p0 is its own run's, bit for bit.
+
+    Covers sub-threshold edges that split the windows, origins inside, beside
+    and out of reach of the start window, and runs of one step.
+    """
+    split = False
+    for case in range(40):
+        steps = 1 if case < 3 else int(rng.integers(2, 30))
+        width = int(rng.integers(1, 10))
+        origin = int(rng.integers(-steps - 3, width + steps + 3))
+        psi, mats = _random_ensemble(rng, steps, walks, width)
+        p0, bounds = _probe_each_walk(psi, mats, origin)
+        assert _same_bits(_kernels.probe_ensemble(psi, origin, steps, walks, [mats]), p0)
+        split |= len(set(bounds)) > 1
+    assert split or walks == 1
+
+
+def test_probe_ensemble_trims_walk_by_walk(rng):
+    """Each walk trims exactly the sites its own run trims.
+
+    Gains grow the sub-threshold amplitudes that a trim keeps or drops into
+    p0, so any other trim decision shows. Extra unitary steps widen the
+    light cone, so that it cuts no window during the steps compared.
+    """
+    # walk 0 trims the sub-threshold down amplitude that walk 1's first matrix
+    # turns into a full site; the windows split at step 1
+    psi = np.array([[1.0, 1e-230]], dtype=complex)
+    mats = np.zeros((26, 2, 2, 2), dtype=complex)
+    mats[:, 0, 0] = mats[:, 1, 1] = 1.0
+    mats[0, :, :, 1] = [[0.0, 1.0], [1.0, 0.0]]
+    mats[1:6] *= 1e20
+    p0, _ = _probe_each_walk(psi, mats, -6)
+    assert p0[0, 6] == 0.0 and p0[1, 6] > 1e199
+    assert _same_bits(_kernels.probe_ensemble(psi, -6, 26, 2, [mats])[:, :7], p0[:, :7])
+    for _ in range(40):
+        walks = int(rng.choice([1, 2, 4]))
+        steps, width = int(rng.integers(1, 14)), int(rng.integers(1, 10))
+        origin = int(rng.integers(-steps - 3, width + steps + 3))
+        horizon = 2 * steps + width + abs(origin) + 2
+        psi, mats = _random_ensemble(rng, horizon, walks, width, gain=1e11, gain_steps=steps)
+        p0, _ = _probe_each_walk(psi, mats, origin)
+        p0_new = _kernels.probe_ensemble(psi, origin, horizon, walks, [mats])
+        assert _same_bits(p0_new[:, :steps + 1], p0[:, :steps + 1])
+
+
+def test_ensemble_tracking_origin_matches_each_trajectory():
+    """3000 noisy golden steps from x = 2: the cone crosses the trimmed tails."""
+    params = hadamard_params(Field.golden())
+    start = WalkState.single_site(x=2, spinor=(0.6, 0.8j))
+    noise = NoiseConfig(epsilon=1e-4, seed=4)
+    fields = [noise.draw_fields(params.field.value, 3000, i) for i in range(3)]
+    # by the step where the cone's edge meets the window's, the window is trimmed
+    half = evolve(start, 1, 1500, params, field_values=fields[0][:1500])
+    assert half.amplitudes.shape[0] < 2 * 1500 + 1
+    p0 = ensemble_tracking_origin(start, 3000, params, fields)
+    for e, values in enumerate(fields):
+        assert _same_bits(p0[e], evolve_tracking_origin(start, 3000, params, values)[1])
+
+
+@pytest.mark.parametrize("x0,t_max", [(0, 1), (1, 1), (-1, 2), (3, 40), (-9, 9), (12, 11)])
+def test_ensemble_tracking_origin_single_walk(x0, t_max):
+    """One walk, one step, and starts off the origin, also out of its reach."""
+    params = WalkParams(Field.rational(1, 7), 0.6, 0.8j)
+    start = WalkState.single_site(x=x0, spinor=(0.6, 0.8j))
+    fields = NoiseConfig(epsilon=1e-2, seed=1).draw_fields(params.field.value, t_max, 0)
+    p0 = ensemble_tracking_origin(start, t_max, params, [fields])
+    assert _same_bits(p0[0], evolve_tracking_origin(start, t_max, params, fields)[1])
+    assert p0.shape == (1, t_max + 1) and np.any(p0 > 0.0) == (abs(x0) <= t_max)
+
+
+def test_ensemble_tracking_origin_needs_the_rx_field_rule():
+    params = hadamard_params(Field.golden(), TimeRule.GAUGED_SZ)
+    with pytest.raises(ValueError):
+        ensemble_tracking_origin(WalkState.single_site(), 3, params, [np.zeros(3)])

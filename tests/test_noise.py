@@ -123,15 +123,16 @@ def test_return_series_shape_and_envelope():
 
 
 def test_return_series_matches_direct_trajectories():
+    """Every row, bit for bit, from each trajectory evolved on its own to each t."""
     params = hadamard_params(Field.rational(1, 6))
     noise = NoiseConfig(epsilon=5e-3, seed=21, ensemble_size=4)
     series = return_series(params, noise, 12)
-    direct = []
+    direct = np.empty((4, 13))
     for i in range(4):
-        out = noisy_evolve(WalkState.single_site(), 12, params, noise,
-                           trajectory=i)
-        sp = out.spinor(0)
-        direct.append(float(abs(sp[0]) ** 2 + abs(sp[1]) ** 2))
-    assert series[12, 1] == pytest.approx(np.mean(direct), abs=1e-13)
-    assert series[12, 2] == pytest.approx(np.min(direct), abs=1e-13)
-    assert series[12, 3] == pytest.approx(np.max(direct), abs=1e-13)
+        for t in range(13):
+            out = noisy_evolve(WalkState.single_site(), t, params, noise, trajectory=i)
+            sp = out.spinor(0)
+            direct[i, t] = abs(sp[0]) ** 2 + abs(sp[1]) ** 2
+    expected = np.column_stack([np.arange(13.0), direct.mean(axis=0), direct.min(axis=0),
+                                direct.max(axis=0)])
+    assert series.tobytes() == expected.tobytes()

@@ -6,6 +6,11 @@ metadata comments, then a header row) or as a single JSON document. Output is
 byte-reproducible for a fixed config and seed: records carry no timestamps and
 all randomness is seeded.
 
+Each handler checks its inputs and returns metadata, columns and rows whose
+cells are Python int, float, bool or str; ``write_record`` then streams the
+rows, so a run that fails its checks writes nothing. ``evolve`` hands over a
+generator of one time slice at a time, so its memory stays bounded at stride 1.
+
 Field strings give phi as a fraction of a full turn: ``n/m`` (exact integers),
 ``golden`` for (sqrt(5)-1)/2, or a float literal. Coins are ``hadamard``,
 ``identity``, ``i-sigma-y``, or an ``a,b`` pair of complex literals.
@@ -19,11 +24,12 @@ Exit codes: 0 success, 2 configuration error, 3 failed *-check experiment.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import contextlib
+import itertools
 import json
 import math
 import sys
+from collections.abc import Iterable
 from fractions import Fraction
 from math import gcd
 
@@ -41,6 +47,7 @@ from .walk import (Field, WalkParams, WalkState, bloch_vector, evolve,
 
 TRACE_CHECK_TOL = 1e-9
 GAUGE_CHECK_TOL = 1e-10
+ROWS_PER_WRITE = 4096  # rows formatted per write
 
 NAMED_COINS = {
     "hadamard": (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)),
@@ -81,6 +88,10 @@ EXPERIMENT_FLAGS = {
     "appendix-table": "m_list",
     "bloch-trace": "field coin tmax x0 spinor",
 }
+
+
+# what a handler returns: metadata, columns, rows of native cells, exit code
+Record = tuple[dict, list[str], Iterable[tuple], int]
 
 
 class ConfigError(Exception):
@@ -140,17 +151,21 @@ def parse_spinor(text: str) -> tuple[complex, complex]:
 
 
 def parse_int_list(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad integer list {text!r}: {exc}") from exc
+    return _parse_list(text, int, "integer")
 
 
 def parse_float_list(text: str) -> list[float]:
+    return _parse_list(text, float, "float")
+
+
+def _parse_list(text: str, cast, kind: str) -> list:
     try:
-        return [float(part) for part in text.split(",") if part.strip()]
+        values = [cast(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
-        raise ConfigError(f"bad float list {text!r}: {exc}") from exc
+        raise ConfigError(f"bad {kind} list {text!r}: {exc}") from exc
+    if not values:
+        raise ConfigError(f"empty {kind} list {text!r}")
+    return values
 
 
 def load_config_file(path: str) -> dict[str, str]:
@@ -189,71 +204,53 @@ class Options:
         return default
 
 
-def record_rows(experiment: str, metadata: dict, columns: list[str], rows: list):
-    meta = {"experiment": experiment, "version": __version__,
-            "backend": "numpy"}
-    meta.update(metadata)
-    return {"experiment": experiment, "metadata": meta,
-            "columns": columns, "rows": rows}
+def _csv_rows(rows: list) -> str:
+    # str(float) is repr(float); bools are written as 1/0
+    return "".join([",".join([("1" if c else "0") if type(c) is bool else str(c) for c in row])
+                    + "\n" for row in rows])
 
 
-def _format_cell(value):
-    # exact-type fast paths for the common cells; bool is a subclass of int
-    if type(value) is float:
-        return repr(value)
-    if type(value) is int:
-        return str(value)
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+def _json_rows(rows: list) -> str:
+    return json.dumps(rows)[1:-1]
 
 
-def write_record(record: dict, out_path: str, fmt: str) -> None:
+def write_record(experiment: str, metadata: dict, columns: list[str], rows: Iterable[tuple],
+                 out_path: str, fmt: str) -> None:
+    """Stream one record to ``out_path`` ('-' for stdout), ROWS_PER_WRITE rows a write.
+
+    Cells are Python int, float, bool or str. JSON gives the bytes of
+    ``json.dumps(document, sort_keys=True)``, which puts "rows" between
+    "metadata" and "schema": a fixed head, the rows and a fixed tail. The
+    format is checked before anything is written.
+    """
+    meta = {"experiment": experiment, "version": __version__, "backend": "numpy",
+            **metadata}
     if fmt == "csv":
-        buf = io.StringIO()
-        buf.write("# qpwalk-csv v1\n")
-        for key in sorted(record["metadata"]):
-            buf.write(f"# {key}={record['metadata'][key]}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(record["columns"])
-        for row in record["rows"]:
-            writer.writerow([_format_cell(cell) for cell in row])
-        payload = buf.getvalue()
+        head = "".join(["# qpwalk-csv v1\n", *(f"# {key}={meta[key]}\n" for key in sorted(meta)),
+                        ",".join(columns), "\n"])
+        body, sep, tail = _csv_rows, "", ""
     elif fmt == "json":
-        doc = {"schema": "qpwalk-json/1",
-               "experiment": record["experiment"],
-               "metadata": record["metadata"],
-               "columns": record["columns"],
-               "rows": [list(row) for row in record["rows"]]}
-        payload = json.dumps(doc, sort_keys=True, default=_json_default) + "\n"
+        head = json.dumps({"columns": columns, "experiment": experiment, "metadata": meta},
+                          sort_keys=True)[:-1] + ', "rows": ['
+        body, sep, tail = _json_rows, ", ", '], "schema": "qpwalk-json/1"}\n'
     else:
         raise ConfigError(f"unknown format {fmt!r}")
-    if out_path == "-":
-        sys.stdout.write(payload)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(payload)
-
-
-def _json_default(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    raise TypeError(f"not JSON serializable: {type(value)!r}")
+    rows = iter(rows)
+    with (open(out_path, "w", encoding="utf-8", newline="") if out_path != "-"
+          else contextlib.nullcontext(sys.stdout)) as handle:
+        handle.write(head)
+        lead = ""
+        while batch := list(itertools.islice(rows, ROWS_PER_WRITE)):
+            handle.write(lead + body(batch))
+            lead = sep
+        handle.write(tail)
 
 
 # ---------------------------------------------------------------------------
 # experiment handlers
 # ---------------------------------------------------------------------------
 
-def run_evolve(opts: Options) -> tuple[dict, int]:
+def run_evolve(opts: Options) -> Record:
     field = parse_field(opts.get("field", "1/155", str))
     a, b, coin_label = parse_coin(opts.get("coin", "hadamard", str))
     t_max = opts.get("tmax", 310, int)
@@ -263,21 +260,26 @@ def run_evolve(opts: Options) -> tuple[dict, int]:
     if t_max < 0 or stride < 1:
         raise ConfigError("tmax must be >= 0 and stride >= 1")
     params = WalkParams(field=field, coin_a=a, coin_b=b)
-    state = WalkState.single_site(x=x0, spinor=spinor)
-    rows = []
-    for x, p in sorted(position_distribution(state).items()):
-        rows.append((0, x, p))
-    for t_from in range(1, t_max + 1, stride):
-        t = min(t_from + stride - 1, t_max)
-        state = evolve(state, t_from, t, params)
-        for x, p in sorted(position_distribution(state).items()):
-            rows.append((t, x, p))
+    field.angle(t_max)  # if t*phi overflows, it does at t_max: raise before any row is written
+    start = WalkState.single_site(x=x0, spinor=spinor)
+
+    def rows():
+        # one time slice at a time: memory is one window plus one slice
+        state = start
+        for x, p in position_distribution(state).items():
+            yield 0, x, p
+        for t_from in range(1, t_max + 1, stride):
+            t = min(t_from + stride - 1, t_max)
+            state = evolve(state, t_from, t, params)
+            for x, p in position_distribution(state).items():
+                yield t, x, p
+
     meta = {"field": field.label, "coin": coin_label, "tmax": t_max, "stride": stride,
             "x0": x0, "spinor": opts.get("spinor", "1,0", str)}
-    return record_rows("evolve", meta, ["t", "x", "probability"], rows), 0
+    return meta, ["t", "x", "probability"], rows(), 0
 
 
-def run_revival_scan(opts: Options) -> tuple[dict, int]:
+def run_revival_scan(opts: Options) -> Record:
     field_spec = opts.get("field", "", str)
     a, b, coin_label = parse_coin(opts.get("coin", "hadamard", str))
     t_max = opts.get("tmax", 400, int)
@@ -287,6 +289,9 @@ def run_revival_scan(opts: Options) -> tuple[dict, int]:
                           "fields 1/m are chosen with --m-list")
     if field_spec == "golden":
         depth = opts.get("depth", 12, int)
+        # irrational_revival_bound reads c_{k+1}, so the scan needs depth >= 2
+        if t_max < 1 or depth < 2:
+            raise ConfigError("golden revival-scan needs tmax >= 1 and depth >= 2")
         x = golden_ratio_fraction(max(60, 3 * depth))
         cf = cf_expand(x, depth)
         field = Field.golden()
@@ -302,10 +307,8 @@ def run_revival_scan(opts: Options) -> tuple[dict, int]:
             rows.append((k_index, d_k, time, report.sign,
                          report.measured_deviation, bound))
         meta = {"field": field.label, "coin": coin_label, "tmax": t_max, "depth": depth}
-        return record_rows(
-            "revival-scan", meta,
-            ["k_index", "d_k", "revival_time", "sign", "measured_deviation",
-             "bound_leading"], rows), 0
+        return meta, ["k_index", "d_k", "revival_time", "sign", "measured_deviation",
+                      "bound_leading"], rows, 0
 
     m_list = parse_int_list(opts.get("m_list", "3,4,5,6,7,8,9,10,11,12", str))
     if any(m < 1 for m in m_list):
@@ -317,13 +320,11 @@ def run_revival_scan(opts: Options) -> tuple[dict, int]:
         rows.append((report.m, report.parity, report.revival_time, report.sign,
                      report.measured_deviation, report.predicted_scale))
     meta = {"coin": coin_label, "m_list": ",".join(str(m) for m in m_list)}
-    return record_rows(
-        "revival-scan", meta,
-        ["m", "parity", "revival_time", "sign", "measured_deviation",
-         "predicted_scale"], rows), 0
+    return meta, ["m", "parity", "revival_time", "sign", "measured_deviation",
+                  "predicted_scale"], rows, 0
 
 
-def run_trace_check(opts: Options) -> tuple[dict, int]:
+def run_trace_check(opts: Options) -> Record:
     trials = opts.get("trials", 200, int)
     seed = opts.get("seed", 0, int)
     if trials < 1:
@@ -340,13 +341,13 @@ def run_trace_check(opts: Options) -> tuple[dict, int]:
         rot = rotation_x(2.0 * math.pi * n / m)
         closed = trace_formula(mat, rot, m)
         direct = _direct_cyclic_trace(mat, rot, m)
-        residual = abs(closed - direct)
+        residual = float(abs(closed - direct))
         worst = max(worst, residual)
         rows.append((trial, m, n, residual, residual <= TRACE_CHECK_TOL))
     meta = {"trials": trials, "seed": seed, "tolerance": TRACE_CHECK_TOL,
             "worst_residual": worst}
     code = 0 if worst <= TRACE_CHECK_TOL else 3
-    return record_rows("trace-check", meta, ["trial", "m", "n", "residual", "pass"], rows), code
+    return meta, ["trial", "m", "n", "residual", "pass"], rows, code
 
 
 def _direct_cyclic_trace(mat: np.ndarray, rot: np.ndarray, m: int) -> complex:
@@ -358,7 +359,7 @@ def _direct_cyclic_trace(mat: np.ndarray, rot: np.ndarray, m: int) -> complex:
     return complex(np.trace(prod))
 
 
-def run_cf(opts: Options) -> tuple[dict, int]:
+def run_cf(opts: Options) -> Record:
     field_spec = opts.get("field", "golden", str)
     depth = opts.get("depth", 40, int)
     if depth < 1:
@@ -389,12 +390,10 @@ def run_cf(opts: Options) -> tuple[dict, int]:
                      checks[i - 1] if i - 1 < len(checks) else True))
     meta = {"field": label, "depth": depth, "finite": cf.finite,
             "truncated": cf.truncated, "classification": classification.kind}
-    return record_rows("cf", meta,
-                       ["k", "c_k", "n_k", "d_k", "abs_error", "bound",
-                        "within_bound"], rows), 0
+    return meta, ["k", "c_k", "n_k", "d_k", "abs_error", "bound", "within_bound"], rows, 0
 
 
-def run_noise_series(opts: Options) -> tuple[dict, int]:
+def run_noise_series(opts: Options) -> Record:
     field = parse_field(opts.get("field", "1/100", str))
     a, b, coin_label = parse_coin(opts.get("coin", "hadamard", str))
     t_max = opts.get("tmax", 1000, int)
@@ -418,11 +417,10 @@ def run_noise_series(opts: Options) -> tuple[dict, int]:
     meta = {"field": field.label, "coin": coin_label, "tmax": t_max, "seed": seed,
             "ensemble": ensemble, "noise_support": support,
             "epsilon": ",".join(repr(e) for e in epsilons)}
-    return record_rows("noise-series", meta,
-                       ["epsilon", "t", "p_mean", "p_min", "p_max"], rows), 0
+    return meta, ["epsilon", "t", "p_mean", "p_min", "p_max"], rows, 0
 
 
-def run_gauge_check(opts: Options) -> tuple[dict, int]:
+def run_gauge_check(opts: Options) -> Record:
     field_spec = opts.get("field", "", str)
     a, b, coin_label = parse_coin(opts.get("coin", "hadamard", str))
     t_steps = opts.get("tmax", 50, int)
@@ -445,11 +443,10 @@ def run_gauge_check(opts: Options) -> tuple[dict, int]:
     meta = {"coin": coin_label, "tmax": t_steps, "trials": trials, "seed": seed,
             "tolerance": GAUGE_CHECK_TOL, "worst_deviation": worst}
     code = 0 if worst <= GAUGE_CHECK_TOL else 3
-    columns = ["field", "t", "trials", "max_deviation", "pass"]
-    return record_rows("gauge-check", meta, columns, rows), code
+    return meta, ["field", "t", "trials", "max_deviation", "pass"], rows, code
 
 
-def run_appendix_table(opts: Options) -> tuple[dict, int]:
+def run_appendix_table(opts: Options) -> Record:
     m_list = parse_int_list(opts.get("m_list", "2,3,4,5,6,7,8,9,10,11,12", str))
     if any(m < 1 for m in m_list):
         raise ConfigError("m values must be positive")
@@ -459,13 +456,11 @@ def run_appendix_table(opts: Options) -> tuple[dict, int]:
                      report.sign, report.measured_deviation, expected,
                      abs(report.measured_deviation - expected) <= 1e-9))
     meta = {"m_list": ",".join(str(m) for m in m_list)}
-    return record_rows("appendix-table", meta,
-                       ["coin", "m", "parity", "revival_time", "sign",
-                        "measured_deviation", "expected_deviation", "match"],
-                       rows), 0
+    return meta, ["coin", "m", "parity", "revival_time", "sign", "measured_deviation",
+                  "expected_deviation", "match"], rows, 0
 
 
-def run_bloch_trace(opts: Options) -> tuple[dict, int]:
+def run_bloch_trace(opts: Options) -> Record:
     field = parse_field(opts.get("field", "golden", str))
     a, b, coin_label = parse_coin(opts.get("coin", "hadamard", str))
     t_max = opts.get("tmax", 1000, int)
@@ -493,7 +488,7 @@ def run_bloch_trace(opts: Options) -> tuple[dict, int]:
     meta = {"field": field.label, "coin": coin_label, "tmax": t_max, "x0": x0,
             "spinor": opts.get("spinor", "1,0", str), "nearest_return_t": nearest_t,
             "nearest_return_dist": nearest_dist}
-    return record_rows("bloch-trace", meta, ["t", "sx", "sy", "sz", "r"], rows), 0
+    return meta, ["t", "sx", "sy", "sz", "r"], rows, 0
 
 
 HANDLERS = {
@@ -528,8 +523,9 @@ def main(argv=None) -> int:
     try:
         cfg = load_config_file(args.config) if args.config else {}
         opts = Options(args, cfg)
-        record, code = HANDLERS[args.experiment](opts)
-        write_record(record, opts.get("out", "-", str), opts.get("format", "csv", str))
+        metadata, columns, rows, code = HANDLERS[args.experiment](opts)
+        write_record(args.experiment, metadata, columns, rows,
+                     opts.get("out", "-", str), opts.get("format", "csv", str))
         return code
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -173,7 +173,10 @@ class WalkParams:
             field_values = np.asarray(field_values, dtype=float)
             if field_values.shape != (len(multiples),):
                 raise ValueError("field_values must supply one angle per step")
-            angles = np.fmod(np.array(multiples) * field_values, TWO_PI)
+            with np.errstate(over="ignore", invalid="ignore"):
+                angles = np.fmod(np.array(multiples) * field_values, TWO_PI)
+            if not np.isfinite(angles).all():
+                raise ValueError("step angles t*phi_t must be finite")
         spin = np.zeros((len(angles), 2, 2), dtype=complex)
         if before:
             spin[:, 0, 0] = spin[:, 1, 1] = np.cos(angles)
@@ -346,7 +349,7 @@ def ensemble_tracking_origin(state: WalkState, t_max: int, params: WalkParams,
 def position_distribution(state: WalkState) -> dict[int, float]:
     """Map x -> total probability at x, omitting exactly-zero sites."""
     probs = np.abs(state.amplitudes[:, 0]) ** 2 + np.abs(state.amplitudes[:, 1]) ** 2
-    return {state.x_min + i: float(p) for i, p in enumerate(probs) if p > 0.0}
+    return {x: p for x, p in enumerate(probs.tolist(), start=state.x_min) if p > 0.0}
 
 
 def return_probability(state: WalkState) -> float:

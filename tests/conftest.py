@@ -7,6 +7,11 @@ the two is meaningful evidence of correctness.
 
 from __future__ import annotations
 
+import csv
+import io
+import json
+import sys
+
 import numpy as np
 import pytest
 
@@ -171,6 +176,64 @@ def random_su2(rng: np.random.Generator) -> tuple[complex, complex]:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(20260816)))
+
+
+# ---------------------------------------------------------------------------
+# reference record writer: the buffered csv.writer / json.dumps serializers
+# the CLI used before it streamed its rows
+# ---------------------------------------------------------------------------
+
+def _format_cell(value):
+    # exact-type fast paths for the common cells; bool is a subclass of int
+    if type(value) is float:
+        return repr(value)
+    if type(value) is int:
+        return str(value)
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def _json_default(value):
+    if isinstance(value, (np.integer,)):
+        return int(value)
+    if isinstance(value, (np.floating,)):
+        return float(value)
+    if isinstance(value, (np.bool_, bool)):
+        return bool(value)
+    raise TypeError(f"not JSON serializable: {type(value)!r}")
+
+
+def reference_write_record(record: dict, out_path: str, fmt: str) -> None:
+    """Write ``record`` (experiment, metadata, columns, rows) as one buffered payload."""
+    if fmt == "csv":
+        buf = io.StringIO()
+        buf.write("# qpwalk-csv v1\n")
+        for key in sorted(record["metadata"]):
+            buf.write(f"# {key}={record['metadata'][key]}\n")
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(record["columns"])
+        for row in record["rows"]:
+            writer.writerow([_format_cell(cell) for cell in row])
+        payload = buf.getvalue()
+    elif fmt == "json":
+        doc = {"schema": "qpwalk-json/1",
+               "experiment": record["experiment"],
+               "metadata": record["metadata"],
+               "columns": record["columns"],
+               "rows": [list(row) for row in record["rows"]]}
+        payload = json.dumps(doc, sort_keys=True, default=_json_default) + "\n"
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
+    if out_path == "-":
+        sys.stdout.write(payload)
+    else:
+        with open(out_path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(payload)
 
 
 # ---------------------------------------------------------------------------

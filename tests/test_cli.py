@@ -2,11 +2,13 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from conftest import reference_write_record
 
-from qpwalk import cli
+from qpwalk import __version__, cli
 from qpwalk.cli import (ConfigError, parse_coin, parse_field, parse_int_list,
                         parse_spinor)
 from qpwalk.walk import WalkParams, WalkState, bloch_vector, evolve, position_distribution
@@ -14,6 +16,17 @@ from qpwalk.walk import WalkParams, WalkState, bloch_vector, evolve, position_di
 ALL_EXPERIMENTS = ["evolve", "revival-scan", "trace-check", "cf",
                    "noise-series", "gauge-check", "appendix-table",
                    "bloch-trace"]
+
+SMALL_ARGV = {
+    "evolve": ["--tmax", "4"],
+    "revival-scan": ["--m-list", "3,4"],
+    "trace-check": ["--trials", "10"],
+    "cf": ["--depth", "6"],
+    "noise-series": ["--tmax", "6", "--ensemble", "3", "--epsilon", "0.001"],
+    "gauge-check": ["--tmax", "10", "--trials", "3"],
+    "appendix-table": ["--m-list", "3,4"],
+    "bloch-trace": ["--tmax", "6"],
+}
 
 
 # ---------------------------------------------------------------------------
@@ -91,19 +104,8 @@ def parse_csv(text):
 
 
 def test_every_experiment_runs_small(capsys):
-    small = {
-        "evolve": ["--tmax", "4"],
-        "revival-scan": ["--m-list", "3,4"],
-        "trace-check": ["--trials", "10"],
-        "cf": ["--depth", "6"],
-        "noise-series": ["--tmax", "6", "--ensemble", "3",
-                         "--epsilon", "0.001"],
-        "gauge-check": ["--tmax", "10", "--trials", "3"],
-        "appendix-table": ["--m-list", "3,4"],
-        "bloch-trace": ["--tmax", "6"],
-    }
     for name in ALL_EXPERIMENTS:
-        code, out, err = run_cli([name] + small[name], capsys)
+        code, out, err = run_cli([name] + SMALL_ARGV[name], capsys)
         assert code == 0, (name, err)
         meta, header, rows = parse_csv(out)
         assert meta["experiment"] == name
@@ -161,28 +163,100 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     assert meta["coin"] == "identity"
 
 
-def test_config_errors_exit_2(tmp_path, capsys):
-    assert run_cli(["evolve", "--field", "nope"], capsys)[0] == 2
-    assert run_cli(["evolve", "--config", "/does/not/exist"], capsys)[0] == 2
+def _config_error_argvs(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("unknown_key=1\n")
-    assert run_cli(["evolve", "--config", str(bad)], capsys)[0] == 2
     noeq = tmp_path / "noeq.cfg"
     noeq.write_text("tmax\n")
-    assert run_cli(["evolve", "--config", str(noeq)], capsys)[0] == 2
-    assert run_cli(["evolve", "--coin", "1,1"], capsys)[0] == 2
-    for argv in (["evolve", "--field", "nan"],
-                 ["evolve", "--coin", "nan,0"],
-                 ["evolve", "--spinor", "nan,0"],
-                 ["noise-series", "--tmax", "2", "--ensemble", "1",
-                  "--epsilon", "nan"],
-                 # rational fields are scanned through --m-list only
-                 ["revival-scan", "--field", "1/7"]):
-        assert run_cli(argv, capsys)[0] == 2
+    xml = tmp_path / "xml.cfg"
+    xml.write_text("format=xml\n")
+    return [["evolve", "--field", "nope"],
+            ["evolve", "--config", "/does/not/exist"],
+            ["evolve", "--config", str(bad)],
+            ["evolve", "--config", str(noeq)],
+            # the format is checked before the first row is streamed
+            ["evolve", "--config", str(xml)],
+            ["evolve", "--coin", "1,1"],
+            ["evolve", "--field", "nan"],
+            ["evolve", "--coin", "nan,0"],
+            ["evolve", "--spinor", "nan,0"],
+            # t * phi overflows at t = 3, after the first rows were computed
+            ["evolve", "--field", "1e307", "--tmax", "5"],
+            ["noise-series", "--tmax", "2", "--ensemble", "1", "--epsilon", "nan"],
+            # t * phi_t overflows: no NaN rows
+            ["noise-series", "--epsilon", "1e308", "--tmax", "12", "--ensemble", "2"],
+            # empty lists
+            ["noise-series", "--epsilon", ","],
+            ["revival-scan", "--m-list", ","],
+            ["appendix-table", "--m-list", ","],
+            # the golden scan needs tmax >= 1 and c_{k+1}, so depth >= 2
+            ["revival-scan", "--field", "golden", "--tmax", "0"],
+            ["revival-scan", "--field", "golden", "--tmax", "-5"],
+            ["revival-scan", "--field", "golden", "--depth", "1"],
+            # rational fields are scanned through --m-list only
+            ["revival-scan", "--field", "1/7"]]
+
+
+def test_config_errors_exit_2(tmp_path, capsys):
+    for argv in _config_error_argvs(tmp_path):
+        assert run_cli(argv, capsys)[0] == 2, argv
     # a flag the experiment does not read is rejected by argparse
     with pytest.raises(SystemExit) as exc:
         cli.main(["cf", "--coin", "foo"])
     assert exc.value.code == 2
+
+
+def test_config_errors_write_nothing(tmp_path, capsys):
+    out_file = tmp_path / "never.csv"
+    for argv in _config_error_argvs(tmp_path):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: "), argv
+        assert run_cli(argv + ["--out", str(out_file)], capsys)[0] == 2, argv
+        assert not out_file.exists(), argv
+
+
+@pytest.mark.parametrize("rows_per_write", [3, cli.ROWS_PER_WRITE])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", ALL_EXPERIMENTS)
+def test_streamed_record_matches_reference_writer(name, fmt, rows_per_write, tmp_path,
+                                                  capsys, monkeypatch):
+    """The streamed bytes equal the buffered reference writer's over the same native rows."""
+    monkeypatch.setattr(cli, "ROWS_PER_WRITE", rows_per_write)
+    argv = [name, *SMALL_ARGV[name], "--format", fmt]
+    code, streamed, _ = run_cli(argv, capsys)
+    out_file = tmp_path / "streamed"
+    assert run_cli(argv + ["--out", str(out_file)], capsys)[0] == code == 0
+    opts = cli.Options(cli.build_parser().parse_args(argv), {})
+    metadata, columns, rows, _ = cli.HANDLERS[name](opts)
+    rows = list(rows)
+    native = (int, float, bool, str)
+    assert all(type(cell) in native for row in rows for cell in row)
+    assert all(type(value) in native for value in metadata.values())
+    record = {"experiment": name, "columns": columns, "rows": rows,
+              "metadata": {"experiment": name, "version": __version__, "backend": "numpy",
+                           **metadata}}
+    reference = tmp_path / "reference"
+    reference_write_record(record, str(reference), fmt)
+    assert streamed.encode() == out_file.read_bytes() == reference.read_bytes()
+
+
+def _evolve_peak_traced_bytes(t_max, out_file):
+    tracemalloc.start()
+    try:
+        assert cli.main(["evolve", "--tmax", str(t_max), "--out", str(out_file)]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_evolve_memory_stays_flat_in_tmax(tmp_path):
+    """Stride-1 rows stream: peak memory is one window and one slice, not O(tmax^2) rows."""
+    out_file = tmp_path / "evolve.csv"
+    _evolve_peak_traced_bytes(2, out_file)
+    small = _evolve_peak_traced_bytes(200, out_file)
+    large = _evolve_peak_traced_bytes(400, out_file)
+    assert large <= 1.1 * small, (small, large)
 
 
 def test_unknown_flag_exits_2():

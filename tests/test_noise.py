@@ -122,6 +122,13 @@ def test_return_series_shape_and_envelope():
         assert clean[:, column].tobytes() == p0.tobytes()
 
 
+def test_return_series_rejects_overflowing_angles():
+    """epsilon = 1e308 overflows t*phi_t: an error, not NaN rows or a RuntimeWarning."""
+    params = hadamard_params(Field.rational(1, 100))
+    with pytest.raises(ValueError, match="finite"):
+        return_series(params, NoiseConfig(epsilon=1e308, ensemble_size=2), 12)
+
+
 def test_return_series_matches_direct_trajectories():
     """Every row, bit for bit, from each trajectory evolved on its own to each t."""
     params = hadamard_params(Field.rational(1, 6))

@@ -109,6 +109,18 @@ def test_step_matrices_noisy_override(rng, rule):
         params.step_matrices(t_from, t_to, field_values=phis[:-1])
 
 
+@pytest.mark.parametrize("rule", [TimeRule.RX_FIELD, TimeRule.GAUGED_SZ])
+@pytest.mark.parametrize("value", [1e308, -1e308, math.inf, math.nan])
+def test_step_matrices_reject_nonfinite_angles(rule, value):
+    """t*phi_t that overflows (or a non-finite phi_t) raises, with no RuntimeWarning."""
+    params = WalkParams(field=Field.rational(1, 100), coin_a=HALF, coin_b=HALF,
+                        time_rule=rule)
+    phis = np.full(12, 0.5)
+    phis[-1] = value
+    with pytest.raises(ValueError, match="finite"):
+        params.step_matrices(1, 12, field_values=phis)
+
+
 # ---------------------------------------------------------------------------
 # WalkState and evolution
 # ---------------------------------------------------------------------------
@@ -227,6 +239,16 @@ def test_position_distribution_sums_to_one_and_respects_parity():
     # odd time: only odd sites occupied
     assert all(x % 2 == 1 for x in dist)
     assert return_probability(state) == 0.0
+
+
+def test_position_distribution_is_native_with_numpy_bits():
+    params = hadamard_params(Field.golden())
+    state = evolve(WalkState.single_site(x=-3, spinor=(0.6, 0.8j)), 1, 40, params)
+    dist = position_distribution(state)
+    probs = np.abs(state.amplitudes[:, 0]) ** 2 + np.abs(state.amplitudes[:, 1]) ** 2
+    expected = {state.x_min + i: float(p) for i, p in enumerate(probs) if p > 0.0}
+    assert list(dist.items()) == list(expected.items())
+    assert all(type(x) is int and type(p) is float for x, p in dist.items())
 
 
 def test_fidelity_basics():

@@ -13,15 +13,27 @@ step orders are matrix-before-shift, with an optional probe of the spinor at
 one buffer index, and shift-before-matrix, with an optional per-site phase
 applied after the matrix (the electric walk).
 
-Comoving layout: spin-up and spin-down live in two contiguous arrays of
-length ``width``. After t of a call's ``steps`` steps, site i's up amplitude
-is at index ``i + steps - t`` and its down amplitude at ``i - steps + t``, so
-a shift leaves every amplitude at its index and moves no data. The first step
-fills the arrays from ``psi``; after the last, both offsets are zero and the
-arrays are copied back. Each step's matrix product is six ufunc calls on
-contiguous slices in the operand order of ``m00*u + m01*d``: bit-identical to
+Comoving layout: spin-up and spin-down live in two contiguous arrays. A call
+keeps every site of its window (stride 1) unless the window holds one
+sublattice: each step moves every amplitude by one site, so a walk that
+starts on one site x0 lives only on sites x with x + t = x0 (mod 2), and a
+window whose every other site is exactly zero (one-site windows included)
+is stepped on its occupied half alone (stride 2). After t of a call's
+``steps`` steps, compressed index j holds site ``first + stride * j``, where
+``first`` drops by ``stride - 1`` per step. Index j's up amplitude is at
+``up[j + steps - t]``; its down amplitude is at ``dn[j - steps + t]`` at
+stride 1 and at ``dn[j]`` at stride 2. Either way a shift leaves every
+amplitude at its index and moves no data. The first step fills the arrays
+from ``psi``; after the last, both offsets are zero and the arrays are
+copied back. Each step's matrix product is six ufunc calls on contiguous
+slices in the operand order of ``m00*u + m01*d``, and the electric walk's
+per-site phases are read per parity from contiguous copies: bit-identical to
 shifting ``psi`` in place, as the reference loops in ``tests/conftest.py``
-do (BLAS ``matmul`` would round differently).
+do (BLAS ``matmul`` would round differently). At stride 2 the empty
+sublattice is never computed: where those loops leave zeros of either sign,
+the kernels write +0.0 into ``psi``, and the origin probe reads +0.0 at the
+steps that leave the origin empty. Occupied amplitudes, bounds and trims are
+bit-identical.
 
 After every step the kernels zero boundary sites whose four real components
 are all below ``TRIM_THRESHOLD`` (1e-200) and shrink the bounds accordingly.
@@ -57,24 +69,48 @@ def _negligible(u, d):
             and abs(d.real) < TRIM_THRESHOLD and abs(d.imag) < TRIM_THRESHOLD)
 
 
-def _trim_bounds(up, dn, lo, hi, drift):
-    """Drop negligible boundary sites; site i is at up[i + drift], dn[i - drift]."""
-    while hi > lo and _negligible(up.item(hi + drift), dn.item(hi - drift)):
+def _trim_bounds(up, dn, lo, hi, drift, dn_drift):
+    """Drop negligible edge sites; compressed site j is at up[j + drift], dn[j - dn_drift]."""
+    while hi > lo and _negligible(up.item(hi + drift), dn.item(hi - dn_drift)):
         up[hi + drift] = 0.0
-        dn[hi - drift] = 0.0
+        dn[hi - dn_drift] = 0.0
         hi -= 1
-    while lo < hi and _negligible(up.item(lo + drift), dn.item(lo - drift)):
+    while lo < hi and _negligible(up.item(lo + drift), dn.item(lo - dn_drift)):
         up[lo + drift] = 0.0
-        dn[lo - drift] = 0.0
+        dn[lo - dn_drift] = 0.0
         lo += 1
     return lo, hi
 
 
-def _merge(psi, lo0, hi0, up, dn, lo, hi):
-    """Copy the final arrays (drift zero) back over the old and the new window."""
-    a, b = min(lo, lo0), max(hi, hi0) + 1
-    psi[a:b, 0] = up[a:b]
-    psi[a:b, 1] = dn[a:b]
+def _layout(psi, lo, hi, steps):
+    """The compressed layout of a call: stride, first site, window, four arrays.
+
+    The stride is 2 when the window holds one sublattice (hi - lo even and
+    the sites lo + 1, lo + 3, ..., hi - 1 exactly zero), else 1. Returns the
+    site of compressed index 0, the compressed bounds of [lo, hi], and two
+    zeroed comoving arrays and two scratch arrays, each with room for the
+    widest compressed window.
+    """
+    stride = 2 if (hi - lo) % 2 == 0 and not psi[lo + 1:hi:2].any() else 1
+    dn_rate = 2 - stride
+    size = (hi - lo + 2 * steps) // stride + 1
+    arrays = (np.zeros(size, dtype=complex), np.zeros(size, dtype=complex),
+              np.empty(size, dtype=complex), np.empty(size, dtype=complex))
+    return (stride, lo - dn_rate * steps, dn_rate * steps,
+            dn_rate * steps + (hi - lo) // stride, arrays)
+
+
+def _merge(psi, lo0, hi0, up, dn, lo, hi, first, stride):
+    """Write the final arrays (drift zero) back; return the window's site bounds.
+
+    Compressed site j is site ``first + stride * j``. The old and the new
+    window are zeroed first, so parity-empty sites hold +0.0.
+    """
+    a, b = first + stride * lo, first + stride * hi
+    psi[min(a, lo0):max(b, hi0) + 1] = 0.0
+    psi[a:b + 1:stride, 0] = up[lo:hi + 1]
+    psi[a:b + 1:stride, 1] = dn[lo:hi + 1]
+    return a, b
 
 
 def _spin_product(m, u, d, u_out, d_out, x, y, phase=None):
@@ -102,43 +138,41 @@ def _spin_product(m, u, d, u_out, d_out, x, y, phase=None):
         np.multiply(d_out, phase, out=d_out)
 
 
-def _workspace(psi, lo, hi, steps):
-    """Zeroed comoving arrays the size of ``psi``; two scratch arrays for the widest window."""
-    width = hi - lo + 1 + 2 * steps
-    return (np.zeros(psi.shape[0], dtype=complex), np.zeros(psi.shape[0], dtype=complex),
-            np.empty(width, dtype=complex), np.empty(width, dtype=complex))
-
-
 def steps_matrix_then_shift(psi, lo, hi, mats, origin=None, out_spinor=None):
     """Apply ``mats[t]`` then the shift for each t.
 
     When ``origin`` is given, ``out_spinor[t]`` receives the (up, down)
     spinor at buffer index ``origin`` after step t: zero whenever ``origin``
-    lies outside the live window, including outside the buffer.
+    lies outside the live window, including outside the buffer, or on the
+    sublattice the window leaves empty.
     """
     steps = mats.shape[0]
     entries = mats.reshape(steps, 4)
     lo0, hi0 = lo, hi
-    up, dn, x, y = _workspace(psi, lo, hi, steps)
+    stride, first, lo, hi, (up, dn, x, y) = _layout(psi, lo, hi, steps)
+    dn_rate = 2 - stride  # compressed sites a down amplitude moves left per step
     for t in range(steps):
         drift = steps - t - 1
-        # site i's new up (down) amplitude belongs to site i + 1 (i - 1), whose
-        # index after this step is the one site i's amplitude had before it
+        dn_drift = dn_rate * drift
+        # compressed site j's new up (down) amplitude belongs to j + 1
+        # (j - dn_rate), whose index after this step is the one j's had before it
         u = up[lo + drift + 1:hi + drift + 2]
-        d = dn[lo - drift - 1:hi - drift]
+        d = dn[lo - dn_drift - dn_rate:hi - dn_drift - dn_rate + 1]
         if t == 0:  # the first product reads psi and fills the comoving arrays
-            _spin_product(entries[0], psi[lo:hi + 1, 0], psi[lo:hi + 1, 1], u, d, x, y)
+            _spin_product(entries[0], psi[lo0:hi0 + 1:stride, 0], psi[lo0:hi0 + 1:stride, 1],
+                          u, d, x, y)
         else:
             _spin_product(entries[t], u, d, u, d, x, y)
-        lo, hi = _trim_bounds(up, dn, lo - 1, hi + 1, drift)
+        first -= stride - 1
+        lo, hi = _trim_bounds(up, dn, lo - dn_rate, hi + 1, drift, dn_drift)
         if origin is not None:
-            if lo <= origin <= hi:
-                out_spinor[t, 0] = up[origin + drift]
-                out_spinor[t, 1] = dn[origin - drift]
+            j, off = divmod(origin - first, stride)
+            if off == 0 and lo <= j <= hi:
+                out_spinor[t, 0] = up[j + drift]
+                out_spinor[t, 1] = dn[j - dn_drift]
             else:
                 out_spinor[t] = 0.0
-    _merge(psi, lo0, hi0, up, dn, lo, hi)
-    return lo, hi
+    return _merge(psi, lo0, hi0, up, dn, lo, hi, first, stride)
 
 
 def spinor_probabilities(ups, downs):
@@ -283,18 +317,26 @@ def steps_shift_then_matrix(psi, lo, hi, mats, site_phase=None):
     steps = mats.shape[0]
     entries = mats.reshape(steps, 4)
     lo0, hi0 = lo, hi
-    up, dn, x, y = _workspace(psi, lo, hi, steps)
+    stride, first, lo, hi, (up, dn, x, y) = _layout(psi, lo, hi, steps)
+    dn_rate = 2 - stride  # compressed sites a down amplitude moves left per step
     # the copy into the comoving arrays is the first shift
-    up[lo + steps:hi + steps + 1] = psi[lo:hi + 1, 0]
-    dn[lo - steps:hi - steps + 1] = psi[lo:hi + 1, 1]
+    up[lo + steps:hi + steps + 1] = psi[lo0:hi0 + 1:stride, 0]
+    dn[lo - dn_rate * steps:hi - dn_rate * steps + 1] = psi[lo0:hi0 + 1:stride, 1]
+    phase = None
+    if site_phase is not None:
+        # site stride * k + p has phase phases[p][k], in contiguous memory
+        phases = [np.ascontiguousarray(site_phase[p::stride]) for p in range(stride)]
     for t in range(steps):
         drift = steps - t - 1
-        lo -= 1
+        dn_drift = dn_rate * drift
+        first -= stride - 1
+        lo -= dn_rate
         hi += 1
         u = up[lo + drift:hi + drift + 1]
-        d = dn[lo - drift:hi - drift + 1]
-        phase = None if site_phase is None else site_phase[lo:hi + 1]
+        d = dn[lo - dn_drift:hi - dn_drift + 1]
+        if site_phase is not None:
+            k, p = divmod(first + stride * lo, stride)
+            phase = phases[p][k:k + hi - lo + 1]
         _spin_product(entries[t], u, d, u, d, x, y, phase)
-        lo, hi = _trim_bounds(up, dn, lo, hi, drift)
-    _merge(psi, lo0, hi0, up, dn, lo, hi)
-    return lo, hi
+        lo, hi = _trim_bounds(up, dn, lo, hi, drift, dn_drift)
+    return _merge(psi, lo0, hi0, up, dn, lo, hi, first, stride)

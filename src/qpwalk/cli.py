@@ -236,8 +236,12 @@ def write_record(experiment: str, metadata: dict, columns: list[str], rows: Iter
     else:
         raise ConfigError(f"unknown format {fmt!r}")
     rows = iter(rows)
-    with (open(out_path, "w", encoding="utf-8", newline="") if out_path != "-"
-          else contextlib.nullcontext(sys.stdout)) as handle:
+    try:
+        output = (open(out_path, "w", encoding="utf-8", newline="") if out_path != "-"
+                  else contextlib.nullcontext(sys.stdout))
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out_path!r}: {exc.strerror}") from exc
+    with output as handle:
         handle.write(head)
         lead = ""
         while batch := list(itertools.islice(rows, ROWS_PER_WRITE)):
@@ -290,8 +294,9 @@ def run_revival_scan(opts: Options) -> Record:
     if field_spec == "golden":
         depth = opts.get("depth", 12, int)
         # irrational_revival_bound reads c_{k+1}, so the scan needs depth >= 2
-        if t_max < 1 or depth < 2:
-            raise ConfigError("golden revival-scan needs tmax >= 1 and depth >= 2")
+        if t_max < 2 or depth < 2:
+            raise ConfigError("golden revival-scan needs tmax >= 2 (the first golden "
+                              "revival time is 2*d_1 = 2) and depth >= 2")
         x = golden_ratio_fraction(max(60, 3 * depth))
         cf = cf_expand(x, depth)
         field = Field.golden()

@@ -36,8 +36,9 @@ from .spinops import make_coin
 
 TWO_PI = 2.0 * math.pi
 
-# steps whose matrices ensemble_tracking_origin builds at a time
-ENSEMBLE_MATRIX_BLOCK = 64
+# steps whose matrices ensemble_tracking_origin builds at a time, for all
+# walks in one step_matrices call, which holds two (steps, E, 2, 2) arrays
+ENSEMBLE_MATRIX_BLOCK = 32
 
 
 class TimeRule(enum.Enum):
@@ -111,7 +112,12 @@ class Field:
         if self.is_rational:
             residue = (multiple * self.numerator) % self.denominator
             return TWO_PI * residue / self.denominator
-        return math.fmod(multiple * self.value, TWO_PI)
+        try:
+            return math.fmod(multiple * self.value, TWO_PI)
+        except ValueError:  # multiple * value overflowed to inf
+            label = self.label or repr(self.value)
+            raise ValueError(f"field {label}: the step angle {multiple}*phi overflows a float"
+                             ) from None
 
 
 @dataclass(frozen=True)
@@ -159,8 +165,9 @@ class WalkParams:
                       field_values=None) -> np.ndarray:
         """Stacked step matrices for t = t_from..t_to inclusive, shape (T, 2, 2).
 
-        ``field_values``, one angle per step, overrides the exact field (noisy
-        evolution).
+        ``field_values`` overrides the exact field (noisy evolution): one
+        angle per step, or an array of shape (T, E) for E walks at once,
+        which gives shape (T, E, 2, 2) with the bits of E separate calls.
         """
         before = self.matrix_before_shift
         lag = 0 if before else 1
@@ -171,19 +178,20 @@ class WalkParams:
             angles = np.fromiter(map(self.field.angle, multiples), float, len(multiples))
         else:
             field_values = np.asarray(field_values, dtype=float)
-            if field_values.shape != (len(multiples),):
+            if field_values.ndim not in (1, 2) or field_values.shape[0] != len(multiples):
                 raise ValueError("field_values must supply one angle per step")
+            times = np.array(multiples).reshape((-1,) + (1,) * (field_values.ndim - 1))
             with np.errstate(over="ignore", invalid="ignore"):
-                angles = np.fmod(np.array(multiples) * field_values, TWO_PI)
+                angles = np.fmod(times * field_values, TWO_PI)
             if not np.isfinite(angles).all():
                 raise ValueError("step angles t*phi_t must be finite")
-        spin = np.zeros((len(angles), 2, 2), dtype=complex)
+        spin = np.zeros(angles.shape + (2, 2), dtype=complex)
         if before:
-            spin[:, 0, 0] = spin[:, 1, 1] = np.cos(angles)
-            spin[:, 0, 1] = spin[:, 1, 0] = 1j * np.sin(angles)
+            spin[..., 0, 0] = spin[..., 1, 1] = np.cos(angles)
+            spin[..., 0, 1] = spin[..., 1, 0] = 1j * np.sin(angles)
             return spin @ self._coin
-        spin[:, 0, 0] = np.exp(-1j * angles)
-        spin[:, 1, 1] = np.exp(1j * angles)
+        spin[..., 0, 0] = np.exp(-1j * angles)
+        spin[..., 1, 1] = np.exp(1j * angles)
         return self._coin @ spin
 
 
@@ -338,10 +346,9 @@ def ensemble_tracking_origin(state: WalkState, t_max: int, params: WalkParams,
         # a block of steps at a time keeps the matrices' memory independent of t_max
         for t0 in range(0, t_max, ENSEMBLE_MATRIX_BLOCK):
             t1 = min(t0 + ENSEMBLE_MATRIX_BLOCK, t_max)
-            block = np.empty((t1 - t0, 2, 2, walks), dtype=complex)
-            for e, fields in enumerate(field_values):
-                block[..., e] = params.step_matrices(t0 + 1, t1, field_values=fields[t0:t1])
-            yield block
+            fields = np.array([values[t0:t1] for values in field_values], dtype=float)
+            yield np.ascontiguousarray(np.moveaxis(
+                params.step_matrices(t0 + 1, t1, field_values=fields.T), 1, -1))
 
     return _kernels.probe_ensemble(state.amplitudes, -state.x_min, t_max, walks, blocks())
 

@@ -189,10 +189,14 @@ def _config_error_argvs(tmp_path):
             ["noise-series", "--epsilon", ","],
             ["revival-scan", "--m-list", ","],
             ["appendix-table", "--m-list", ","],
-            # the golden scan needs tmax >= 1 and c_{k+1}, so depth >= 2
+            # the golden scan needs tmax >= 2 and c_{k+1}, so depth >= 2
             ["revival-scan", "--field", "golden", "--tmax", "0"],
             ["revival-scan", "--field", "golden", "--tmax", "-5"],
             ["revival-scan", "--field", "golden", "--depth", "1"],
+            # the first golden revival time is 2
+            ["revival-scan", "--field", "golden", "--tmax", "1"],
+            # --out in a directory that does not exist
+            ["evolve", "--tmax", "2", "--out", str(tmp_path / "missing" / "x.csv")],
             # rational fields are scanned through --m-list only
             ["revival-scan", "--field", "1/7"]]
 
@@ -212,8 +216,21 @@ def test_config_errors_write_nothing(tmp_path, capsys):
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: "), argv
+        if "--out" in argv:  # a second --out would replace the argv's own
+            assert not (tmp_path / "missing").exists(), argv
+            continue
         assert run_cli(argv + ["--out", str(out_file)], capsys)[0] == 2, argv
         assert not out_file.exists(), argv
+
+
+def test_config_error_messages_name_the_cause(tmp_path, capsys):
+    missing = str(tmp_path / "missing" / "x.csv")
+    _, _, err = run_cli(["evolve", "--tmax", "2", "--out", missing], capsys)
+    assert err.startswith(f"error: cannot write {missing!r}: ")
+    _, _, err = run_cli(["evolve", "--field", "1e307", "--tmax", "3"], capsys)
+    assert err == "error: field 1e+307: the step angle 3*phi overflows a float\n"
+    _, _, err = run_cli(["revival-scan", "--field", "golden", "--tmax", "1"], capsys)
+    assert "tmax >= 2" in err
 
 
 @pytest.mark.parametrize("rows_per_write", [3, cli.ROWS_PER_WRITE])
@@ -328,6 +345,22 @@ def test_bloch_trace_rows_match_per_step_loop(capsys):
         expected.append([t, sx, sy, sz, math.sqrt(sx ** 2 + sy ** 2 + sz ** 2)])
     assert rows == expected
     assert any(row[1:] != [0.0] * 4 for row in rows)
+
+
+@pytest.mark.parametrize("x0", [0, -3])
+def test_bloch_trace_parity_empty_rows_are_positive_zero(capsys, x0):
+    """At times when the origin lies on the empty sublattice, a row is t and four +0.0 cells."""
+    argv = ["bloch-trace", "--field", "1/7", "--coin=0.28,-0.96j", "--spinor=0.3,-0.4",
+            "--tmax", "200", "--x0", str(x0)]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    lines = [line for line in out.splitlines() if not line.startswith("#")][1:]
+    assert len(lines) == 201
+    for t, line in enumerate(lines):
+        if (t + x0) % 2:
+            assert line == f"{t},0.0,0.0,0.0,0.0"
+        elif t >= abs(x0):
+            assert line.split(",")[4] != "0.0"
 
 
 def test_bloch_trace_far_start_reads_zero(capsys):

@@ -2,8 +2,10 @@
 
 The dict references check the physics; the interleaved reference kernels in
 ``conftest`` check that the comoving layout reproduces the in-place shifting
-loops bit for bit. The ensemble probe is checked against one probed
-single-walk run per walk.
+loops bit for bit. Where a window holds one sublattice, the kernels step only
+that sublattice: there the occupied entries and the bounds agree bit for bit,
+and the sites the reference leaves as zeros of either sign hold +0.0. The
+ensemble probe is checked against one probed single-walk run per walk.
 """
 
 import numpy as np
@@ -15,7 +17,8 @@ from qpwalk import _kernels
 from qpwalk.gauge import electric_evolve
 from qpwalk.noise import NoiseConfig
 from qpwalk.walk import (Field, TimeRule, WalkParams, WalkState, ensemble_tracking_origin, evolve,
-                         evolve_tracking_origin, hadamard_params, return_probability, run_padded)
+                         evolve_tracking_origin, hadamard_params, return_probability, run_padded,
+                         track_origin)
 
 
 def _random_case(rng, steps=9, width=5, margin=2, tiny_edges=False):
@@ -42,6 +45,30 @@ def _random_case(rng, steps=9, width=5, margin=2, tiny_edges=False):
 
 def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _occupied(buf, lo, hi, steps):
+    """Mask of the buffer sites that can be non-zero after ``steps`` steps from [lo, hi].
+
+    One sublattice when every other site of the window is exactly zero (an
+    odd width, such as a single site), else every site.
+    """
+    if (hi - lo) % 2 or buf[lo + 1:hi:2].any():
+        return np.ones(buf.shape[0], dtype=bool)
+    return (np.arange(buf.shape[0]) - lo - steps) % 2 == 0
+
+
+def _assert_sublattice_bits(new, ref, occupied):
+    """Occupied entries bit for bit; elsewhere the reference holds zeros, the kernel +0.0."""
+    assert new.shape == ref.shape
+    assert _same_bits(new[occupied], ref[occupied])
+    assert np.all(ref[~occupied] == 0)
+    assert not new[~occupied].view(np.uint64).any()
+
+
+def _probe_occupied(buf, lo, hi, origin, steps):
+    """Mask of the steps after which ``origin`` can be non-zero (see ``_occupied``)."""
+    return np.array([_occupied(buf, lo, hi, t + 1)[origin] for t in range(steps)])
 
 
 def test_window_bounds_track_support(rng):
@@ -82,15 +109,16 @@ def test_origin_tracking_from_off_origin_start():
 
 @pytest.mark.parametrize("margin", [0, 1, 2])
 def test_kernels_match_interleaved_reference(rng, margin):
-    """Bounds, every buffer entry and the probe agree bit for bit with the old loops.
+    """Bounds, every occupied buffer entry and the probe agree bit for bit with the old loops.
 
     ``margin`` 0 puts the final window's ends on the buffer's first and last
-    index, 1 one site from them.
+    index, 1 one site from them. One-site starts take the sublattice path.
     """
     for case in range(24):
         steps = int(rng.integers(1, 25))
         width = int(rng.integers(1, 12))
         buf, lo, hi, mats = _random_case(rng, steps, width, margin, tiny_edges=case % 2 == 1)
+        occupied = _occupied(buf, lo, hi, steps)
 
         for origin in (None, int(rng.integers(0, buf.shape[0])), lo, hi):
             ref = buf.copy()
@@ -102,9 +130,10 @@ def test_kernels_match_interleaved_reference(rng, margin):
             bounds = _kernels.steps_matrix_then_shift(new, lo, hi, mats, origin=origin,
                                                       out_spinor=spinor)
             assert bounds == ref_bounds
-            assert _same_bits(new, ref)
+            _assert_sublattice_bits(new, ref, occupied)
             if origin is not None:
-                assert _same_bits(spinor, ref_spinor)
+                _assert_sublattice_bits(spinor, ref_spinor,
+                                        _probe_occupied(buf, lo, hi, origin, steps))
                 p0 = np.array([abs(u) ** 2 + abs(d) ** 2 for u, d in spinor])
                 assert _same_bits(p0, ref_p0)
 
@@ -114,7 +143,125 @@ def test_kernels_match_interleaved_reference(rng, margin):
             ref_bounds = reference_shift_then_matrix(ref, lo, hi, mats, site_phase)
             new = buf.copy()
             assert _kernels.steps_shift_then_matrix(new, lo, hi, mats, site_phase) == ref_bounds
-            assert _same_bits(new, ref)
+            _assert_sublattice_bits(new, ref, occupied)
+
+
+def _single_site_case(rng, steps, antidiagonal=False):
+    """A one-site start on either parity of a buffer with room for ``steps`` steps.
+
+    Half of the starts have a sub-threshold component. With ``antidiagonal``
+    the matrices' diagonals are zero or sub-threshold, so the walk keeps
+    folding back onto the start and the windows trim, down to one site.
+    """
+    pad = steps + 3
+    start = pad + int(rng.integers(0, 2))
+    buf = np.zeros((2 * pad + 2, 2), dtype=complex)
+    buf[start] = random_su2(rng)
+    if rng.random() < 0.5:
+        buf[start, int(rng.integers(0, 2))] *= 1e-230
+    mats = np.empty((steps, 2, 2), dtype=complex)
+    for t in range(steps):
+        a, b = random_su2(rng)
+        if antidiagonal:
+            a *= 1e-210 if rng.random() < 0.5 else 0.0
+        mats[t] = [[a, b], [-b.conjugate(), a.conjugate()]]
+    return buf, start, mats
+
+
+def test_single_site_starts_match_the_reference(rng):
+    """One-site starts, both rules: the sublattice path against the interleaved loops.
+
+    Origins on both sublattices and out of reach, ``site_phase``, windows
+    that trim and one-site windows.
+    """
+    trimmed = one_site = 0
+    for case in range(90):
+        steps = int(rng.integers(1, 30))
+        buf, start, mats = _single_site_case(rng, steps, antidiagonal=case % 3 == 0)
+        occupied = _occupied(buf, start, start, steps)
+        for origin in (start, start + 1, start - 1, start + steps + 1, start - steps - 1):
+            ref = buf.copy()
+            ref_spinor = np.empty((steps, 2), dtype=complex)
+            ref_bounds = reference_matrix_then_shift(ref, start, start, mats, origin,
+                                                     np.empty(steps), ref_spinor)
+            new = buf.copy()
+            spinor = np.full((steps, 2), np.nan, dtype=complex)
+            bounds = _kernels.steps_matrix_then_shift(new, start, start, mats, origin=origin,
+                                                      out_spinor=spinor)
+            assert bounds == ref_bounds
+            _assert_sublattice_bits(new, ref, occupied)
+            _assert_sublattice_bits(spinor, ref_spinor,
+                                    _probe_occupied(buf, start, start, origin, steps))
+        trimmed += bounds[1] - bounds[0] < 2 * steps
+        one_site += bounds[0] == bounds[1]
+        phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, buf.shape[0]))
+        for site_phase in (None, phase):
+            ref = buf.copy()
+            ref_bounds = reference_shift_then_matrix(ref, start, start, mats, site_phase)
+            new = buf.copy()
+            bounds = _kernels.steps_shift_then_matrix(new, start, start, mats, site_phase)
+            assert bounds == ref_bounds
+            _assert_sublattice_bits(new, ref, occupied)
+    assert trimmed >= 10 and one_site >= 5
+
+
+@pytest.mark.parametrize("x0", [0, 3, -6])
+def test_single_site_walks_match_the_reference(rng, x0):
+    """``evolve`` (both rules), ``track_origin`` and ``electric_evolve`` from x0."""
+    start = WalkState.single_site(x=x0, spinor=random_su2(rng))
+    for rule in TimeRule:
+        params = WalkParams(Field.golden(), *random_su2(rng), time_rule=rule)
+        new = evolve(start, 1, 301, params)
+        ref = _reference_evolve(start, 1, 301, params)
+        assert new.x_min == ref.x_min
+        occupied = np.arange(new.amplitudes.shape[0]) % 2 == 0
+        _assert_sublattice_bits(new.amplitudes, ref.amplitudes, occupied)
+    params = WalkParams(Field.rational(1, 7), *random_su2(rng))
+    final, spinors = track_origin(start, 200, params)
+    mats = params.step_matrices(1, 200)
+    ref_spinors = np.empty((200, 2), dtype=complex)
+    ref = run_padded(start, 200, lambda buf, lo, hi, offset: reference_matrix_then_shift(
+        buf, lo, hi, mats, offset, np.empty(200), ref_spinors))
+    assert final.x_min == ref.x_min
+    _assert_sublattice_bits(final.amplitudes, ref.amplitudes,
+                            np.arange(final.amplitudes.shape[0]) % 2 == 0)
+    _assert_sublattice_bits(spinors, ref_spinors, (np.arange(1, 201) + x0) % 2 == 0)
+    _assert_electric_matches_reference(start, 300, Field.rational(2, 9).value,
+                                       WalkParams(Field.golden(), *random_su2(rng)).coin)
+
+
+def test_both_sublattices_match_the_reference_bit_for_bit(rng):
+    """Windows that hold both sublattices step every site: every bit, signed zeros included.
+
+    Two-site starts; even widths with every other site zero; and a window
+    whose odd sites are zero but one, at 1e-250.
+    """
+    for case in range(60):
+        steps = int(rng.integers(1, 25))
+        width = (2, 4, 7)[case % 3]
+        buf, lo, hi, mats = _random_case(rng, steps, width)
+        if width == 4:
+            buf[lo + 1:hi + 1:2] = 0.0
+        elif width == 7:
+            buf[lo + 1:hi:2] = 0.0
+            buf[lo + 2 * int(rng.integers(0, 3)) + 1, int(rng.integers(0, 2))] = 1e-250
+        assert _occupied(buf, lo, hi, steps).all()
+        origin = int(rng.integers(0, buf.shape[0]))
+        ref = buf.copy()
+        ref_spinor = np.empty((steps, 2), dtype=complex)
+        ref_bounds = reference_matrix_then_shift(ref, lo, hi, mats, origin, np.empty(steps),
+                                                 ref_spinor)
+        new = buf.copy()
+        spinor = np.empty((steps, 2), dtype=complex)
+        assert _kernels.steps_matrix_then_shift(new, lo, hi, mats, origin=origin,
+                                                out_spinor=spinor) == ref_bounds
+        assert _same_bits(new, ref) and _same_bits(spinor, ref_spinor)
+        phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, buf.shape[0]))
+        ref = buf.copy()
+        ref_bounds = reference_shift_then_matrix(ref, lo, hi, mats, phase)
+        new = buf.copy()
+        assert _kernels.steps_shift_then_matrix(new, lo, hi, mats, phase) == ref_bounds
+        assert _same_bits(new, ref)
 
 
 def test_trimming_cases_do_trim(rng):
@@ -152,20 +299,25 @@ def test_long_golden_evolution_matches_interleaved_reference(rule):
     assert new.amplitudes.shape[0] < 2 * 2500 + 1
 
 
-def test_electric_evolve_matches_interleaved_reference():
-    golden = Field.golden()
-    coin = hadamard_params(golden).coin
-    start = WalkState.single_site(x=-3, spinor=(0.6, 0.8j))
-    new = electric_evolve(start, 2000, golden.value, coin)
-    mats = np.broadcast_to(coin, (2000, 2, 2))
+def _assert_electric_matches_reference(start, steps, phi, coin):
+    """A one-site start: the window's every other site from its first is occupied."""
+    new = electric_evolve(start, steps, phi, coin)
+    mats = np.broadcast_to(coin, (steps, 2, 2))
 
     def run(buf, lo, hi, offset):
-        site_phase = np.exp(1j * golden.value * (np.arange(buf.shape[0]) - offset)).astype(complex)
+        site_phase = np.exp(1j * phi * (np.arange(buf.shape[0]) - offset)).astype(complex)
         return reference_shift_then_matrix(buf, lo, hi, mats, site_phase)
 
-    ref = run_padded(start, 2000, run)
+    ref = run_padded(start, steps, run)
     assert new.x_min == ref.x_min
-    assert _same_bits(new.amplitudes, ref.amplitudes)
+    occupied = np.arange(new.amplitudes.shape[0]) % 2 == 0
+    _assert_sublattice_bits(new.amplitudes, ref.amplitudes, occupied)
+
+
+def test_electric_evolve_matches_interleaved_reference():
+    golden = Field.golden()
+    start = WalkState.single_site(x=-3, spinor=(0.6, 0.8j))
+    _assert_electric_matches_reference(start, 2000, golden.value, hadamard_params(golden).coin)
 
 
 def test_origin_tracking_matches_interleaved_reference():
@@ -195,7 +347,8 @@ def test_chunked_evolve_is_bit_identical(rng, rule):
         params = WalkParams(field, *random_su2(rng), time_rule=rule)
         start = WalkState.single_site(x=-4, spinor=random_su2(rng))
         whole = evolve(start, 3, 400, params)
-        for b in (3, 57, 399):
+        # chunks of odd and of even length
+        for b in (3, 4, 57, 58, 398, 399):
             chunked = evolve(evolve(start, 3, b, params), b + 1, 400, params)
             assert chunked.x_min == whole.x_min
             assert _same_bits(chunked.amplitudes, whole.amplitudes)

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import max_diff, reference_evolve, state_to_dict, random_su2
+from qpwalk.noise import NoiseConfig
 from qpwalk.spinops import is_unitary, rotation_x
-from qpwalk.walk import (Field, TimeRule, WalkParams, WalkState, bloch_vector,
-                         evolve, evolve_tracking_origin, fidelity,
+from qpwalk.walk import (ENSEMBLE_MATRIX_BLOCK, Field, TimeRule, WalkParams, WalkState,
+                         bloch_vector, evolve, evolve_tracking_origin, fidelity,
                          hadamard_params, position_distribution,
                          return_probability, step, support_radius)
 
@@ -107,6 +108,27 @@ def test_step_matrices_noisy_override(rng, rule):
         assert np.array_equal(params.step_matrix(t, field_value=phi), mat)
     with pytest.raises(ValueError):
         params.step_matrices(t_from, t_to, field_values=phis[:-1])
+
+
+@pytest.mark.parametrize("rule", [TimeRule.RX_FIELD, TimeRule.GAUGED_SZ])
+@pytest.mark.parametrize("steps", [17, ENSEMBLE_MATRIX_BLOCK, 64])
+def test_ensemble_step_matrices_match_each_trajectory(rng, rule, steps):
+    """A (T, E) field array gives the bytes of one step_matrices call per trajectory."""
+    params = WalkParams(Field.golden(), *random_su2(rng), time_rule=rule)
+    noise = NoiseConfig(epsilon=float(rng.uniform(1e-4, 0.1)), seed=int(rng.integers(1000)))
+    walks, t_from = 6, 1 + ENSEMBLE_MATRIX_BLOCK * int(rng.integers(0, 4))
+    fields = np.array([noise.draw_fields(params.field.value, steps, e) for e in range(walks)])
+    block = params.step_matrices(t_from, t_from + steps - 1, field_values=fields.T)
+    each = np.stack([params.step_matrices(t_from, t_from + steps - 1, field_values=f)
+                     for f in fields], axis=1)
+    assert block.shape == (steps, walks, 2, 2)
+    assert block.tobytes() == each.tobytes()
+
+
+def test_overflowing_field_angle_names_field_and_step():
+    with pytest.raises(ValueError, match=r"^field 1e\+307: the step angle 3\*phi overflows"):
+        Field.from_turns(1e307).angle(3)
+    assert Field.from_turns(1e307).angle(0) == 0.0
 
 
 @pytest.mark.parametrize("rule", [TimeRule.RX_FIELD, TimeRule.GAUGED_SZ])

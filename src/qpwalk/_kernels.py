@@ -1,17 +1,18 @@
 """Position-space evolution kernels: one vectorized numpy loop per step order,
 and an ensemble probe that runs many walks in one loop.
 
-Both step-order kernels advance a preallocated buffer ``psi`` of shape
-``(width, 2)`` (column 0 is the spin-up amplitude, column 1 spin-down) in
-place through one step per entry of ``mats`` and return the updated
-inclusive support bounds ``(lo, hi)``. Callers must size ``psi`` so that
-``lo - steps >= 0`` and ``hi + steps < width``.
+Both step-order kernels take a state's window ``psi`` of shape
+``(hi - lo + 1, 2)``, whose row i holds site ``lo + i`` (column 0 is the
+spin-up amplitude, column 1 spin-down), advance it through one step per
+entry of ``mats`` and return ``(lo, hi, window)``: the new inclusive site
+bounds and a newly allocated window of shape ``(hi - lo + 1, 2)`` holding
+those sites. They never write to ``psi``.
 
 The state convention: one walk step applies a 2x2 matrix in spin space and a
 spin-conditioned shift (up moves one site right, down one site left). The two
 step orders are matrix-before-shift, with an optional probe of the spinor at
-one buffer index, and shift-before-matrix, with an optional per-site phase
-applied after the matrix (the electric walk).
+one site, and shift-before-matrix, with an optional per-site phase applied
+after the matrix (the electric walk).
 
 Comoving layout: spin-up and spin-down live in two contiguous arrays. A call
 keeps every site of its window (stride 1) unless the window holds one
@@ -24,24 +25,24 @@ is stepped on its occupied half alone (stride 2). After t of a call's
 ``up[j + steps - t]``; its down amplitude is at ``dn[j - steps + t]`` at
 stride 1 and at ``dn[j]`` at stride 2. Either way a shift leaves every
 amplitude at its index and moves no data. The first step fills the arrays
-from ``psi``; after the last, both offsets are zero and the arrays are
-copied back. Each step's matrix product is six ufunc calls on contiguous
-slices in the operand order of ``m00*u + m01*d``, and the electric walk's
-per-site phases are read per parity from contiguous copies: bit-identical to
-shifting ``psi`` in place, as the reference loops in ``tests/conftest.py``
-do (BLAS ``matmul`` would round differently). At stride 2 the empty
-sublattice is never computed: where those loops leave zeros of either sign,
-the kernels write +0.0 into ``psi``, and the origin probe reads +0.0 at the
-steps that leave the origin empty. Occupied amplitudes, bounds and trims are
-bit-identical.
+from ``psi``; after the last, both offsets are zero and the live part of the
+arrays is copied into the returned window. Each step's matrix product is six
+ufunc calls on contiguous slices in the operand order of ``m00*u + m01*d``,
+and the electric walk's per-site phases are read per parity from contiguous
+copies: bit-identical to shifting a zero-padded buffer in place, as the
+reference loops in ``tests/conftest.py`` do (BLAS ``matmul`` would round
+differently). At stride 2 the empty sublattice is never computed: where
+those loops leave zeros of either sign, the returned window holds +0.0, and
+the origin probe reads +0.0 at the steps that leave the origin empty.
+Occupied amplitudes, bounds and trims are bit-identical.
 
 After every step the kernels zero boundary sites whose four real components
 are all below ``TRIM_THRESHOLD`` (1e-200) and shrink the bounds accordingly.
-Everything outside the returned bounds is exactly zero. The trim changes the
-state by less than ~1e-196 per step — far below every tolerance in use — and
-keeps the live window proportional to the physically occupied region, which
-matters for localized walks: without it their exponential tails descend into
-subnormal floats, where hardware arithmetic is orders of magnitude slower.
+The trim changes the state by less than ~1e-196 per step — far below every
+tolerance in use — and keeps the live window proportional to the physically
+occupied region, which matters for localized walks: without it their
+exponential tails descend into subnormal floats, where hardware arithmetic
+is orders of magnitude slower.
 
 The ensemble probe (``probe_ensemble``) advances E matrix-before-shift walks
 from one start and returns only their return probabilities. Its comoving
@@ -91,7 +92,7 @@ def _layout(psi, lo, hi, steps):
     zeroed comoving arrays and two scratch arrays, each with room for the
     widest compressed window.
     """
-    stride = 2 if (hi - lo) % 2 == 0 and not psi[lo + 1:hi:2].any() else 1
+    stride = 2 if (hi - lo) % 2 == 0 and not psi[1:-1:2].any() else 1
     dn_rate = 2 - stride
     size = (hi - lo + 2 * steps) // stride + 1
     arrays = (np.zeros(size, dtype=complex), np.zeros(size, dtype=complex),
@@ -100,17 +101,15 @@ def _layout(psi, lo, hi, steps):
             dn_rate * steps + (hi - lo) // stride, arrays)
 
 
-def _merge(psi, lo0, hi0, up, dn, lo, hi, first, stride):
-    """Write the final arrays (drift zero) back; return the window's site bounds.
+def _window(up, dn, lo, hi, first, stride):
+    """The final arrays (drift zero) as ``(lo, hi, window)`` in sites.
 
-    Compressed site j is site ``first + stride * j``. The old and the new
-    window are zeroed first, so parity-empty sites hold +0.0.
+    Compressed site j is site ``first + stride * j``; parity-empty sites hold +0.0.
     """
-    a, b = first + stride * lo, first + stride * hi
-    psi[min(a, lo0):max(b, hi0) + 1] = 0.0
-    psi[a:b + 1:stride, 0] = up[lo:hi + 1]
-    psi[a:b + 1:stride, 1] = dn[lo:hi + 1]
-    return a, b
+    window = np.zeros((stride * (hi - lo) + 1, 2), dtype=complex)
+    window[::stride, 0] = up[lo:hi + 1]
+    window[::stride, 1] = dn[lo:hi + 1]
+    return first + stride * lo, first + stride * hi, window
 
 
 def _spin_product(m, u, d, u_out, d_out, x, y, phase=None):
@@ -142,13 +141,11 @@ def steps_matrix_then_shift(psi, lo, hi, mats, origin=None, out_spinor=None):
     """Apply ``mats[t]`` then the shift for each t.
 
     When ``origin`` is given, ``out_spinor[t]`` receives the (up, down)
-    spinor at buffer index ``origin`` after step t: zero whenever ``origin``
-    lies outside the live window, including outside the buffer, or on the
-    sublattice the window leaves empty.
+    spinor at site ``origin`` after step t: zero whenever ``origin`` lies
+    outside the live window or on the sublattice the window leaves empty.
     """
     steps = mats.shape[0]
     entries = mats.reshape(steps, 4)
-    lo0, hi0 = lo, hi
     stride, first, lo, hi, (up, dn, x, y) = _layout(psi, lo, hi, steps)
     dn_rate = 2 - stride  # compressed sites a down amplitude moves left per step
     for t in range(steps):
@@ -159,8 +156,7 @@ def steps_matrix_then_shift(psi, lo, hi, mats, origin=None, out_spinor=None):
         u = up[lo + drift + 1:hi + drift + 2]
         d = dn[lo - dn_drift - dn_rate:hi - dn_drift - dn_rate + 1]
         if t == 0:  # the first product reads psi and fills the comoving arrays
-            _spin_product(entries[0], psi[lo0:hi0 + 1:stride, 0], psi[lo0:hi0 + 1:stride, 1],
-                          u, d, x, y)
+            _spin_product(entries[0], psi[::stride, 0], psi[::stride, 1], u, d, x, y)
         else:
             _spin_product(entries[t], u, d, u, d, x, y)
         first -= stride - 1
@@ -172,7 +168,7 @@ def steps_matrix_then_shift(psi, lo, hi, mats, origin=None, out_spinor=None):
                 out_spinor[t, 1] = dn[j - dn_drift]
             else:
                 out_spinor[t] = 0.0
-    return _merge(psi, lo0, hi0, up, dn, lo, hi, first, stride)
+    return _window(up, dn, lo, hi, first, stride)
 
 
 def spinor_probabilities(ups, downs):
@@ -246,7 +242,7 @@ def _step_entries(blocks, walks):
 
 
 def probe_ensemble(psi, origin, steps, walks, blocks):
-    """Return probabilities at buffer index ``origin`` of E walks that share a start.
+    """Return probabilities at row ``origin`` of ``psi`` of E walks that share a start.
 
     ``blocks`` yields the step matrices as consecutive arrays of shape
     (n, 2, 2, E) that cover the T = ``steps`` steps; walk e applies matrix
@@ -311,20 +307,21 @@ def probe_ensemble(psi, origin, steps, walks, blocks):
 def steps_shift_then_matrix(psi, lo, hi, mats, site_phase=None):
     """Apply the shift then ``mats[t]`` for each t.
 
-    When ``site_phase`` is given (one entry per buffer index), each site's
-    new spinor is multiplied by its phase after the matrix product.
+    When ``site_phase`` is given, ``site_phase[i]`` is the phase of site
+    ``lo - steps + i``, for every site the call can reach; each site's new
+    spinor is multiplied by its phase after the matrix product.
     """
     steps = mats.shape[0]
     entries = mats.reshape(steps, 4)
-    lo0, hi0 = lo, hi
+    phase_site = lo - steps  # the site of site_phase[0]
     stride, first, lo, hi, (up, dn, x, y) = _layout(psi, lo, hi, steps)
     dn_rate = 2 - stride  # compressed sites a down amplitude moves left per step
     # the copy into the comoving arrays is the first shift
-    up[lo + steps:hi + steps + 1] = psi[lo0:hi0 + 1:stride, 0]
-    dn[lo - dn_rate * steps:hi - dn_rate * steps + 1] = psi[lo0:hi0 + 1:stride, 1]
+    up[lo + steps:hi + steps + 1] = psi[::stride, 0]
+    dn[lo - dn_rate * steps:hi - dn_rate * steps + 1] = psi[::stride, 1]
     phase = None
     if site_phase is not None:
-        # site stride * k + p has phase phases[p][k], in contiguous memory
+        # phase index stride * k + p is at phases[p][k], in contiguous memory
         phases = [np.ascontiguousarray(site_phase[p::stride]) for p in range(stride)]
     for t in range(steps):
         drift = steps - t - 1
@@ -335,8 +332,8 @@ def steps_shift_then_matrix(psi, lo, hi, mats, site_phase=None):
         u = up[lo + drift:hi + drift + 1]
         d = dn[lo - dn_drift:hi - dn_drift + 1]
         if site_phase is not None:
-            k, p = divmod(first + stride * lo, stride)
+            k, p = divmod(first + stride * lo - phase_site, stride)
             phase = phases[p][k:k + hi - lo + 1]
         _spin_product(entries[t], u, d, u, d, x, y, phase)
         lo, hi = _trim_bounds(up, dn, lo, hi, drift, dn_drift)
-    return _merge(psi, lo0, hi0, up, dn, lo, hi, first, stride)
+    return _window(up, dn, lo, hi, first, stride)

@@ -142,11 +142,24 @@ def parse_spinor(text: str) -> tuple[complex, complex]:
         u, d = complex(parts[0]), complex(parts[1])
     except ValueError as exc:
         raise ConfigError(f"bad spinor {text!r}: {exc}") from exc
-    norm = math.sqrt(abs(u) ** 2 + abs(d) ** 2)
-    if not math.isfinite(norm):
+    components = (u.real, u.imag, d.real, d.imag)
+    if not all(map(math.isfinite, components)):
         raise ConfigError(f"spinor entries must be finite, got {text!r}")
-    if norm == 0:
+    biggest = max(map(abs, components))
+    if biggest == 0:
         raise ConfigError("spinor must be nonzero")
+    try:
+        total = abs(u) ** 2 + abs(d) ** 2
+    except OverflowError:
+        total = math.inf
+    if not sys.float_info.min <= total < math.inf:
+        # the squares overflow or lose bits to underflow: scale the entries by
+        # an exact power of two that puts the largest component in [1/2, 1)
+        exp = -math.frexp(biggest)[1]
+        u = complex(math.ldexp(u.real, exp), math.ldexp(u.imag, exp))
+        d = complex(math.ldexp(d.real, exp), math.ldexp(d.imag, exp))
+        total = abs(u) ** 2 + abs(d) ** 2
+    norm = math.sqrt(total)
     return u / norm, d / norm
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .walk import Field, TimeRule, WalkParams, WalkState, evolve, run_padded
+from .walk import Field, TimeRule, WalkParams, WalkState, evolve
 from . import _kernels
 
 
@@ -53,14 +53,10 @@ def apply_gauge(state: WalkState, g: GaugePhase) -> WalkState:
 def _electric_run(state: WalkState, phi: float, coin: np.ndarray,
                   steps: int) -> WalkState:
     mats = np.broadcast_to(np.asarray(coin, dtype=complex), (steps, 2, 2))
-
-    def run(buf, lo, hi, offset):
-        xs = np.arange(buf.shape[0]) - offset
-        site_phase = np.exp(1j * phi * xs).astype(complex)
-        return _kernels.steps_shift_then_matrix(buf, lo, hi, mats,
-                                                site_phase=site_phase)
-
-    return run_padded(state, steps, run)
+    xs = np.arange(state.x_min - steps, state.x_max + steps + 1)
+    lo, _, window = _kernels.steps_shift_then_matrix(state.amplitudes, state.x_min, state.x_max,
+                                                     mats, site_phase=np.exp(1j * phi * xs))
+    return WalkState(x_min=lo, amplitudes=window)
 
 
 def electric_step(state: WalkState, phi: float, coin: np.ndarray) -> WalkState:

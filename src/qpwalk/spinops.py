@@ -49,12 +49,15 @@ def make_coin(a: complex, b: complex) -> np.ndarray:
     Raises
     ------
     ValueError
-        If |a|^2 + |b|^2 deviates from 1 by more than 1e-10.
+        If |a|^2 + |b|^2 is not finite or deviates from 1 by more than 1e-10.
     """
-    a, b = complex(a), complex(b)
-    norm = abs(a) ** 2 + abs(b) ** 2
-    if abs(norm - 1.0) > 1e-10:
+    try:
+        norm = float(abs(a)) ** 2 + float(abs(b)) ** 2
+    except OverflowError:  # a square beyond the float range
+        norm = math.inf
+    if not math.isfinite(norm) or abs(norm - 1.0) > 1e-10:
         raise ValueError(f"coin entries must satisfy |a|^2+|b|^2=1, got {norm!r}")
+    a, b = complex(a), complex(b)
     return np.array([[a, b], [-np.conj(b), np.conj(a)]])
 
 

@@ -130,21 +130,8 @@ class WalkParams:
     time_rule: TimeRule = TimeRule.RX_FIELD
 
     def __post_init__(self):
-        norm = abs(self.coin_a) ** 2 + abs(self.coin_b) ** 2
-        if not math.isfinite(norm) or abs(norm - 1.0) > 1e-10:
-            raise ValueError(f"coin entries must satisfy |a|^2+|b|^2=1, got {norm!r}")
         if not isinstance(self.time_rule, TimeRule):
-            # Accept the enum's value ("rx-field") or name ("RX_FIELD") as a
-            # string; reject anything else instead of silently comparing
-            # unequal to every TimeRule member.
-            try:
-                rule = TimeRule(self.time_rule)
-            except ValueError:
-                try:
-                    rule = TimeRule[str(self.time_rule)]
-                except KeyError:
-                    raise ValueError(f"unknown time rule: {self.time_rule!r}") from None
-            object.__setattr__(self, "time_rule", rule)
+            raise ValueError(f"time_rule must be a TimeRule, got {self.time_rule!r}")
         object.__setattr__(self, "_coin", make_coin(self.coin_a, self.coin_b))
 
     @property
@@ -254,22 +241,6 @@ class WalkState:
         return WalkState(x_min=self.x_min, amplitudes=self.amplitudes.copy())
 
 
-def run_padded(state: WalkState, steps: int, run) -> WalkState:
-    """Copy the state into a zero-padded buffer, run a kernel on it, cut the window.
-
-    The padding leaves room for ``steps`` steps of growth on each side.
-    ``run(buf, lo, hi, offset)`` advances the buffer in place and returns the
-    new inclusive bounds; buffer index i holds site i - offset.
-    """
-    width = state.amplitudes.shape[0]
-    pad = steps + 2
-    buf = np.zeros((width + 2 * pad, 2), dtype=complex)
-    buf[pad:pad + width] = state.amplitudes
-    offset = pad - state.x_min
-    lo, hi = run(buf, pad, pad + width - 1, offset)
-    return WalkState(x_min=lo - offset, amplitudes=buf[lo:hi + 1])
-
-
 def evolve(state: WalkState, t_from: int, t_to: int, params: WalkParams,
            field_values=None) -> WalkState:
     """Apply W(t_to) ... W(t_from) to the state (empty product when t_from > t_to).
@@ -283,8 +254,8 @@ def evolve(state: WalkState, t_from: int, t_to: int, params: WalkParams,
     mats = params.step_matrices(t_from, t_to, field_values=field_values)
     kernel = (_kernels.steps_matrix_then_shift if params.matrix_before_shift
               else _kernels.steps_shift_then_matrix)
-    return run_padded(state, steps,
-                      lambda buf, lo, hi, offset: kernel(buf, lo, hi, mats))
+    lo, _, window = kernel(state.amplitudes, state.x_min, state.x_max, mats)
+    return WalkState(x_min=lo, amplitudes=window)
 
 
 def step(state: WalkState, t: int, params: WalkParams) -> WalkState:
@@ -305,13 +276,9 @@ def track_origin(state: WalkState, t_max: int, params: WalkParams,
         raise ValueError("origin tracking is implemented for the RX_FIELD rule")
     mats = params.step_matrices(1, t_max, field_values=field_values)
     spinors = np.empty((t_max, 2), dtype=complex)
-
-    def run(buf, lo, hi, offset):
-        # Site x sits at buffer index x + offset, so the origin is at ``offset``.
-        return _kernels.steps_matrix_then_shift(buf, lo, hi, mats,
-                                                origin=offset, out_spinor=spinors)
-
-    return run_padded(state, t_max, run), spinors
+    lo, _, window = _kernels.steps_matrix_then_shift(state.amplitudes, state.x_min, state.x_max,
+                                                     mats, origin=0, out_spinor=spinors)
+    return WalkState(x_min=lo, amplitudes=window), spinors
 
 
 def evolve_tracking_origin(state: WalkState, t_max: int, params: WalkParams,

@@ -152,6 +152,22 @@ def reference_shift_then_matrix(psi, lo, hi, mats, site_phase=None):
     return lo, hi
 
 
+def run_padded(state: WalkState, steps: int, run) -> WalkState:
+    """Copy the state into a zero-padded buffer, run a reference kernel on it, cut the window.
+
+    The padding leaves room for ``steps`` steps of growth on each side.
+    ``run(buf, lo, hi, offset)`` advances the buffer in place and returns the
+    new inclusive bounds; buffer index i holds site i - offset.
+    """
+    width = state.amplitudes.shape[0]
+    pad = steps + 2
+    buf = np.zeros((width + 2 * pad, 2), dtype=complex)
+    buf[pad:pad + width] = state.amplitudes
+    offset = pad - state.x_min
+    lo, hi = run(buf, pad, pad + width - 1, offset)
+    return WalkState(x_min=lo - offset, amplitudes=buf[lo:hi + 1])
+
+
 def max_diff(state: WalkState, reference: Amplitudes) -> float:
     mine = state_to_dict(state)
     keys = set(mine) | set(reference)

@@ -63,11 +63,29 @@ def test_parse_coin_named_and_pair():
         parse_coin("0.6")
 
 
-def test_parse_spinor_normalizes():
+def test_parse_spinor_normalizes(rng):
     u, d = parse_spinor("3,4j")
     assert abs(u) ** 2 + abs(d) ** 2 == pytest.approx(1.0)
     with pytest.raises(ConfigError):
         parse_spinor("0,0")
+    # where the sum of squares is a normal float, the entries are divided by
+    # sqrt(|u|^2 + |d|^2) as computed here, bit for bit
+    for scale in (1.0, 1e-150, 1e150):
+        for _ in range(50):
+            u, d = (complex(*rng.normal(size=2)) * scale for _ in range(2))
+            norm = math.sqrt(abs(u) ** 2 + abs(d) ** 2)
+            assert parse_spinor(f"{u!r},{d!r}") == (u / norm, d / norm)
+
+
+@pytest.mark.parametrize("argv", [["evolve", "--tmax", "2", "--spinor=1e200,1e200"],
+                                  ["bloch-trace", "--tmax", "2", "--spinor=1e-200,0"],
+                                  ["bloch-trace", "--tmax", "2", "--spinor=1e-160,1e-160"]])
+def test_extreme_spinors_are_normalized(argv, capsys):
+    """Entries whose squares overflow or underflow still give a unit start."""
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0, err
+    _, _, rows = parse_csv(out)
+    assert rows[0][0] == "0" and abs(float(rows[0][-1]) - 1.0) <= 1e-12
 
 
 def test_parse_int_list():
@@ -179,6 +197,8 @@ def _config_error_argvs(tmp_path):
             ["evolve", "--coin", "1,1"],
             ["evolve", "--field", "nan"],
             ["evolve", "--coin", "nan,0"],
+            # |a|^2 overflows a float
+            ["evolve", "--coin", "1e200,0"],
             ["evolve", "--spinor", "nan,0"],
             # t * phi overflows at t = 3, after the first rows were computed
             ["evolve", "--field", "1e307", "--tmax", "5"],

@@ -2,32 +2,36 @@
 
 The dict references check the physics; the interleaved reference kernels in
 ``conftest`` check that the comoving layout reproduces the in-place shifting
-loops bit for bit. Where a window holds one sublattice, the kernels step only
-that sublattice: there the occupied entries and the bounds agree bit for bit,
-and the sites the reference leaves as zeros of either sign hold +0.0. The
-ensemble probe is checked against one probed single-walk run per walk.
+loops bit for bit. The references shift a zero-padded buffer; the kernels
+take the window [lo, hi] of that buffer (site i at buffer index i) and return
+a new window, which is compared with the reference buffer's final [lo, hi].
+Where a window holds one sublattice, the kernels step only that sublattice:
+there the occupied entries and the bounds agree bit for bit, and the sites
+the reference leaves as zeros of either sign hold +0.0. The ensemble probe is
+checked against one probed single-walk run per walk.
 """
 
 import numpy as np
 import pytest
 
 from conftest import (max_diff, random_su2, reference_electric, reference_evolve,
-                      reference_matrix_then_shift, reference_shift_then_matrix, state_to_dict)
+                      reference_matrix_then_shift, reference_shift_then_matrix, run_padded,
+                      state_to_dict)
 from qpwalk import _kernels
 from qpwalk.gauge import electric_evolve
 from qpwalk.noise import NoiseConfig
 from qpwalk.walk import (Field, TimeRule, WalkParams, WalkState, ensemble_tracking_origin, evolve,
-                         evolve_tracking_origin, hadamard_params, return_probability, run_padded,
+                         evolve_tracking_origin, hadamard_params, return_probability,
                          track_origin)
 
 
-def _random_case(rng, steps=9, width=5, margin=2, tiny_edges=False):
-    """A random normalized window padded by ``steps + margin`` sites on each side.
+def _random_case(rng, steps=9, width=5, tiny_edges=False):
+    """A random normalized window in a buffer padded by ``steps + 2`` sites on each side.
 
     With ``tiny_edges`` the outer sites of the window are scaled below the trim
     threshold, so the kernels trim from the first step on.
     """
-    pad = steps + margin
+    pad = steps + 2
     buf = np.zeros((width + 2 * pad, 2), dtype=complex)
     block = rng.normal(size=(width, 2)) + 1j * rng.normal(size=(width, 2))
     block /= np.linalg.norm(block)
@@ -45,6 +49,31 @@ def _random_case(rng, steps=9, width=5, margin=2, tiny_edges=False):
 
 def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _run_window(kernel, buf, lo, hi, mats, *args, **kwargs):
+    """Run ``kernel`` on the window [lo, hi] of ``buf``; return its bounds and window.
+
+    Checks that the kernel leaves its input window as it was and that the
+    returned window spans the returned bounds.
+    """
+    psi = buf[lo:hi + 1].copy()
+    lo2, hi2, window = kernel(psi, lo, hi, mats, *args, **kwargs)
+    assert _same_bits(psi, buf[lo:hi + 1])
+    assert window.shape == (hi2 - lo2 + 1, 2)
+    return (lo2, hi2), window
+
+
+def _matrix_then_shift(buf, lo, hi, mats, origin=None, out_spinor=None):
+    return _run_window(_kernels.steps_matrix_then_shift, buf, lo, hi, mats,
+                       origin=origin, out_spinor=out_spinor)
+
+
+def _shift_then_matrix(buf, lo, hi, mats, phase=None):
+    """``steps_shift_then_matrix`` with ``phase`` given per buffer index."""
+    steps = mats.shape[0]
+    site_phase = None if phase is None else phase[lo - steps:hi + steps + 1]
+    return _run_window(_kernels.steps_shift_then_matrix, buf, lo, hi, mats, site_phase)
 
 
 def _occupied(buf, lo, hi, steps):
@@ -66,6 +95,12 @@ def _assert_sublattice_bits(new, ref, occupied):
     assert not new[~occupied].view(np.uint64).any()
 
 
+def _assert_window_bits(bounds, window, ref, occupied):
+    """``_assert_sublattice_bits`` of a kernel's window and the reference buffer's [lo, hi]."""
+    lo, hi = bounds
+    _assert_sublattice_bits(window, ref[lo:hi + 1], occupied[lo:hi + 1])
+
+
 def _probe_occupied(buf, lo, hi, origin, steps):
     """Mask of the steps after which ``origin`` can be non-zero (see ``_occupied``)."""
     return np.array([_occupied(buf, lo, hi, t + 1)[origin] for t in range(steps)])
@@ -73,9 +108,9 @@ def _probe_occupied(buf, lo, hi, origin, steps):
 
 def test_window_bounds_track_support(rng):
     buf, lo, hi, mats = _random_case(rng, steps=4, width=3)
-    lo2, hi2 = _kernels.steps_matrix_then_shift(buf, lo, hi, mats)
+    (lo2, hi2), window = _matrix_then_shift(buf, lo, hi, mats)
     assert (lo2, hi2) == (lo - 4, hi + 4)
-    assert np.all(buf[:lo2] == 0) and np.all(buf[hi2 + 1:] == 0)
+    assert window[0].any() and window[-1].any()
 
 
 def test_electric_evolve_matches_dict_reference(rng):
@@ -107,17 +142,15 @@ def test_origin_tracking_from_off_origin_start():
     assert max_diff(final, ref) < 1e-12
 
 
-@pytest.mark.parametrize("margin", [0, 1, 2])
-def test_kernels_match_interleaved_reference(rng, margin):
-    """Bounds, every occupied buffer entry and the probe agree bit for bit with the old loops.
+def test_kernels_match_interleaved_reference(rng):
+    """Bounds, every occupied window entry and the probe agree bit for bit with the old loops.
 
-    ``margin`` 0 puts the final window's ends on the buffer's first and last
-    index, 1 one site from them. One-site starts take the sublattice path.
+    One-site starts take the sublattice path.
     """
     for case in range(24):
         steps = int(rng.integers(1, 25))
         width = int(rng.integers(1, 12))
-        buf, lo, hi, mats = _random_case(rng, steps, width, margin, tiny_edges=case % 2 == 1)
+        buf, lo, hi, mats = _random_case(rng, steps, width, tiny_edges=case % 2 == 1)
         occupied = _occupied(buf, lo, hi, steps)
 
         for origin in (None, int(rng.integers(0, buf.shape[0])), lo, hi):
@@ -125,12 +158,10 @@ def test_kernels_match_interleaved_reference(rng, margin):
             ref_p0 = np.empty(steps)
             ref_spinor = np.empty((steps, 2), dtype=complex)
             ref_bounds = reference_matrix_then_shift(ref, lo, hi, mats, origin, ref_p0, ref_spinor)
-            new = buf.copy()
             spinor = np.full((steps, 2), np.nan, dtype=complex)
-            bounds = _kernels.steps_matrix_then_shift(new, lo, hi, mats, origin=origin,
-                                                      out_spinor=spinor)
+            bounds, new = _matrix_then_shift(buf, lo, hi, mats, origin, spinor)
             assert bounds == ref_bounds
-            _assert_sublattice_bits(new, ref, occupied)
+            _assert_window_bits(bounds, new, ref, occupied)
             if origin is not None:
                 _assert_sublattice_bits(spinor, ref_spinor,
                                         _probe_occupied(buf, lo, hi, origin, steps))
@@ -141,9 +172,9 @@ def test_kernels_match_interleaved_reference(rng, margin):
         for site_phase in (None, phase):
             ref = buf.copy()
             ref_bounds = reference_shift_then_matrix(ref, lo, hi, mats, site_phase)
-            new = buf.copy()
-            assert _kernels.steps_shift_then_matrix(new, lo, hi, mats, site_phase) == ref_bounds
-            _assert_sublattice_bits(new, ref, occupied)
+            bounds, new = _shift_then_matrix(buf, lo, hi, mats, site_phase)
+            assert bounds == ref_bounds
+            _assert_window_bits(bounds, new, ref, occupied)
 
 
 def _single_site_case(rng, steps, antidiagonal=False):
@@ -184,12 +215,10 @@ def test_single_site_starts_match_the_reference(rng):
             ref_spinor = np.empty((steps, 2), dtype=complex)
             ref_bounds = reference_matrix_then_shift(ref, start, start, mats, origin,
                                                      np.empty(steps), ref_spinor)
-            new = buf.copy()
             spinor = np.full((steps, 2), np.nan, dtype=complex)
-            bounds = _kernels.steps_matrix_then_shift(new, start, start, mats, origin=origin,
-                                                      out_spinor=spinor)
+            bounds, new = _matrix_then_shift(buf, start, start, mats, origin, spinor)
             assert bounds == ref_bounds
-            _assert_sublattice_bits(new, ref, occupied)
+            _assert_window_bits(bounds, new, ref, occupied)
             _assert_sublattice_bits(spinor, ref_spinor,
                                     _probe_occupied(buf, start, start, origin, steps))
         trimmed += bounds[1] - bounds[0] < 2 * steps
@@ -198,10 +227,9 @@ def test_single_site_starts_match_the_reference(rng):
         for site_phase in (None, phase):
             ref = buf.copy()
             ref_bounds = reference_shift_then_matrix(ref, start, start, mats, site_phase)
-            new = buf.copy()
-            bounds = _kernels.steps_shift_then_matrix(new, start, start, mats, site_phase)
+            bounds, new = _shift_then_matrix(buf, start, start, mats, site_phase)
             assert bounds == ref_bounds
-            _assert_sublattice_bits(new, ref, occupied)
+            _assert_window_bits(bounds, new, ref, occupied)
     assert trimmed >= 10 and one_site >= 5
 
 
@@ -251,31 +279,30 @@ def test_both_sublattices_match_the_reference_bit_for_bit(rng):
         ref_spinor = np.empty((steps, 2), dtype=complex)
         ref_bounds = reference_matrix_then_shift(ref, lo, hi, mats, origin, np.empty(steps),
                                                  ref_spinor)
-        new = buf.copy()
         spinor = np.empty((steps, 2), dtype=complex)
-        assert _kernels.steps_matrix_then_shift(new, lo, hi, mats, origin=origin,
-                                                out_spinor=spinor) == ref_bounds
-        assert _same_bits(new, ref) and _same_bits(spinor, ref_spinor)
+        bounds, new = _matrix_then_shift(buf, lo, hi, mats, origin, spinor)
+        assert bounds == ref_bounds
+        assert _same_bits(new, ref[bounds[0]:bounds[1] + 1]) and _same_bits(spinor, ref_spinor)
         phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, buf.shape[0]))
         ref = buf.copy()
         ref_bounds = reference_shift_then_matrix(ref, lo, hi, mats, phase)
-        new = buf.copy()
-        assert _kernels.steps_shift_then_matrix(new, lo, hi, mats, phase) == ref_bounds
-        assert _same_bits(new, ref)
+        bounds, new = _shift_then_matrix(buf, lo, hi, mats, phase)
+        assert bounds == ref_bounds
+        assert _same_bits(new, ref[bounds[0]:bounds[1] + 1])
 
 
 def test_trimming_cases_do_trim(rng):
     buf, lo, hi, mats = _random_case(rng, steps=6, width=9, tiny_edges=True)
-    lo2, hi2 = _kernels.steps_matrix_then_shift(buf, lo, hi, mats)
+    (lo2, hi2), _ = _matrix_then_shift(buf, lo, hi, mats)
     assert hi2 - lo2 < hi - lo + 2 * 6
 
 
 def test_probe_reads_zero_outside_the_buffer(rng):
+    """Origins outside the reference buffer lie out of the walk's reach."""
     buf, lo, hi, mats = _random_case(rng, steps=5, width=3)
     for origin in (-7, -1, buf.shape[0], buf.shape[0] + 40):
         spinor = np.full((5, 2), np.nan, dtype=complex)
-        _kernels.steps_matrix_then_shift(buf.copy(), lo, hi, mats, origin=origin,
-                                         out_spinor=spinor)
+        _matrix_then_shift(buf, lo, hi, mats, origin, spinor)
         assert np.all(spinor == 0.0)
 
 
@@ -334,6 +361,39 @@ def test_origin_tracking_matches_interleaved_reference():
     assert _same_bits(final.amplitudes, ref.amplitudes)
 
 
+def _kernel_paths(start, rng):
+    """The final state of each path that runs a position kernel: ``evolve`` (both
+    rules), ``track_origin`` and ``electric_evolve``."""
+    coin = random_su2(rng)
+    for rule in TimeRule:
+        yield evolve(start, 1, 40, WalkParams(Field.golden(), *coin, time_rule=rule))
+    params = WalkParams(Field.rational(1, 7), *coin)
+    yield track_origin(start, 40, params)[0]
+    yield electric_evolve(start, 40, Field.golden().value, params.coin)
+
+
+def _kernel_starts(rng):
+    """A one-site start (the sublattice path) and a five-site window (every site)."""
+    window = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
+    return [WalkState.single_site(x=3, spinor=random_su2(rng)),
+            WalkState(x_min=-2, amplitudes=window / np.linalg.norm(window))]
+
+
+def test_kernel_paths_leave_the_input_state_alone(rng):
+    for start in _kernel_starts(rng):
+        before = start.amplitudes.copy()
+        for _ in _kernel_paths(start, rng):
+            assert _same_bits(start.amplitudes, before)
+
+
+def test_returned_windows_hold_no_larger_buffer(rng):
+    """A final state keeps only its own window alive, not a padded buffer."""
+    for start in _kernel_starts(rng):
+        for final in _kernel_paths(start, rng):
+            base = final.amplitudes.base
+            assert base is None or base.nbytes == final.amplitudes.nbytes
+
+
 def test_origin_outside_the_window_reads_zero():
     params = hadamard_params(Field.rational(1, 9))
     final, p0 = evolve_tracking_origin(WalkState.single_site(1000), 5, params)
@@ -360,16 +420,15 @@ def _probe_each_walk(psi, mats, origin):
     p0 comes from the numpy-scalar formula. Also returns each walk's final bounds.
     """
     steps, walks = mats.shape[0], mats.shape[3]
-    width, pad = psi.shape[0], steps + 2
+    width = psi.shape[0]
     first = psi[origin] if 0 <= origin < width else np.zeros(2, dtype=complex)
     p0 = np.empty((walks, steps + 1))
     bounds = []
     for e in range(walks):
-        buf = np.zeros((width + 2 * pad, 2), dtype=complex)
-        buf[pad:pad + width] = psi
         spinor = np.empty((steps, 2), dtype=complex)
-        bounds.append(_kernels.steps_matrix_then_shift(
-            buf, pad, pad + width - 1, mats[..., e].copy(), origin=pad + origin, out_spinor=spinor))
+        lo, hi, _ = _kernels.steps_matrix_then_shift(psi, 0, width - 1, mats[..., e].copy(),
+                                                     origin=origin, out_spinor=spinor)
+        bounds.append((lo, hi))
         p0[e] = [abs(u) ** 2 + abs(d) ** 2 for u, d in [first, *spinor]]
     return p0, bounds
 

@@ -55,6 +55,13 @@ def test_make_coin_rejects_unnormalized():
         make_coin(1.0, 1.0)
 
 
+@pytest.mark.parametrize("a,b", [(float("nan"), 0.0), (0.6, complex(0.0, float("nan"))),
+                                 (float("inf"), 0.0), (1e200, 0.0)])
+def test_make_coin_rejects_non_finite(a, b):
+    with pytest.raises(ValueError, match="coin entries"):
+        make_coin(a, b)
+
+
 def test_hadamard_basis_diagonalizes_sigma_x():
     d = HADAMARD_BASIS @ SIGMA_X @ HADAMARD_BASIS.conj().T
     assert np.allclose(d, np.diag([1.0, -1.0]), atol=1e-15)

@@ -62,6 +62,12 @@ def test_params_reject_unnormalized_coin():
         WalkParams(field=Field.rational(1, 5), coin_a=1.0, coin_b=1.0)
 
 
+@pytest.mark.parametrize("rule", ["rx-field", "RX_FIELD", None])
+def test_params_reject_a_time_rule_that_is_not_a_time_rule(rule):
+    with pytest.raises(ValueError, match="TimeRule"):
+        WalkParams(field=Field.rational(1, 5), coin_a=0.6, coin_b=0.8, time_rule=rule)
+
+
 @pytest.mark.parametrize("rule", [TimeRule.RX_FIELD, TimeRule.GAUGED_SZ])
 def test_step_matrices_are_unitary(rule):
     params = WalkParams(field=Field.rational(3, 7), coin_a=0.6, coin_b=0.8j,

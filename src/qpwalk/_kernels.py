@@ -50,7 +50,10 @@ arrays are site-major, shape (sites, E), so a step is the same six ufunc
 calls with a row of one matrix entry per walk, and each product runs over
 contiguous rows. Because no final state comes back, each step keeps only the
 sites that can still reach the origin (the light cone), about half the
-site-steps of a full run.
+site-steps of a full run. All walks share one window, and an edge site is
+trimmed only when it is negligible in every walk. A walk's own run may zero
+a site that the shared window keeps; for unitary matrices such a site
+changes no bit of any return probability (see ``probe_ensemble``).
 """
 
 from __future__ import annotations
@@ -183,9 +186,8 @@ def spinor_probabilities(ups, downs):
 def _trim_shared(up, dn, lo, hi, ui, di):
     """``_trim_bounds`` for walks that share the window [lo, hi].
 
-    Walk r's site i is at up[i + ui, r] and dn[i + di, r]. Returns the new
-    bounds and whether the walks still share them: False as soon as an edge
-    site is negligible in some walks but not in all.
+    Walk r's site i is at up[i + ui, r] and dn[i + di, r]. An edge site is
+    dropped only when it is negligible in every walk.
     """
     for inward in (-1, 1):
         while hi > lo:
@@ -193,13 +195,10 @@ def _trim_shared(up, dn, lo, hi, ui, di):
             u, d = up[i + ui], dn[i + di]
             # the part the shift brings to this edge (up on the right, down on
             # the left) is usually the large one; a modulus of at least twice
-            # the threshold in every walk puts a component above it
-            if np.abs(u if inward < 0 else d).min() >= 2.0 * TRIM_THRESHOLD:
+            # the threshold in any walk puts a component above it
+            if np.abs(u if inward < 0 else d).max() >= 2.0 * TRIM_THRESHOLD:
                 break
-            cut = [_negligible(p, q) for p, q in zip(u.tolist(), d.tolist())]
-            if not all(cut):
-                if any(cut):
-                    return lo, hi, False
+            if not all(_negligible(p, q) for p, q in zip(u.tolist(), d.tolist())):
                 break
             up[i + ui] = 0.0
             dn[i + di] = 0.0
@@ -207,26 +206,7 @@ def _trim_shared(up, dn, lo, hi, ui, di):
                 hi -= 1
             else:
                 lo += 1
-    return lo, hi, True
-
-
-def _trim_rows(up, dn, lo, hi, ui, di):
-    """``_trim_bounds`` walk by walk, on the per-walk bound arrays ``lo`` and ``hi`` in place.
-
-    Walk r's site i is at up[i + ui, r] and dn[i + di, r].
-    """
-    for end, inward in ((hi, -1), (lo, 1)):
-        rows = np.flatnonzero(hi > lo)
-        while rows.size:
-            i = end[rows]
-            u, d = up[i + ui, rows], dn[i + di, rows]
-            cut = ((abs(u.real) < TRIM_THRESHOLD) & (abs(u.imag) < TRIM_THRESHOLD)
-                   & (abs(d.real) < TRIM_THRESHOLD) & (abs(d.imag) < TRIM_THRESHOLD))
-            rows, i = rows[cut], i[cut]
-            up[i + ui, rows] = 0.0
-            dn[i + di, rows] = 0.0
-            end[rows] += inward
-            rows = rows[hi[rows] > lo[rows]]
+    return lo, hi
 
 
 def _step_entries(blocks, walks):
@@ -254,13 +234,18 @@ def probe_ensemble(psi, origin, steps, walks, blocks):
     No final state comes back, so each step keeps only the light cone: the
     sites within T - t of the origin, which alone can reach it by step T. The
     amplitudes live in comoving arrays of shape (sites, E), one row per site.
-    The walks share one window until a trim would cut a site in some of them
-    but not in all; from then on each walk has its own bounds and trims
-    exactly the sites its own run trims. Where the cone cuts a window, the
-    trim at the cut can differ from the full run's by amplitudes below
-    ``TRIM_THRESHOLD``; unitary steps keep those far below one ulp of any
-    non-zero p0, so for unitary matrices every p0 is bit for bit the value
-    the walk's own origin-probed ``steps_matrix_then_shift`` run gives.
+    All walks share one window [lo, hi] for the whole run, and an edge site is
+    trimmed only when it is negligible in every walk.
+
+    For unitary matrices every p0 is bit for bit the value the walk's own
+    origin-probed ``steps_matrix_then_shift`` run gives. The two runs differ
+    only at edge sites that one zeroes and the other keeps: sites the walk's
+    own run trims but another walk keeps in the shared window, and, where the
+    cone cuts a window, sites at the cut. Each such site has norm below
+    2 * ``TRIM_THRESHOLD``, and unitary steps never grow a difference, so
+    after T steps every amplitude differs by less than (width + 2T) * 2e-200.
+    That can change a bit of an amplitude u only where |u| < ~1e-178, and
+    there |u|^2 underflows to zero, so p0 keeps its bits.
     """
     p0 = np.zeros((walks, steps + 1))
     if 0 <= origin < psi.shape[0]:
@@ -275,29 +260,19 @@ def probe_ensemble(psi, origin, steps, walks, blocks):
     up = np.zeros((min(hi + steps, origin + 2 * steps) - ub + 1, walks), dtype=complex)
     dn = np.zeros((min(hi + steps, origin) - db + 1, walks), dtype=complex)
     x, y = np.empty_like(up), np.empty_like(up)
-    shared = True
     for t, m in enumerate(_step_entries(blocks, walks)):
         drift = steps - t - 1
-        a, b = (lo, hi) if shared else (int(lo.min()), int(hi.max()))
-        u = up[a + drift + 1 - ub:b + drift + 2 - ub]
-        d = dn[a - drift - 1 - db:b - drift - db]
+        u = up[lo + drift + 1 - ub:hi + drift + 2 - ub]
+        d = dn[lo - drift - 1 - db:hi - drift - db]
         if t == 0:
-            _spin_product(m, psi[a:b + 1, 0:1], psi[a:b + 1, 1:2], u, d, x, y)
+            _spin_product(m, psi[lo:hi + 1, 0:1], psi[lo:hi + 1, 1:2], u, d, x, y)
         else:
             _spin_product(m, u, d, u, d, x, y)
         # grow by one site, clip to the cone of half-width drift, trim
         ui, di = drift - ub, -drift - db
-        if shared:
-            lo, hi = max(lo - 1, origin - drift), min(hi + 1, origin + drift)
-            lo, hi, shared = _trim_shared(up, dn, lo, hi, ui, di)
-            if not shared:
-                lo, hi = np.full(walks, lo), np.full(walks, hi)
-                _trim_rows(up, dn, lo, hi, ui, di)
-        else:
-            np.maximum(lo - 1, origin - drift, out=lo)
-            np.minimum(hi + 1, origin + drift, out=hi)
-            _trim_rows(up, dn, lo, hi, ui, di)
-        # the origin's slots hold zeros in every walk whose window misses it
+        lo, hi = max(lo - 1, origin - drift), min(hi + 1, origin + drift)
+        lo, hi = _trim_shared(up, dn, lo, hi, ui, di)
+        # the origin's slots hold zeros while the window misses it
         if 0 <= origin + ui < up.shape[0] and 0 <= origin + di < dn.shape[0]:
             p0[:, t + 1] = spinor_probabilities(up[origin + ui].tolist(),
                                                 dn[origin + di].tolist())

@@ -79,11 +79,9 @@ def cf_expand(x, depth: int) -> ContinuedFraction:
     n_prev, n_curr = 1, 0
     d_prev, d_curr = 0, 1
     rem = xf
-    finite = False
     truncated = False
     for _ in range(depth):
         if rem == 0:
-            finite = True
             break
         inv = 1 / rem
         c = int(inv)
@@ -95,12 +93,8 @@ def cf_expand(x, depth: int) -> ContinuedFraction:
         if guard and rem != 0 and abs(xf - Fraction(n_curr, d_curr)) < FLOAT_RESIDUAL_GUARD:
             truncated = True
             break
-    else:
-        finite = rem == 0
-    if rem == 0:
-        finite = True
     return ContinuedFraction(x=xf, coefficients=tuple(coeffs),
-                             convergents=tuple(convs), finite=finite,
+                             convergents=tuple(convs), finite=rem == 0,
                              truncated=truncated)
 
 

@@ -451,13 +451,11 @@ def run_gauge_check(opts: Options) -> Record:
     else:
         fields = [Field.rational(1, 10), Field.golden()]
     coin = WalkParams(field=fields[0], coin_a=a, coin_b=b).coin
-    rows = []
-    worst = 0.0
-    for field in fields:
-        dev = verify_gauge_equivalence(field.value, coin, t_steps,
-                                       trials=trials, seed=seed)
-        worst = max(worst, dev)
-        rows.append((field.label, t_steps, trials, dev, dev <= GAUGE_CHECK_TOL))
+    devs = [verify_gauge_equivalence(field.value, coin, t_steps, trials=trials, seed=seed)
+            for field in fields]
+    rows = [(field.label, t_steps, trials, dev, dev <= GAUGE_CHECK_TOL)
+            for field, dev in zip(fields, devs)]
+    worst = float(np.max(devs))  # NaN if any deviation is NaN
     meta = {"coin": coin_label, "tmax": t_steps, "trials": trials, "seed": seed,
             "tolerance": GAUGE_CHECK_TOL, "worst_deviation": worst}
     code = 0 if worst <= GAUGE_CHECK_TOL else 3

@@ -189,6 +189,23 @@ def random_su2(rng: np.random.Generator) -> tuple[complex, complex]:
     return complex(vec[0], vec[1]), complex(vec[2], vec[3])
 
 
+def nan_in_electric_evolve(monkeypatch, call: int) -> None:
+    """Make the ``call``-th (from 0) ``gauge.electric_evolve`` return a NaN state."""
+    from qpwalk import gauge
+
+    evolve = gauge.electric_evolve
+    calls = []
+
+    def evolve_then_nan(state, steps, phi, coin):
+        out = evolve(state, steps, phi, coin)
+        if len(calls) == call:
+            out.amplitudes[:] = np.nan
+        calls.append(phi)
+        return out
+
+    monkeypatch.setattr(gauge, "electric_evolve", evolve_then_nan)
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(20260816)))

@@ -6,7 +6,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from conftest import reference_write_record
+from conftest import nan_in_electric_evolve, reference_write_record
 
 from qpwalk import __version__, cli
 from qpwalk.cli import (ConfigError, parse_coin, parse_field, parse_int_list,
@@ -218,7 +218,11 @@ def _config_error_argvs(tmp_path):
             # --out in a directory that does not exist
             ["evolve", "--tmax", "2", "--out", str(tmp_path / "missing" / "x.csv")],
             # rational fields are scanned through --m-list only
-            ["revival-scan", "--field", "1/7"]]
+            ["revival-scan", "--field", "1/7"],
+            # phi * x overflows in the electric walk's site phases (5e305),
+            # and phi * t * x in the final gauge phases (3e305)
+            ["gauge-check", "--field", "5e305", "--trials", "3"],
+            ["gauge-check", "--field", "3e305", "--trials", "3"]]
 
 
 def test_config_errors_exit_2(tmp_path, capsys):
@@ -310,6 +314,15 @@ def test_check_failure_exits_3(monkeypatch, capsys):
     assert code == 3
     meta, _, rows = parse_csv(out)
     assert all(row[-1] == "0" for row in rows)
+
+
+def test_gauge_check_fails_on_a_nan_deviation(monkeypatch, capsys):
+    nan_in_electric_evolve(monkeypatch, 0)  # the first trial of the first field
+    code, out, _ = run_cli(["gauge-check", "--tmax", "4", "--trials", "2"], capsys)
+    assert code == 3
+    meta, _, rows = parse_csv(out)
+    assert meta["worst_deviation"] == "nan"
+    assert [row[-1] for row in rows] == ["0", "1"] and rows[0][3] == "nan"
 
 
 def test_revival_scan_golden_mode(capsys):

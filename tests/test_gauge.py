@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import max_diff, random_su2, reference_electric, state_to_dict
+from conftest import (max_diff, nan_in_electric_evolve, random_su2, reference_electric,
+                      state_to_dict)
 from qpwalk.gauge import (GaugePhase, apply_gauge, electric_evolve,
                           electric_step, gauged_step, verify_gauge_equivalence)
 from qpwalk.walk import (Field, TimeRule, WalkParams, WalkState, evolve,
@@ -96,6 +97,20 @@ def test_verify_gauge_equivalence_validates():
         verify_gauge_equivalence(0.3, HADAMARD, 0)
     with pytest.raises(ValueError):
         verify_gauge_equivalence(0.3, np.eye(2) * 1j, 5)
+
+
+@pytest.mark.parametrize("trial", [0, 2, 4])
+def test_verify_gauge_equivalence_keeps_a_nan_deviation(monkeypatch, trial):
+    nan_in_electric_evolve(monkeypatch, trial)
+    assert math.isnan(verify_gauge_equivalence(0.3, HADAMARD, 5, trials=5))
+
+
+def test_overflowing_site_phases_raise():
+    state = WalkState.single_site(x=3, spinor=(0.6, 0.8j))
+    with pytest.raises(ValueError, match="field 1e[+]308 rad"):
+        electric_evolve(state, 5, 1e308, HADAMARD)
+    with pytest.raises(ValueError, match="overflows"):
+        apply_gauge(state, GaugePhase(phi=1e307, t=50))
 
 
 def test_revival_times_coincide_between_rules():

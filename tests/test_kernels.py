@@ -433,12 +433,12 @@ def _probe_each_walk(psi, mats, origin):
     return p0, bounds
 
 
-def _random_ensemble(rng, steps, walks, width, gain=1.0, gain_steps=0):
+def _random_ensemble(rng, steps, walks, width):
     """A shared start with sub-threshold components, and unitary matrices per walk.
 
     A third of the matrices are diagonal or antidiagonal, so a sub-threshold
     component lands on an edge site in some walks but not in others, and the
-    walks' windows split. The first ``gain_steps`` matrices are scaled by ``gain``.
+    walks' windows split.
     """
     psi = rng.normal(size=(width, 2)) + 1j * rng.normal(size=(width, 2))
     psi /= np.linalg.norm(psi)
@@ -455,7 +455,6 @@ def _random_ensemble(rng, steps, walks, width, gain=1.0, gain_steps=0):
             elif kind == 1:
                 a, b = 0j, b / abs(b)
             mats[t, :, :, e] = [[a, b], [-b.conjugate(), a.conjugate()]]
-    mats[:gain_steps] *= gain
     return psi, mats
 
 
@@ -478,32 +477,62 @@ def test_probe_ensemble_matches_each_walk(rng, walks):
     assert split or walks == 1
 
 
-def test_probe_ensemble_trims_walk_by_walk(rng):
-    """Each walk trims exactly the sites its own run trims.
+def test_probe_ensemble_trims_a_site_only_when_every_walk_does():
+    """The walks share one window, which keeps an edge site any walk still holds.
 
-    Gains grow the sub-threshold amplitudes that a trim keeps or drops into
-    p0, so any other trim decision shows. Extra unitary steps widen the
-    light cone, so that it cuts no window during the steps compared.
+    Gains (not unitary) grow a sub-threshold amplitude that the shared window
+    keeps into p0, so a walk-by-walk trim would show.
     """
-    # walk 0 trims the sub-threshold down amplitude that walk 1's first matrix
-    # turns into a full site; the windows split at step 1
+    # walk 1's first matrix turns walk 0's sub-threshold down amplitude into a
+    # full site, so walk 0 keeps that amplitude, which its own run trims
     psi = np.array([[1.0, 1e-230]], dtype=complex)
     mats = np.zeros((26, 2, 2, 2), dtype=complex)
     mats[:, 0, 0] = mats[:, 1, 1] = 1.0
     mats[0, :, :, 1] = [[0.0, 1.0], [1.0, 0.0]]
     mats[1:6] *= 1e20
-    p0, _ = _probe_each_walk(psi, mats, -6)
-    assert p0[0, 6] == 0.0 and p0[1, 6] > 1e199
-    assert _same_bits(_kernels.probe_ensemble(psi, -6, 26, 2, [mats])[:, :7], p0[:, :7])
-    for _ in range(40):
-        walks = int(rng.choice([1, 2, 4]))
-        steps, width = int(rng.integers(1, 14)), int(rng.integers(1, 10))
-        origin = int(rng.integers(-steps - 3, width + steps + 3))
-        horizon = 2 * steps + width + abs(origin) + 2
-        psi, mats = _random_ensemble(rng, horizon, walks, width, gain=1e11, gain_steps=steps)
-        p0, _ = _probe_each_walk(psi, mats, origin)
-        p0_new = _kernels.probe_ensemble(psi, origin, horizon, walks, [mats])
-        assert _same_bits(p0_new[:, :steps + 1], p0[:, :steps + 1])
+    own, _ = _probe_each_walk(psi, mats, -6)
+    p0 = _kernels.probe_ensemble(psi, -6, 26, 2, [mats])
+    assert own[0, 6] == 0.0 and 1e-261 < p0[0, 6] < 1e-259
+    assert _same_bits(p0[0, :6], own[0, :6])
+    assert own[1, 6] > 1e199 and _same_bits(p0[1, :7], own[1, :7])
+
+
+@pytest.mark.parametrize("field,coin,seed,walks", [
+    (Field.from_turns(0.3), (0.1, 0.99498743710662j), 2, 3),
+    (Field.golden(), (0.999, 0.0447101778122163j), 1, 2),
+])
+def test_ensemble_tracking_origin_keeps_sites_some_trajectories_trim(field, coin, seed, walks):
+    """1200 noisy steps; where the cone meets the windows, the trajectories trim different sites."""
+    params = WalkParams(field, *coin)
+    start = WalkState.single_site()
+    noise = NoiseConfig(epsilon=0.05, seed=seed)
+    fields = [noise.draw_fields(field.value, 1200, i) for i in range(walks)]
+    # at step 600 the cone's edge meets the windows' edges
+    windows = {(s.x_min, s.x_max)
+               for s in (evolve(start, 1, 600, params, field_values=f[:600]) for f in fields)}
+    assert len(windows) > 1
+    p0 = ensemble_tracking_origin(start, 1200, params, fields)
+    for e, values in enumerate(fields):
+        assert _same_bits(p0[e], evolve_tracking_origin(start, 1200, params, values)[1])
+
+
+def test_ensemble_tracking_origin_mixes_localized_and_spreading_walks():
+    """A 2*pi/7 walk and a golden one, in one call of 3000 steps.
+
+    The golden walk's own window stops growing (about 2640 sites from step
+    1500 on) while the 2*pi/7 walk's keeps growing, so in the shared window
+    the golden walk keeps tails that its own run trims.
+    """
+    params = hadamard_params(Field.golden())
+    start = WalkState.single_site()
+    fields = [np.full(3000, field.value) for field in (Field.rational(1, 7), Field.golden())]
+    p0 = ensemble_tracking_origin(start, 3000, params, fields)
+    widths = []
+    for e, values in enumerate(fields):
+        final, own = evolve_tracking_origin(start, 3000, params, values)
+        widths.append(final.amplitudes.shape[0])
+        assert _same_bits(p0[e], own)
+    assert widths[1] < widths[0]
 
 
 def test_ensemble_tracking_origin_matches_each_trajectory():

@@ -45,15 +45,16 @@ exponential tails descend into subnormal floats, where hardware arithmetic
 is orders of magnitude slower.
 
 The ensemble probe (``probe_ensemble``) advances E matrix-before-shift walks
-from one start and returns only their return probabilities. Its comoving
-arrays are site-major, shape (sites, E), so a step is the same six ufunc
-calls with a row of one matrix entry per walk, and each product runs over
-contiguous rows. Because no final state comes back, each step keeps only the
-sites that can still reach the origin (the light cone), about half the
-site-steps of a full run. All walks share one window, and an edge site is
-trimmed only when it is negligible in every walk. A walk's own run may zero
-a site that the shared window keeps; for unitary matrices such a site
-changes no bit of any return probability (see ``probe_ensemble``).
+from one start and returns only their return probabilities. It takes the
+same stride rule and layout, with site-major arrays of shape (compressed
+sites, E), so a step is the same six ufunc calls with a row of one matrix
+entry per walk, each over contiguous rows. Because no final state comes
+back, each step keeps only the sites that can still reach the origin (the
+light cone), about half the site-steps of a full run, and the arrays hold
+about (T + width) / stride rows. All walks share one window, and an edge
+site is trimmed only when it is negligible in every walk. A walk's own run
+may zero a site that the shared window keeps; for unitary matrices such a
+site changes no bit of any return probability (see ``probe_ensemble``).
 """
 
 from __future__ import annotations
@@ -86,16 +87,19 @@ def _trim_bounds(up, dn, lo, hi, drift, dn_drift):
     return lo, hi
 
 
+def _stride(psi):
+    """2 when ``psi`` holds one sublattice (odd length, rows 1, 3, ... exactly zero), else 1."""
+    return 2 if psi.shape[0] % 2 and not psi[1:-1:2].any() else 1
+
+
 def _layout(psi, lo, hi, steps):
     """The compressed layout of a call: stride, first site, window, four arrays.
 
-    The stride is 2 when the window holds one sublattice (hi - lo even and
-    the sites lo + 1, lo + 3, ..., hi - 1 exactly zero), else 1. Returns the
-    site of compressed index 0, the compressed bounds of [lo, hi], and two
-    zeroed comoving arrays and two scratch arrays, each with room for the
-    widest compressed window.
+    The stride is ``_stride(psi)``. Returns the site of compressed index 0,
+    the compressed bounds of [lo, hi], and two zeroed comoving arrays and
+    two scratch arrays, each with room for the widest compressed window.
     """
-    stride = 2 if (hi - lo) % 2 == 0 and not psi[1:-1:2].any() else 1
+    stride = _stride(psi)
     dn_rate = 2 - stride
     size = (hi - lo + 2 * steps) // stride + 1
     arrays = (np.zeros(size, dtype=complex), np.zeros(size, dtype=complex),
@@ -178,7 +182,9 @@ def spinor_probabilities(ups, downs):
     """|u|^2 + |d|^2 for each spinor, over sequences of Python complex values.
 
     Python's ``abs`` and ``** 2`` round exactly as numpy's scalar forms do;
-    ``np.abs`` on a complex array differs from them in the last ulp.
+    ``np.abs`` on a complex array differs from them in the last ulp, and so
+    does numpy's squaring (``x * x``, or ``np.power`` with an array exponent)
+    for some values.
     """
     return [abs(u) ** 2 + abs(d) ** 2 for u, d in zip(ups, downs)]
 
@@ -231,11 +237,18 @@ def probe_ensemble(psi, origin, steps, walks, blocks):
     outside the window. Returns p0 of shape (E, T + 1): p0[e, t] is walk e's
     |up|^2 + |down|^2 at the origin after t steps.
 
-    No final state comes back, so each step keeps only the light cone: the
-    sites within T - t of the origin, which alone can reach it by step T. The
-    amplitudes live in comoving arrays of shape (sites, E), one row per site.
-    All walks share one window [lo, hi] for the whole run, and an edge site is
-    trimmed only when it is negligible in every walk.
+    The layout is ``steps_matrix_then_shift``'s, in comoving arrays of shape
+    (compressed sites, E): stride 2 when ``psi`` holds one sublattice, else
+    1, and after t steps compressed index j holds row ``first + stride * j``,
+    where ``first`` starts at 0 and drops by ``stride - 1`` per step. No final
+    state comes back, so each step keeps only the light cone, the rows within
+    T - t of the origin: compressed [c_lo + t, c_hi - (2 - stride) * t], with
+    c_lo and c_hi the ceiling and floor of (origin -/+ T) / stride, so the
+    arrays need about (T + width) / stride rows. At stride 2 p0 is read only
+    at the steps that put the origin on the occupied sublattice; at the
+    others it stays +0.0, as |u|^2 + |d|^2 gives for zeros of either sign.
+    All walks share one window [lo, hi], and an edge site is trimmed only
+    when it is negligible in every walk.
 
     For unitary matrices every p0 is bit for bit the value the walk's own
     origin-probed ``steps_matrix_then_shift`` run gives. The two runs differ
@@ -250,32 +263,39 @@ def probe_ensemble(psi, origin, steps, walks, blocks):
     p0 = np.zeros((walks, steps + 1))
     if 0 <= origin < psi.shape[0]:
         p0[:, 0] = spinor_probabilities([psi.item(origin, 0)], [psi.item(origin, 1)])
-    lo, hi = max(0, origin - steps), min(psi.shape[0] - 1, origin + steps)
+    stride = _stride(psi)
+    dn_rate = 2 - stride  # compressed sites a down amplitude moves left per step
+    cone_lo, cone_hi = -((steps - origin) // stride), (origin + steps) // stride
+    lo, hi = max(0, cone_lo), min((psi.shape[0] - 1) // stride, cone_hi)
     if lo > hi:
         return p0
-    # After t steps site i's up amplitude is at up[i + steps - t - ub] and its
-    # down amplitude at dn[i - steps + t - db]; the rows span every index the
-    # cone and the window growth can reach.
-    ub, db = max(lo - steps, origin), max(lo - steps, origin - 2 * steps)
-    up = np.zeros((min(hi + steps, origin + 2 * steps) - ub + 1, walks), dtype=complex)
-    dn = np.zeros((min(hi + steps, origin) - db + 1, walks), dtype=complex)
+    # After t steps compressed site j's up amplitude is at up[j + steps - t - ub]
+    # and its down amplitude at dn[j - dn_rate * (steps - t) - db]; the rows
+    # span every index the cone and the window growth can reach.
+    ub, db = max(cone_lo + steps, lo - dn_rate * steps), lo - dn_rate * steps
+    up = np.zeros((hi + steps - ub + 1, walks), dtype=complex)
+    dn = np.zeros((min(cone_hi - dn_rate * steps, hi + steps) - db + 1, walks), dtype=complex)
     x, y = np.empty_like(up), np.empty_like(up)
+    first = 0
     for t, m in enumerate(_step_entries(blocks, walks)):
         drift = steps - t - 1
+        dn_drift = dn_rate * drift
         u = up[lo + drift + 1 - ub:hi + drift + 2 - ub]
-        d = dn[lo - drift - 1 - db:hi - drift - db]
+        d = dn[lo - dn_drift - dn_rate - db:hi - dn_drift - dn_rate + 1 - db]
         if t == 0:
-            _spin_product(m, psi[lo:hi + 1, 0:1], psi[lo:hi + 1, 1:2], u, d, x, y)
+            rows = slice(stride * lo, stride * hi + 1, stride)
+            _spin_product(m, psi[rows, 0:1], psi[rows, 1:2], u, d, x, y)
         else:
             _spin_product(m, u, d, u, d, x, y)
+        first -= stride - 1
         # grow by one site, clip to the cone of half-width drift, trim
-        ui, di = drift - ub, -drift - db
-        lo, hi = max(lo - 1, origin - drift), min(hi + 1, origin + drift)
+        ui, di = drift - ub, -dn_drift - db
+        lo, hi = max(lo - dn_rate, cone_lo + t + 1), min(hi + 1, cone_hi - dn_rate * (t + 1))
         lo, hi = _trim_shared(up, dn, lo, hi, ui, di)
         # the origin's slots hold zeros while the window misses it
-        if 0 <= origin + ui < up.shape[0] and 0 <= origin + di < dn.shape[0]:
-            p0[:, t + 1] = spinor_probabilities(up[origin + ui].tolist(),
-                                                dn[origin + di].tolist())
+        j, off = divmod(origin - first, stride)
+        if off == 0 and 0 <= j + ui < up.shape[0] and 0 <= j + di < dn.shape[0]:
+            p0[:, t + 1] = spinor_probabilities(up[j + ui].tolist(), dn[j + di].tolist())
     return p0
 
 

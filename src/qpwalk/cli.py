@@ -422,13 +422,13 @@ def run_noise_series(opts: Options) -> Record:
     if t_max < 1:
         raise ConfigError("tmax must be positive")
     params = WalkParams(field=field, coin_a=a, coin_b=b)
+    try:  # every epsilon is checked before the first series runs
+        noises = [NoiseConfig(epsilon=eps, seed=seed, ensemble_size=ensemble, support=support)
+                  for eps in epsilons]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     rows = []
-    for eps in epsilons:
-        try:
-            noise = NoiseConfig(epsilon=eps, seed=seed, ensemble_size=ensemble,
-                                support=support)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    for eps, noise in zip(epsilons, noises):
         series = return_series(params, noise, t_max)
         for t, mean, mini, maxi in series.tolist():
             rows.append((eps, int(t), mean, mini, maxi))

@@ -257,6 +257,18 @@ def test_config_error_messages_name_the_cause(tmp_path, capsys):
     assert "tmax >= 2" in err
 
 
+@pytest.mark.parametrize("epsilons", ["0.001,nan", "0.001,0.01,-1", "0.0,inf"])
+def test_noise_series_checks_every_epsilon_before_any_series(epsilons, monkeypatch, capsys):
+    """A bad epsilon late in the list exits 2 before the first ensemble is computed."""
+    def never(*args, **kwargs):
+        raise AssertionError("return_series ran before every epsilon was checked")
+
+    monkeypatch.setattr(cli, "return_series", never)
+    code, out, err = run_cli(["noise-series", "--epsilon", epsilons], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: epsilon must be finite and nonnegative")
+
+
 @pytest.mark.parametrize("rows_per_write", [3, cli.ROWS_PER_WRITE])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("name", ALL_EXPERIMENTS)

@@ -11,6 +11,8 @@ the reference leaves as zeros of either sign hold +0.0. The ensemble probe is
 checked against one probed single-walk run per walk.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -477,6 +479,42 @@ def test_probe_ensemble_matches_each_walk(rng, walks):
     assert split or walks == 1
 
 
+@pytest.mark.parametrize("walks", [1, 2, 5])
+def test_probe_ensemble_steps_the_occupied_sublattice(rng, walks):
+    """Windows of one sublattice wider than one site take stride 2, bit for bit.
+
+    Covers sub-threshold edges, origins of both parities relative to the
+    window's first row, and origins inside, outside and out of reach of the
+    window. At every step that leaves the origin's sublattice empty, p0 is
+    +0.0 in every walk. Setting one odd row makes the window two
+    sublattices: it then takes stride 1, still bit for bit, and p0 is
+    non-zero at such steps.
+    """
+    seen, mixed = set(), False
+    for case in range(40):
+        steps = int(rng.integers(1, 30))
+        width = int(rng.choice([3, 5, 7, 9]))
+        origin = int(rng.integers(-steps - 3, width + steps + 3))
+        psi, mats = _random_ensemble(rng, steps, walks, width)
+        psi[1::2] = 0.0
+        if case % 2:
+            psi[[0, -1]] *= 1e-230
+        empty = (origin - np.arange(steps + 1)) % 2 == 1
+        assert _kernels._stride(psi) == 2
+        p0 = _kernels.probe_ensemble(psi, origin, steps, walks, [mats])
+        assert _same_bits(p0, _probe_each_walk(psi, mats, origin)[0])
+        assert not p0[:, empty].view(np.uint64).any()
+        seen.add((origin % 2, 0 <= origin < width, -steps <= origin < width + steps))
+        psi[1] = [0.6, 0.8j]
+        assert _kernels._stride(psi) == 1
+        p0 = _kernels.probe_ensemble(psi, origin, steps, walks, [mats])
+        assert _same_bits(p0, _probe_each_walk(psi, mats, origin)[0])
+        mixed |= p0[:, empty].any()
+    assert mixed
+    assert seen >= {(0, True, True), (1, True, True), (0, False, True), (1, False, True),
+                    (0, False, False), (1, False, False)}
+
+
 def test_probe_ensemble_trims_a_site_only_when_every_walk_does():
     """The walks share one window, which keeps an edge site any walk still holds.
 
@@ -558,6 +596,26 @@ def test_ensemble_tracking_origin_single_walk(x0, t_max):
     p0 = ensemble_tracking_origin(start, t_max, params, [fields])
     assert _same_bits(p0[0], evolve_tracking_origin(start, t_max, params, fields)[1])
     assert p0.shape == (1, t_max + 1) and np.any(p0 > 0.0) == (abs(x0) <= t_max)
+
+
+def test_ensemble_tracking_origin_memory_is_the_occupied_sublattice():
+    """From one site the four (rows, E) arrays hold one sublattice of the cone.
+
+    With stride 1 (both sublattices, T + 1 rows) the tracemalloc peak of this
+    call was 7882380 bytes (numpy 2.4, x86-64); with stride 2 the arrays have
+    T/2 + 1 rows.
+    """
+    params = hadamard_params(Field.rational(1, 100))
+    noise = NoiseConfig(epsilon=1e-3, seed=1)
+    fields = [noise.draw_fields(params.field.value, 1000, i) for i in range(100)]
+    start = WalkState.single_site()
+    tracemalloc.start()
+    try:
+        ensemble_tracking_origin(start, 1000, params, fields)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.7 * 7882380, peak
 
 
 def test_ensemble_tracking_origin_needs_the_rx_field_rule():

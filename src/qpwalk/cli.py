@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -39,7 +40,7 @@ from . import __version__
 from .cfrac import approximation_check, cf_expand, classify_field, golden_ratio_fraction
 from .gauge import verify_gauge_equivalence
 from .momentum import trace_formula
-from .noise import NoiseConfig, return_series
+from .noise import NoiseConfig, check_step_angles, return_series
 from .revivals import appendix_table, irrational_revival_bound, revival_report
 from .spinops import rotation_x
 from .walk import (Field, WalkParams, WalkState, bloch_vector, evolve,
@@ -422,9 +423,11 @@ def run_noise_series(opts: Options) -> Record:
     if t_max < 1:
         raise ConfigError("tmax must be positive")
     params = WalkParams(field=field, coin_a=a, coin_b=b)
-    try:  # every epsilon is checked before the first series runs
+    try:  # every epsilon and its step angles are checked before the first series runs
         noises = [NoiseConfig(epsilon=eps, seed=seed, ensemble_size=ensemble, support=support)
                   for eps in epsilons]
+        for noise in noises:
+            check_step_angles(params, noise, t_max)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     rows = []
@@ -519,7 +522,9 @@ HANDLERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: ``parse_args`` returns a fresh Namespace."""
     parser = argparse.ArgumentParser(
         prog="qpwalk",
         description="Quantum-walk experiments with a quasi-periodically "

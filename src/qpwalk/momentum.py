@@ -9,6 +9,12 @@ W(t, k) = S(k) * M(t) (matrix-before-shift rules) or M(t) * S(k)
 (shift-before-matrix rules), and the regrouped product over one field period
 m is time-independent for rational fields.
 
+Blocks over many momenta are composed with the momentum axis last: the
+entries are held as (2, 2) + k.shape, so each of a step's products runs over
+contiguous momenta instead of broadcasting over inner axes of length 2
+(``_compose``). Callers see the usual k.shape + (2, 2) stack. A revival scan
+builds the step matrices once and composes them for every k-grid it samples.
+
 Trace formula
 -------------
 For a 2x2 matrix M and a unitary R whose eigenvalues form a conjugate pair of
@@ -58,21 +64,37 @@ def regrouped_block(k, params: WalkParams, m: int, t_from: int = 1) -> np.ndarra
     """Momentum block of W(t_from+m-1) ... W(t_from): m steps composed in time order.
 
     ``k`` is a scalar, giving one (2, 2) block, or an array of momenta, giving
-    a stack of shape k.shape + (2, 2) composed in one pass over the steps.
+    a stack of shape k.shape + (2, 2) composed in one pass over the steps,
+    with the momentum axis last (``_compose``); the stack is a view of that
+    layout.
     """
     if m < 1:
         raise ValueError("m must be positive")
+    return _compose(k, params.step_matrices(t_from, t_from + m - 1),
+                    params.matrix_before_shift)
+
+
+def _compose(k, mats: np.ndarray, before: bool) -> np.ndarray:
+    """The product W(T) ... W(1) over momenta ``k`` of the step matrices ``mats``, (T, 2, 2).
+
+    ``before`` is ``WalkParams.matrix_before_shift``: W = S(k) M if true, else
+    M S(k). The entries are held as (2, 2) + k.shape, momentum axis last, so
+    every product runs over contiguous momenta; the result is a view of shape
+    k.shape + (2, 2). Operand order is part of the bits: the shift is the
+    first factor of each entry and the block the first of each product.
+    """
     phase = np.exp(1j * np.asarray(k, dtype=float))
+    # a (2, 2) matrix indexed by ``entry`` broadcasts against (2, 2) + k.shape
+    entry = (slice(None), slice(None)) + (None,) * phase.ndim
     # diag(S(k)) as a column scales rows (S(k) @ M), as a row columns (M @ S(k))
-    shift = np.stack([phase, phase.conj()], axis=-1)[..., None]
-    if not params.matrix_before_shift:
-        shift = np.swapaxes(shift, -1, -2)
-    out = np.broadcast_to(np.eye(2, dtype=complex), phase.shape + (2, 2))
-    for mat in params.step_matrices(t_from, t_from + m - 1):
-        block = shift * mat
+    shift = np.stack([phase, phase.conj()])
+    shift = shift[:, None] if before else shift[None, :]
+    out = np.broadcast_to(np.eye(2, dtype=complex)[entry], (2, 2) + phase.shape)
+    for mat in mats:
+        block = shift * mat[entry]
         # block @ out as column-times-row products: faster than np.matmul on 2x2 stacks
-        out = block[..., :, :1] * out[..., :1, :] + block[..., :, 1:] * out[..., 1:, :]
-    return out
+        out = block[:, :1] * out[None, 0] + block[:, 1:] * out[None, 1]
+    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
 @dataclass(frozen=True)

@@ -102,6 +102,29 @@ def noise_bound_for(params: WalkParams, m: int, epsilon: float) -> float:
     return noise_bound(m, epsilon, alpha_tilde_sup(params.coin_a, params.coin_b))
 
 
+def check_step_angles(params: WalkParams, noise: NoiseConfig, t_max: int) -> None:
+    """Raise the ValueError ``return_series`` would raise for an overflowing step angle.
+
+    Every |phi_t| is at most |phi| + epsilon (|x_t| <= 1 on both supports), so
+    when t_max*(|phi| + epsilon) is finite no angle t*phi_t can overflow and
+    nothing is drawn. Otherwise the angles are tested as the step matrices
+    test them: epsilon = 0 runs the exact field path, epsilon > 0 draws every
+    trajectory's fields and requires each t*phi_t to be finite.
+    """
+    phi = params.field.value
+    if math.isfinite(t_max * (abs(phi) + noise.epsilon)):
+        return
+    if noise.epsilon == 0.0:
+        params.step_matrices(1, t_max)  # raises at the first overflowing step
+        return
+    ts = np.arange(1, t_max + 1)
+    for i in range(noise.ensemble_size):
+        with np.errstate(over="ignore"):
+            angles = ts * noise.draw_fields(phi, t_max, i)
+        if not np.isfinite(angles).all():
+            raise ValueError("step angles t*phi_t must be finite")
+
+
 def return_series(params: WalkParams, noise: NoiseConfig, t_max: int,
                   initial: WalkState | None = None) -> np.ndarray:
     """Ensemble return-probability series as an array of rows (t, mean, min, max).

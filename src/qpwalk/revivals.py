@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cfrac import ContinuedFraction
-from .momentum import alpha_tilde_sup, regrouped_block
+from .momentum import _compose, alpha_tilde_sup
 from .walk import Field, TimeRule, WalkParams
 
 _SIGNS = np.array([+1, -1])
@@ -93,12 +93,15 @@ def _signed_deviations(params: WalkParams, steps: int, grid: int) -> np.ndarray:
 
     Each curve's bracket (the neighbours of its best sample) is re-sampled at
     _ZOOM_POINTS momenta and narrowed around the best of them until it is
-    below 1e-8 wide; one block composition serves both brackets.
+    below 1e-8 wide; one block composition serves both brackets. The step
+    matrices are built once and composed for the grid and every zoom round.
     """
     if steps < 1:
         raise ValueError("steps must be positive")
+    mats = params.step_matrices(1, steps)
+    before = params.matrix_before_shift
     ks = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
-    curves = _phase_distance(regrouped_block(ks, params, steps), _SIGNS[:, None])
+    curves = _phase_distance(_compose(ks, mats, before), _SIGNS[:, None])
     rows = np.arange(len(_SIGNS))
     peak = np.argmax(curves, axis=1)
     centers, best = ks[peak], curves[rows, peak]
@@ -106,7 +109,7 @@ def _signed_deviations(params: WalkParams, steps: int, grid: int) -> np.ndarray:
     offsets = np.linspace(-1.0, 1.0, _ZOOM_POINTS)
     while 2.0 * half > 1e-8:
         zoom = centers[:, None] + half * offsets
-        values = _phase_distance(regrouped_block(zoom, params, steps), _SIGNS[:, None])
+        values = _phase_distance(_compose(zoom, mats, before), _SIGNS[:, None])
         peak = np.argmax(values, axis=1)
         centers = zoom[rows, peak]
         best = np.maximum(best, values[rows, peak])

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 import pytest
 
-from qpwalk.walk import WalkState
+from qpwalk.walk import WalkParams, WalkState
 
 Amplitudes = dict[tuple[int, int], complex]
 
@@ -166,6 +166,28 @@ def run_padded(state: WalkState, steps: int, run) -> WalkState:
     offset = pad - state.x_min
     lo, hi = run(buf, pad, pad + width - 1, offset)
     return WalkState(x_min=lo - offset, amplitudes=buf[lo:hi + 1])
+
+
+def reference_regrouped_block(k, params: WalkParams, m: int, t_from: int = 1) -> np.ndarray:
+    """The block composition as it was with the 2x2 axes last, k.shape + (2, 2) throughout.
+
+    Each product broadcasts over inner axes of length 2; ``regrouped_block``
+    holds the momentum axis last instead and must give the same bits.
+    """
+    phase = np.exp(1j * np.asarray(k, dtype=float))
+    shift = np.stack([phase, phase.conj()], axis=-1)[..., None]
+    if not params.matrix_before_shift:
+        shift = np.swapaxes(shift, -1, -2)
+    out = np.broadcast_to(np.eye(2, dtype=complex), phase.shape + (2, 2))
+    for mat in params.step_matrices(t_from, t_from + m - 1):
+        block = shift * mat
+        out = block[..., :, :1] * out[..., :1, :] + block[..., :, 1:] * out[..., 1:, :]
+    return out
+
+
+def bits(array) -> np.ndarray:
+    """The raw float bits of a complex array, for equality that tells -0.0 from 0.0."""
+    return np.ascontiguousarray(array).view(np.uint64)
 
 
 def max_diff(state: WalkState, reference: Amplitudes) -> float:

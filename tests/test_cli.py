@@ -181,6 +181,36 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     assert meta["coin"] == "identity"
 
 
+def _run_main_or_exit(argv, capsys):
+    """(exit code, stdout, stderr) of ``cli.main``, also when argparse exits."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_cached_parser_gives_a_fresh_parsers_output(tmp_path, capsys, monkeypatch):
+    """The parser built once per process answers every call as a freshly built one does."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tmax=5\ncoin=i-sigma-y\n")
+    argvs = [["evolve", "--m-list", "3"],  # argparse error: exit 2
+             ["evolve", "--config", str(cfg), "--stride", "2"],
+             ["revival-scan", "--m-list", "3,4", "--format", "json"],
+             ["cf", "--depth", "5"],
+             ["appendix-table", "--help"]]
+    cli.build_parser.cache_clear()
+    cached = [_run_main_or_exit(argv, capsys) for argv in argvs]
+    assert cli.build_parser.cache_info().misses == 1
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [_run_main_or_exit(argv, capsys) for argv in argvs]
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [2, 0, 0, 0, 0]
+    assert "unrecognized arguments: --m-list 3" in cached[0][2]
+    assert "tmax=5" in cached[1][1] and "coin=i-sigma-y" in cached[1][1]
+
+
 def _config_error_argvs(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("unknown_key=1\n")
@@ -257,8 +287,17 @@ def test_config_error_messages_name_the_cause(tmp_path, capsys):
     assert "tmax >= 2" in err
 
 
-@pytest.mark.parametrize("epsilons", ["0.001,nan", "0.001,0.01,-1", "0.0,inf"])
-def test_noise_series_checks_every_epsilon_before_any_series(epsilons, monkeypatch, capsys):
+BAD_EPSILON = "error: epsilon must be finite and nonnegative"
+
+
+@pytest.mark.parametrize("epsilons, message", [
+    pytest.param(eps, BAD_EPSILON, id=eps) for eps in ["0.001,nan", "0.001,0.01,-1", "0.0,inf"]
+] + [
+    # finite, but some step angle t*phi_t overflows a float
+    pytest.param("0.001,1e308", "error: step angles t*phi_t must be finite", id="0.001,1e308"),
+])
+def test_noise_series_checks_every_epsilon_before_any_series(epsilons, message, monkeypatch,
+                                                             capsys):
     """A bad epsilon late in the list exits 2 before the first ensemble is computed."""
     def never(*args, **kwargs):
         raise AssertionError("return_series ran before every epsilon was checked")
@@ -266,7 +305,7 @@ def test_noise_series_checks_every_epsilon_before_any_series(epsilons, monkeypat
     monkeypatch.setattr(cli, "return_series", never)
     code, out, err = run_cli(["noise-series", "--epsilon", epsilons], capsys)
     assert (code, out) == (2, "")
-    assert err.startswith("error: epsilon must be finite and nonnegative")
+    assert err.startswith(message)
 
 
 @pytest.mark.parametrize("rows_per_write", [3, cli.ROWS_PER_WRITE])

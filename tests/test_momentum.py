@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import random_su2
+from conftest import bits, random_su2, reference_regrouped_block
 from qpwalk.momentum import (alpha_tilde, alpha_tilde_sup, coin_shift_matrix,
                              dispersion, regrouped_block, regrouped_trace,
                              shift_momentum, step_block, tilde_pair,
@@ -84,6 +84,27 @@ def test_regrouped_block_second_period(rng):
         for k, block in zip(ks, second):
             assert np.allclose(block @ fourier_component(state, k),
                                fourier_component(final, k), atol=1e-11)
+
+
+BIT_COINS = {"hadamard": (HALF, HALF), "0.6,0.8j": (0.6, 0.8j),
+             "identity": (1.0, 0.0), "i-sigma-y": (0.0, 1.0)}
+
+
+@pytest.mark.parametrize("coin", list(BIT_COINS))
+@pytest.mark.parametrize("rule", [TimeRule.RX_FIELD, TimeRule.GAUGED_SZ])
+def test_regrouped_block_bits_match_broadcast_reference(rule, coin):
+    """The momentum-last composition gives the 2x2-last composition's bits, every k shape."""
+    a, b = BIT_COINS[coin]
+    params = WalkParams(field=Field.golden(), coin_a=a, coin_b=b, time_rule=rule)
+    momenta = [0.7, np.linspace(0.0, 2.0 * math.pi, 33, endpoint=False),
+               np.random.default_rng(17).uniform(-math.pi, math.pi, (2, 17))]
+    for k in momenta:
+        for m in range(1, 61):
+            t_from = 1 if m % 2 else 4  # odd lengths from t = 1, even ones from t = 4
+            got = regrouped_block(k, params, m, t_from=t_from)
+            want = reference_regrouped_block(k, params, m, t_from=t_from)
+            assert got.shape == want.shape == np.shape(k) + (2, 2)
+            assert np.array_equal(bits(got), bits(want)), (k, m, t_from)
 
 
 def test_tilde_pair_is_hadamard_basis_transform(rng):

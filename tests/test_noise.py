@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qpwalk.momentum import alpha_tilde_sup
-from qpwalk.noise import NoiseConfig, noise_bound, noise_bound_for, noisy_evolve, return_series
+from qpwalk.noise import (NoiseConfig, check_step_angles, noise_bound, noise_bound_for,
+                         noisy_evolve, return_series)
 from qpwalk.revivals import expected_sign, revival_time
 from qpwalk.walk import Field, WalkState, evolve, evolve_tracking_origin, hadamard_params
 
@@ -143,3 +144,28 @@ def test_return_series_matches_direct_trajectories():
     expected = np.column_stack([np.arange(13.0), direct.mean(axis=0), direct.min(axis=0),
                                 direct.max(axis=0)])
     assert series.tobytes() == expected.tobytes()
+
+
+def _refusal(run):
+    try:
+        run()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_check_step_angles_refuses_what_return_series_refuses():
+    """The up-front angle check refuses exactly the runs ``return_series`` refuses."""
+    cases = [(Field.rational(1, 100), 1e306, 181, seed) for seed in range(6)]
+    cases += [(Field.rational(1, 100), 1e308, 40, 0), (Field.golden(), 5e305, 200, 0),
+              (Field.from_turns(1e305), 0.0, 300, 0), (Field.from_turns(1e305), 0.0, 200, 0),
+              (Field.from_turns(1e305), 1e-3, 300, 0), (Field.rational(1, 3), 0.0, 50, 0)]
+    outcomes = []
+    for field, epsilon, t_max, seed in cases:
+        params = hadamard_params(field)
+        noise = NoiseConfig(epsilon=epsilon, seed=seed, ensemble_size=20)
+        refused = _refusal(lambda: return_series(params, noise, t_max))
+        assert _refusal(lambda: check_step_angles(params, noise, t_max)) == refused
+        outcomes.append(refused is None)
+    # t_max*(|phi| + epsilon) overflows at 1e306 and 181 steps, yet some ensembles run
+    assert any(outcomes[:6]) and not all(outcomes[:6])

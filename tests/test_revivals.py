@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_su2
+from conftest import bits, random_su2, reference_regrouped_block
 from qpwalk.cfrac import cf_expand, golden_ratio_fraction
 from qpwalk.momentum import regrouped_block
-from qpwalk.revivals import (RevivalReport, _phase_distance, appendix_expected,
-                             appendix_table, detect_sign, expected_sign,
-                             irrational_revival_bound, revival_deviation,
-                             revival_report, revival_time)
+from qpwalk.revivals import (_SIGNS, _ZOOM_POINTS, RevivalReport, _phase_distance,
+                             _signed_deviations, appendix_expected, appendix_table,
+                             detect_sign, expected_sign, irrational_revival_bound,
+                             revival_deviation, revival_report, revival_time)
 from qpwalk.spinops import operator_norm_2x2
 from qpwalk.walk import (Field, TimeRule, WalkParams, WalkState, evolve,
                          hadamard_params)
@@ -32,6 +32,43 @@ def test_revival_deviation_refines_brute_force_grid():
     brute = brute_force_deviation(params, 10, -1)
     assert dev >= brute - 1e-12
     assert dev == pytest.approx(brute, abs=1e-6)
+
+
+def reference_signed_deviations(params, steps, grid):
+    """``_signed_deviations`` as it was: every round through the reference block,
+    which builds the step matrices afresh."""
+    ks = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
+    curves = _phase_distance(reference_regrouped_block(ks, params, steps), _SIGNS[:, None])
+    rows = np.arange(len(_SIGNS))
+    peak = np.argmax(curves, axis=1)
+    centers, best = ks[peak], curves[rows, peak]
+    half = 2.0 * math.pi / grid
+    offsets = np.linspace(-1.0, 1.0, _ZOOM_POINTS)
+    while 2.0 * half > 1e-8:
+        zoom = centers[:, None] + half * offsets
+        values = _phase_distance(reference_regrouped_block(zoom, params, steps),
+                                 _SIGNS[:, None])
+        peak = np.argmax(values, axis=1)
+        centers = zoom[rows, peak]
+        best = np.maximum(best, values[rows, peak])
+        half *= 2.0 / (_ZOOM_POINTS - 1)
+    return best
+
+
+@pytest.mark.parametrize("field, coin, rule, steps, grid", [
+    (Field.rational(1, 5), (HALF, HALF), TimeRule.RX_FIELD, 10, 1024),
+    (Field.rational(1, 8), (0.6, 0.8j), TimeRule.RX_FIELD, 8, 256),
+    (Field.golden(), (HALF, HALF), TimeRule.RX_FIELD, 26, 1024),
+    (Field.golden(), (0.6, 0.8j), TimeRule.GAUGED_SZ, 13, 1024),
+    (Field.rational(1, 6), (1.0, 0.0), TimeRule.RX_FIELD, 6, 1024),
+    (Field.rational(1, 7), (0.0, 1.0), TimeRule.GAUGED_SZ, 14, 1024),
+])
+def test_signed_deviations_bits_match_reference_zoom(field, coin, rule, steps, grid):
+    """Shared step matrices and the momentum-last composition keep every bit of the scan."""
+    params = WalkParams(field=field, coin_a=coin[0], coin_b=coin[1], time_rule=rule)
+    got = _signed_deviations(params, steps, grid)
+    want = reference_signed_deviations(params, steps, grid)
+    assert np.array_equal(bits(got), bits(want))
 
 
 @pytest.mark.parametrize("rule", [TimeRule.RX_FIELD, TimeRule.GAUGED_SZ])

@@ -31,10 +31,14 @@ ufunc calls on contiguous slices in the operand order of ``m00*u + m01*d``,
 and the electric walk's per-site phases are read per parity from contiguous
 copies: bit-identical to shifting a zero-padded buffer in place, as the
 reference loops in ``tests/conftest.py`` do (BLAS ``matmul`` would round
-differently). At stride 2 the empty sublattice is never computed: where
-those loops leave zeros of either sign, the returned window holds +0.0, and
-the origin probe reads +0.0 at the steps that leave the origin empty.
-Occupied amplitudes, bounds and trims are bit-identical.
+differently). The matrix entries go in as 0-d array views of the step's
+row: a numpy scalar operand rounds the same but is converted to an array
+on every call, about half a microsecond of each ufunc call at small
+windows, six (eight with phases) times per step. At stride 2 the empty
+sublattice is never computed: where those loops leave zeros of either
+sign, the returned window holds +0.0, and the origin probe reads +0.0 at
+the steps that leave the origin empty. Occupied amplitudes, bounds and
+trims are bit-identical.
 
 After every step the kernels zero boundary sites whose four real components
 are all below ``TRIM_THRESHOLD`` (1e-200) and shrink the bounds accordingly.
@@ -123,25 +127,26 @@ def _spin_product(m, u, d, u_out, d_out, x, y, phase=None):
     """(u_out, d_out) <- m @ (u, d) site by site, then times ``phase`` if given.
 
     ``m`` holds the matrix entries m00, m01, m10, m11 along its first axis:
-    scalars for one walk, rows of one entry per walk for an ensemble. The
-    outputs may be the inputs; ``x`` and ``y`` are scratch. Each matrix
-    product goes to contiguous memory other than its input, because numpy
-    rounds a complex product differently when its output is strided or, for
-    one element, its own input. The phase is applied in place, as the
-    reference loops do.
+    shape (4,) for one walk, (4, E) for an ensemble. Each entry is read as
+    the view ``m[i, ...]``, 0-d for one walk (numpy would turn an unpacked
+    numpy scalar into an array on every call) and a row of one entry per
+    walk for an ensemble. The outputs may be the inputs, and are passed
+    positionally; ``x`` and ``y`` are scratch. Each matrix product goes to
+    contiguous memory other than its input, because numpy rounds a complex
+    product differently when its output is strided or, for one element, its
+    own input. The phase is applied in place, as the reference loops do.
     """
     n = u.shape[0]
     x, y = x[:n], y[:n]
-    m00, m01, m10, m11 = m
-    np.multiply(m00, u, out=x)
-    np.multiply(m10, u, out=y)
-    np.multiply(m01, d, out=u_out)
-    np.add(x, u_out, out=u_out)
-    np.multiply(m11, d, out=x)
-    np.add(y, x, out=d_out)
+    np.multiply(m[0, ...], u, x)
+    np.multiply(m[2, ...], u, y)
+    np.multiply(m[1, ...], d, u_out)
+    np.add(x, u_out, u_out)
+    np.multiply(m[3, ...], d, x)
+    np.add(y, x, d_out)
     if phase is not None:
-        np.multiply(u_out, phase, out=u_out)
-        np.multiply(d_out, phase, out=d_out)
+        np.multiply(u_out, phase, u_out)
+        np.multiply(d_out, phase, d_out)
 
 
 def steps_matrix_then_shift(psi, lo, hi, mats, origin=None, out_spinor=None):
@@ -218,9 +223,10 @@ def _trim_shared(up, dn, lo, hi, ui, di):
 def _step_entries(blocks, walks):
     """Per-step matrix entries, shape (4, E), from consecutive (n, 2, 2, E) blocks.
 
-    One walk gets numpy scalars, so that a one-site product takes the numpy
-    loop ``steps_matrix_then_shift`` takes (a one-element array rounds
-    differently).
+    One walk gets rows of shape (4,), whose entries ``_spin_product`` reads
+    as 0-d arrays, as ``steps_matrix_then_shift`` does. A (4, 1) row would
+    give entries of shape (1,), which broadcast as a one-element array: that
+    takes another numpy loop for a one-site product and rounds differently.
     """
     for block in blocks:
         entries = block.reshape(block.shape[0], 4, walks)

@@ -37,8 +37,14 @@ from .spinops import make_coin
 TWO_PI = 2.0 * math.pi
 
 # steps whose matrices ensemble_tracking_origin builds at a time, for all
-# walks in one step_matrices call, which holds two (steps, E, 2, 2) arrays
+# walks in one step_matrices call, which holds one (steps, E, 2, 2) array
 ENSEMBLE_MATRIX_BLOCK = 32
+
+# rows of an RX_FIELD stack that step_matrices multiplies by the coin per
+# GEMM call. OpenBLAS runs a GEMM of more than 65536 multiply-adds (16384
+# rows of two columns) on several threads, which for two columns is slower
+# than one thread and leaves its workers spinning beside the kernels.
+STEP_GEMM_ROWS = 8192
 
 
 class TimeRule(enum.Enum):
@@ -155,6 +161,15 @@ class WalkParams:
         ``field_values`` overrides the exact field (noisy evolution): one
         angle per step, or an array of shape (T, E) for E walks at once,
         which gives shape (T, E, 2, 2) with the bits of E separate calls.
+
+        ``RX_FIELD`` multiplies the rotations by the coin on the right, so
+        a stack of N matrices is a (2N, 2) @ (2, 2) product: one BLAS GEMM
+        per ``STEP_GEMM_ROWS`` rows, in place, instead of one call per 2x2
+        matrix, with the bits of the stacked ``spin @ coin``. ``GAUGED_SZ``
+        has the coin on the left and keeps the stacked ``coin @ spin``: its
+        one-GEMM form, the coin times a (2, 2N) column block, rounds
+        differently for different stack lengths, so a chunked run would no
+        longer match a single call.
         """
         before = self.matrix_before_shift
         lag = 0 if before else 1
@@ -176,7 +191,10 @@ class WalkParams:
         if before:
             spin[..., 0, 0] = spin[..., 1, 1] = np.cos(angles)
             spin[..., 0, 1] = spin[..., 1, 0] = 1j * np.sin(angles)
-            return spin @ self._coin
+            rows = spin.reshape(-1, 2)
+            for i in range(0, rows.shape[0], STEP_GEMM_ROWS):
+                rows[i:i + STEP_GEMM_ROWS] = rows[i:i + STEP_GEMM_ROWS] @ self._coin
+            return spin
         spin[..., 0, 0] = np.exp(-1j * angles)
         spin[..., 1, 1] = np.exp(1j * angles)
         return self._coin @ spin

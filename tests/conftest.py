@@ -185,6 +185,45 @@ def reference_regrouped_block(k, params: WalkParams, m: int, t_from: int = 1) ->
     return out
 
 
+def reference_rx_step_matrices(params: WalkParams, t_from: int, t_to: int,
+                               field_values=None) -> np.ndarray:
+    """The RX_FIELD step matrices built as the stacked ``spin @ coin``: one matmul per 2x2 matrix.
+
+    ``WalkParams.step_matrices`` builds the same stack with GEMMs over its
+    rows and must give the same bits.
+    """
+    times = range(t_from, t_to + 1)
+    if field_values is None:
+        angles = np.array([params.field.angle(t) for t in times], dtype=float)
+    else:
+        field_values = np.asarray(field_values, dtype=float)
+        times = np.array(times).reshape((-1,) + (1,) * (field_values.ndim - 1))
+        angles = np.fmod(times * field_values, 2.0 * np.pi)
+    spin = np.zeros(angles.shape + (2, 2), dtype=complex)
+    spin[..., 0, 0] = spin[..., 1, 1] = np.cos(angles)
+    spin[..., 0, 1] = spin[..., 1, 0] = 1j * np.sin(angles)
+    return spin @ params.coin
+
+
+def reference_spin_product(m, u, d, u_out, d_out, x, y, phase=None):
+    """``_kernels._spin_product`` with the matrix entries unpacked, numpy scalars for one walk.
+
+    The kernels read the entries as 0-d views instead and must give the same bits.
+    """
+    n = u.shape[0]
+    x, y = x[:n], y[:n]
+    m00, m01, m10, m11 = m
+    np.multiply(m00, u, out=x)
+    np.multiply(m10, u, out=y)
+    np.multiply(m01, d, out=u_out)
+    np.add(x, u_out, out=u_out)
+    np.multiply(m11, d, out=x)
+    np.add(y, x, out=d_out)
+    if phase is not None:
+        np.multiply(u_out, phase, out=u_out)
+        np.multiply(d_out, phase, out=d_out)
+
+
 def bits(array) -> np.ndarray:
     """The raw float bits of a complex array, for equality that tells -0.0 from 0.0."""
     return np.ascontiguousarray(array).view(np.uint64)

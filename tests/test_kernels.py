@@ -16,9 +16,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (max_diff, random_su2, reference_electric, reference_evolve,
-                      reference_matrix_then_shift, reference_shift_then_matrix, run_padded,
-                      state_to_dict)
+from conftest import (bits, max_diff, random_su2, reference_electric, reference_evolve,
+                      reference_matrix_then_shift, reference_shift_then_matrix,
+                      reference_spin_product, run_padded, state_to_dict)
 from qpwalk import _kernels
 from qpwalk.gauge import electric_evolve
 from qpwalk.noise import NoiseConfig
@@ -414,6 +414,44 @@ def test_chunked_evolve_is_bit_identical(rng, rule):
             chunked = evolve(evolve(start, 3, b, params), b + 1, 400, params)
             assert chunked.x_min == whole.x_min
             assert _same_bits(chunked.amplitudes, whole.amplitudes)
+
+
+def _su2_entries(rng, *walks):
+    """Entries m00, m01, m10, m11 of random SU(2) matrices, shape (4,) + walks."""
+    a, b = np.array([random_su2(rng) for _ in range(int(np.prod(walks)))]).T.reshape(2, *walks)
+    return np.stack([a, b, -b.conj(), a.conj()])
+
+
+@pytest.mark.parametrize("in_place", [True, False], ids=["in-place", "out-of-place"])
+@pytest.mark.parametrize("n", [1, 2, 3, 40, 1317])
+def test_spin_product_keeps_the_bits_of_unpacked_entries(rng, n, in_place):
+    """0-d entry views give the bits of the unpacked numpy scalars.
+
+    One walk's (4,) entries, with and without a phase; the (4,) rows that
+    ``_step_entries`` gives a one-walk ensemble, against (n, 1) arrays; and
+    (4, E) rows against (n, E) arrays. Out of place, the inputs are strided
+    columns, as in a kernel's first step.
+    """
+    block = np.moveaxis(_su2_entries(rng, 3, 1).reshape(2, 2, 3, 1), 2, 0)
+    phase = np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+    cases = [(_su2_entries(rng), (n,), None), (_su2_entries(rng), (n,), phase),
+             (_su2_entries(rng, 5), (n, 5), None)]
+    cases += [(row, (n, 1), None) for row in _kernels._step_entries([block], 1)]
+    assert [m.shape for m, _, _ in cases] == [(4,), (4,), (4, 5), (4,), (4,), (4,)]
+    for m, shape, ph in cases:
+        psi = rng.normal(size=shape + (2,)) + 1j * rng.normal(size=shape + (2,))
+        results = []
+        for product in (_kernels._spin_product, reference_spin_product):
+            if in_place:
+                u, d = psi[..., 0].copy(), psi[..., 1].copy()
+                u_out, d_out = u, d
+            else:
+                u, d = psi[..., 0], psi[..., 1]
+                u_out, d_out = np.empty(shape, complex), np.empty(shape, complex)
+            scratch = np.empty((n + 3,) + shape[1:], complex)
+            product(m, u, d, u_out, d_out, scratch, scratch.copy(), ph)
+            results.append(np.stack([u_out, d_out]))
+        assert np.array_equal(bits(results[0]), bits(results[1]))
 
 
 def _probe_each_walk(psi, mats, origin):

@@ -4,11 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import max_diff, reference_evolve, state_to_dict, random_su2
+from conftest import (bits, max_diff, reference_evolve, reference_rx_step_matrices,
+                      state_to_dict, random_su2)
 from qpwalk.noise import NoiseConfig
 from qpwalk.spinops import is_unitary, rotation_x
-from qpwalk.walk import (ENSEMBLE_MATRIX_BLOCK, Field, TimeRule, WalkParams, WalkState,
-                         bloch_vector, evolve, evolve_tracking_origin, fidelity,
+from qpwalk.walk import (ENSEMBLE_MATRIX_BLOCK, STEP_GEMM_ROWS, Field, TimeRule, WalkParams,
+                         WalkState, bloch_vector, evolve, evolve_tracking_origin, fidelity,
                          hadamard_params, position_distribution,
                          return_probability, step, support_radius)
 
@@ -129,6 +130,46 @@ def test_ensemble_step_matrices_match_each_trajectory(rng, rule, steps):
                      for f in fields], axis=1)
     assert block.shape == (steps, walks, 2, 2)
     assert block.tobytes() == each.tobytes()
+
+
+@pytest.mark.parametrize("field", [Field.golden(), Field.rational(1, 7)], ids=["golden", "1/7"])
+@pytest.mark.parametrize("coin", [(HALF, HALF), (0.6, 0.8j), (1.0, 0.0), (0.0, 1.0), None],
+                         ids=["hadamard", "0.6,0.8j", "identity", "i-sigma-y", "random"])
+def test_rx_step_matrices_bits_match_the_stacked_matmul(rng, field, coin):
+    """The GEMM-built RX_FIELD stack is bit for bit the stacked ``spin @ coin``.
+
+    Exact field, one angle per step, and (T, E) ensembles, for stack lengths
+    around the ensemble block and a long one, starting at t = 1 and later.
+    The longest stack spans several GEMM calls.
+    """
+    assert 2 * 1001 * 50 > 2 * STEP_GEMM_ROWS  # rows of the (1001, 50) stack
+    params = WalkParams(field, *(random_su2(rng) if coin is None else coin))
+    for steps in (1, 2, 3, 7, 31, 32, 33, 64, 65, 1001):
+        t_from = 1 + ENSEMBLE_MATRIX_BLOCK * int(rng.integers(0, 4))
+        t_to = t_from + steps - 1
+        noisy = field.value + 0.01 * rng.uniform(-1.0, 1.0, (steps, 50))
+        for values in (None, noisy[:, 0], noisy[:, :1], noisy[:, :2], noisy):
+            mats = params.step_matrices(t_from, t_to, field_values=values)
+            ref = reference_rx_step_matrices(params, t_from, t_to, field_values=values)
+            assert mats.shape == ref.shape
+            assert np.array_equal(bits(mats), bits(ref))
+
+
+@pytest.mark.parametrize("rule", list(TimeRule))
+def test_step_matrices_are_bit_identical_in_chunks(rng, rule):
+    """step_matrices(a, b) is step_matrices(a, c) followed by step_matrices(c + 1, b)."""
+    a, b = 3, 400
+    for field in (Field.rational(1, 155), Field.golden()):
+        params = WalkParams(field, *random_su2(rng), time_rule=rule)
+        noisy = field.value + 0.01 * rng.uniform(-1.0, 1.0, (b - a + 1, 5))
+        for values in (None, noisy):
+            whole = params.step_matrices(a, b, field_values=values)
+            for c in (3, 4, 33, 34, 65, 398, 399):
+                head, tail = (None, None) if values is None else (values[:c - a + 1],
+                                                                  values[c - a + 1:])
+                parts = np.concatenate([params.step_matrices(a, c, field_values=head),
+                                        params.step_matrices(c + 1, b, field_values=tail)])
+                assert np.array_equal(bits(parts), bits(whole))
 
 
 def test_overflowing_field_angle_names_field_and_step():

@@ -167,6 +167,10 @@ def _primitive_order_check(eigenvalue: complex, m: int) -> None:
 def trace_formula(M: np.ndarray, R: np.ndarray, m: int) -> complex:
     """Closed form for tr(M R^0 M R^1 ... M R^(m-1)); see module docstring.
 
+    R is validated and diagonalized by ``_rotation_frame``; the closed form in
+    its eigenbasis is ``_closed_trace``. Callers with many M for one R (the
+    ``trace-check`` experiment) call the two separately, the first once.
+
     Raises
     ------
     ValueError
@@ -176,6 +180,18 @@ def trace_formula(M: np.ndarray, R: np.ndarray, m: int) -> complex:
     if m < 1:
         raise ValueError("m must be positive")
     M = np.asarray(M, dtype=complex)
+    basis = _rotation_frame(R, m)
+    mt = basis @ M @ basis.conj().T
+    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+    return _closed_trace(mt[0, 0], mt[1, 1], det, m)
+
+
+def _rotation_frame(R: np.ndarray, m: int) -> np.ndarray:
+    """The eigenbasis B of R (B R B^dagger diagonal) after every check ``trace_formula`` makes.
+
+    Raises the ValueError ``trace_formula`` documents when R is outside the
+    formula's validity domain for this m (``m`` itself must be positive).
+    """
     R = np.asarray(R, dtype=complex)
     if not is_unitary(R, tol=1e-10):
         raise ValueError("R must be unitary within 1e-10")
@@ -184,9 +200,15 @@ def trace_formula(M: np.ndarray, R: np.ndarray, m: int) -> complex:
     _primitive_order_check(lam2, m)
     if abs(lam1 * lam2 - 1.0) > 1e-8 and abs(lam1 - lam2) > 1e-8:
         raise ValueError("R's eigenvalues must form a conjugate pair")
-    mt = basis @ M @ basis.conj().T
-    at, dt = mt[0, 0], mt[1, 1]
-    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+    return basis
+
+
+def _closed_trace(at, dt, det, m: int):
+    """tau_m from the diagonal entries a~, d~ of M in R's eigenbasis and det(M).
+
+    The arithmetic runs on whatever scalars it is given; ``trace_formula``
+    passes numpy complex scalars, and the result's bits depend on that.
+    """
     if m % 2 == 1:
         return at ** m + dt ** m
     half = m // 2
@@ -196,12 +218,8 @@ def trace_formula(M: np.ndarray, R: np.ndarray, m: int) -> complex:
 def regrouped_trace(k: float, params: WalkParams, m: int) -> complex:
     """tr W^{[m,1]}(k) via the closed trace formula (no m-fold product)."""
     at = alpha_tilde(params, k)
-    dt = np.conj(at)
-    if m % 2 == 1:
-        return complex(at ** m + dt ** m)
-    half = m // 2
-    det = 1.0  # special-unitary coin and unit-determinant shift block
-    return complex(-(at ** m + dt ** m) + 2.0 * (-1) ** half * ((at * dt) ** half - det))
+    # det = 1: special-unitary coin and unit-determinant shift block
+    return complex(_closed_trace(at, np.conj(at), 1.0, m))
 
 
 def dispersion(k: float, params: WalkParams, m: int) -> tuple[float, float]:

@@ -10,11 +10,15 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import sys
+from math import gcd
 
 import numpy as np
 import pytest
 
+from qpwalk.momentum import trace_formula
+from qpwalk.spinops import rotation_x
 from qpwalk.walk import WalkParams, WalkState
 
 Amplitudes = dict[tuple[int, int], complex]
@@ -222,6 +226,39 @@ def reference_spin_product(m, u, d, u_out, d_out, x, y, phase=None):
     if phase is not None:
         np.multiply(u_out, phase, out=u_out)
         np.multiply(d_out, phase, out=d_out)
+
+
+def reference_cyclic_trace(mat: np.ndarray, rot: np.ndarray, m: int) -> complex:
+    """tr(M R^0 M R^1 ... M R^(m-1)) as a loop of single 2x2 matmuls."""
+    prod = np.eye(2, dtype=complex)
+    power = np.eye(2, dtype=complex)
+    for _ in range(m):
+        prod = prod @ (mat @ power)
+        power = power @ rot
+    return complex(np.trace(prod))
+
+
+def reference_trace_check(trials: int, seed: int, tol: float):
+    """``trace-check``'s rows, worst residual and exit code, one trial at a time.
+
+    Each trial calls ``trace_formula`` and ``reference_cyclic_trace`` on its
+    own; ``cli.run_trace_check`` groups the trials by rotation and stacks
+    them, and must give the same bits.
+    """
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rows = []
+    for trial in range(trials):
+        m = int(rng.integers(1, 13))
+        coprime = [n for n in range(1, m + 1) if gcd(n, m) == 1]
+        n = int(coprime[rng.integers(0, len(coprime))])
+        mat = (rng.uniform(-1.0, 1.0, (2, 2))
+               + 1j * rng.uniform(-1.0, 1.0, (2, 2))) / math.sqrt(2.0)
+        rot = rotation_x(2.0 * math.pi * n / m)
+        direct = reference_cyclic_trace(mat, rot, m)
+        residual = float(abs(trace_formula(mat, rot, m) - direct))
+        rows.append((trial, m, n, residual, residual <= tol))
+    worst = max(row[3] for row in rows)
+    return rows, worst, 0 if all(row[4] for row in rows) else 3
 
 
 def bits(array) -> np.ndarray:

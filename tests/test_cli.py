@@ -6,7 +6,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from conftest import nan_in_electric_evolve, reference_write_record
+from conftest import nan_in_electric_evolve, reference_trace_check, reference_write_record
 
 from qpwalk import __version__, cli
 from qpwalk.cli import (ConfigError, parse_coin, parse_field, parse_int_list,
@@ -374,6 +374,54 @@ def test_gauge_check_fails_on_a_nan_deviation(monkeypatch, capsys):
     meta, _, rows = parse_csv(out)
     assert meta["worst_deviation"] == "nan"
     assert [row[-1] for row in rows] == ["0", "1"] and rows[0][3] == "nan"
+
+
+def _trace_check(trials, seed):
+    args = cli.build_parser().parse_args(["trace-check", "--trials", str(trials),
+                                          "--seed", str(seed)])
+    meta, _, rows, code = cli.run_trace_check(cli.Options(args, {}))
+    return rows, meta["worst_residual"], code
+
+
+def _row_bits(rows):
+    return [(trial, m, n, residual.hex(), ok) for trial, m, n, residual, ok in rows]
+
+
+TRACE_CHECK_RUNS = [(trials, seed) for trials in (1, 2, 7) for seed in (0, 1, 5)] + [
+    (200, 0), (200, 3), (200, 17), (2000, 4)]
+
+
+def test_trace_check_bits_match_the_per_trial_loop(monkeypatch):
+    rotations = set()
+    for tol in (cli.TRACE_CHECK_TOL, 0.0):
+        monkeypatch.setattr(cli, "TRACE_CHECK_TOL", tol)
+        for trials, seed in TRACE_CHECK_RUNS:
+            rows, worst, code = _trace_check(trials, seed)
+            ref_rows, ref_worst, ref_code = reference_trace_check(trials, seed, tol)
+            assert _row_bits(rows) == _row_bits(ref_rows)
+            assert (type(worst), worst.hex(), code) == (float, ref_worst.hex(), ref_code)
+            assert code == (3 if tol == 0.0 else 0)
+            rotations.update((n, m) for _, m, n, _, _ in rows)
+    # all 46 rotations: every m in 1..12 with every n coprime to it
+    assert rotations == {(n, m) for m in range(1, 13) for n in range(1, m + 1)
+                         if math.gcd(n, m) == 1}
+
+
+def test_trace_check_fails_on_a_nan_residual(monkeypatch, capsys):
+    closed_trace = cli._closed_trace
+    calls = []
+
+    def nan_on_second_call(*args):
+        calls.append(None)
+        return complex("nan") if len(calls) == 2 else closed_trace(*args)
+
+    monkeypatch.setattr(cli, "_closed_trace", nan_on_second_call)
+    code, out, _ = run_cli(["trace-check", "--trials", "3"], capsys)
+    assert code == 3
+    meta, _, rows = parse_csv(out)
+    assert meta["worst_residual"] == "nan"
+    assert sorted(row[-1] for row in rows) == ["0", "1", "1"]
+    assert all((row[3] == "nan") == (row[-1] == "0") for row in rows)
 
 
 def test_revival_scan_golden_mode(capsys):

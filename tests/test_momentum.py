@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import bits, random_su2, reference_regrouped_block
+from conftest import bits, random_su2, reference_cyclic_trace, reference_regrouped_block
 from qpwalk.momentum import (alpha_tilde, alpha_tilde_sup, coin_shift_matrix,
                              dispersion, regrouped_block, regrouped_trace,
                              shift_momentum, step_block, tilde_pair,
@@ -151,15 +151,6 @@ def test_alpha_tilde_sup_known_values():
     assert alpha_tilde_sup(1j * HALF, HALF) == pytest.approx(1.0)
 
 
-def _direct_cyclic_trace(mat, rot, m):
-    prod = np.eye(2, dtype=complex)
-    power = np.eye(2, dtype=complex)
-    for _ in range(m):
-        prod = prod @ (mat @ power)
-        power = power @ rot
-    return complex(np.trace(prod))
-
-
 def test_trace_formula_matches_direct_products(rng):
     for _ in range(200):
         m = int(rng.integers(1, 13))
@@ -168,7 +159,7 @@ def test_trace_formula_matches_direct_products(rng):
         mat = (rng.uniform(-1, 1, (2, 2)) + 1j * rng.uniform(-1, 1, (2, 2)))
         rot = rotation_x(2.0 * math.pi * n / m)
         assert trace_formula(mat, rot, m) == pytest.approx(
-            _direct_cyclic_trace(mat, rot, m), abs=1e-9)
+            reference_cyclic_trace(mat, rot, m), abs=1e-9)
 
 
 def test_trace_formula_scalar_rotations(rng):
@@ -187,27 +178,43 @@ def test_trace_formula_random_basis_rotation(rng):
     rot = q @ np.diag([cmath.exp(2j * math.pi / 5), cmath.exp(-2j * math.pi / 5)]) @ q.conj().T
     mat = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     assert trace_formula(mat, rot, 5) == pytest.approx(
-        _direct_cyclic_trace(mat, rot, 5), abs=1e-10)
+        reference_cyclic_trace(mat, rot, 5), abs=1e-10)
 
 
 def test_trace_formula_rejects_imprimitive_rotations():
     mat = np.eye(2, dtype=complex)
+    primitive = "must be primitive"
     # eigenvalue order 3 properly divides m = 6
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=primitive):
         trace_formula(mat, rotation_x(2.0 * math.pi / 3.0), 6)
     # identity rotation with m = 2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=primitive):
         trace_formula(mat, np.eye(2), 2)
     # order-2 rotation with m = 4
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=primitive):
         trace_formula(mat, rotation_x(math.pi), 4)
 
 
 def test_trace_formula_rejects_nonconjugate_pair():
     # eigenvalues e^{2pi i/5} and e^{4pi i/5}: both primitive, not conjugate
     rot = np.diag([cmath.exp(2j * math.pi / 5), cmath.exp(4j * math.pi / 5)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must form a conjugate pair"):
         trace_formula(np.eye(2, dtype=complex), rot, 5)
+
+
+def test_trace_formula_rejects_a_nonunitary_rotation():
+    mat = np.eye(2, dtype=complex)
+    with pytest.raises(ValueError, match=r"^R must be unitary within 1e-10$"):
+        trace_formula(mat, 1.001 * rotation_x(2.0 * math.pi / 5.0), 5)
+    with pytest.raises(ValueError, match=r"^m must be positive$"):
+        trace_formula(mat, np.eye(2), 0)
+
+
+def test_trace_formula_rejects_an_eigenphase_off_the_mth_roots():
+    # eigenphases +-2 pi/5 with m = 4: R^4 != I
+    with pytest.raises(ValueError, match=r"^R's eigenphase -?1\.256\d* is not an m-th root "
+                                         r"of unity for m=4$"):
+        trace_formula(np.eye(2, dtype=complex), rotation_x(2.0 * math.pi / 5.0), 4)
 
 
 def test_regrouped_trace_matches_block(rng):

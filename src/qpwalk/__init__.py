@@ -21,7 +21,8 @@ from .noise import (NoiseConfig, noise_bound, noise_bound_for, noisy_evolve,
                     return_series)
 from .revivals import (RevivalReport, appendix_expected, appendix_table,
                        detect_sign, expected_sign, irrational_revival_bound,
-                       revival_deviation, revival_report, revival_time)
+                       revival_deviation, revival_report, revival_reports,
+                       revival_time)
 from .spinops import (HADAMARD_BASIS, IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z,
                       eigenbasis_unitary2, is_unitary, make_coin,
                       operator_norm_2x2, rotation_x, rotation_y)
@@ -48,7 +49,8 @@ __all__ = [
     "regrouped_trace", "dispersion",
     # revivals
     "RevivalReport", "revival_deviation", "detect_sign", "expected_sign",
-    "revival_time", "revival_report", "appendix_expected", "appendix_table",
+    "revival_time", "revival_report", "revival_reports", "appendix_expected",
+    "appendix_table",
     "irrational_revival_bound",
     # continued fractions
     "Convergent", "ContinuedFraction", "FieldClassification",

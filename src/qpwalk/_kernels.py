@@ -198,11 +198,16 @@ def _trim_shared(up, dn, lo, hi, ui, di):
     """``_trim_bounds`` for walks that share the window [lo, hi].
 
     Walk r's site i is at up[i + ui, r] and dn[i + di, r]. An edge site is
-    dropped only when it is negligible in every walk.
+    dropped only when it is negligible in every walk. Walk 0 is checked
+    first with ``_negligible`` on its two scalars, as ``_trim_bounds`` does:
+    an edge that walk 0 holds, the usual case, stays without a numpy
+    reduction. Every trim decision is the every-walk rule's.
     """
     for inward in (-1, 1):
         while hi > lo:
             i = hi if inward < 0 else lo
+            if not _negligible(up.item(i + ui, 0), dn.item(i + di, 0)):
+                break
             u, d = up[i + ui], dn[i + di]
             # the part the shift brings to this edge (up on the right, down on
             # the left) is usually the large one; a modulus of at least twice

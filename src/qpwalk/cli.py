@@ -41,7 +41,7 @@ from .cfrac import approximation_check, cf_expand, classify_field, golden_ratio_
 from .gauge import verify_gauge_equivalence
 from .momentum import _closed_trace, _rotation_frame
 from .noise import NoiseConfig, check_step_angles, return_series
-from .revivals import appendix_table, irrational_revival_bound, revival_report
+from .revivals import appendix_table, irrational_revival_bound, revival_reports
 from .spinops import rotation_x
 from .walk import (Field, WalkParams, WalkState, bloch_vector, evolve,
                    position_distribution, spinor_bloch_vector, track_origin)
@@ -315,16 +315,16 @@ def run_revival_scan(opts: Options) -> Record:
         cf = cf_expand(x, depth)
         field = Field.golden()
         params = WalkParams(field=field, coin_a=a, coin_b=b)
-        rows = []
+        cases = []
         for k_index in range(1, cf.depth()):
             time, bound = irrational_revival_bound(cf, k_index)
             if time > t_max:
                 break
-            # the convergent's revival time 2*d_k or d_k is revival_time(d_k)
-            d_k = cf.convergents[k_index - 1].denominator
-            report = revival_report(params, d_k)
-            rows.append((k_index, d_k, time, report.sign,
-                         report.measured_deviation, bound))
+            cases.append((k_index, cf.convergents[k_index - 1].denominator, time, bound))
+        # the convergent's revival time 2*d_k or d_k is revival_time(d_k)
+        reports = revival_reports((params, d_k) for _, d_k, _, _ in cases)
+        rows = [(k_index, d_k, time, report.sign, report.measured_deviation, bound)
+                for (k_index, d_k, time, bound), report in zip(cases, reports)]
         meta = {"field": field.label, "coin": coin_label, "tmax": t_max, "depth": depth}
         return meta, ["k_index", "d_k", "revival_time", "sign", "measured_deviation",
                       "bound_leading"], rows, 0
@@ -332,12 +332,10 @@ def run_revival_scan(opts: Options) -> Record:
     m_list = parse_int_list(opts.get("m_list", "3,4,5,6,7,8,9,10,11,12", str))
     if any(m < 1 for m in m_list):
         raise ConfigError("m values must be positive")
-    rows = []
-    for m in m_list:
-        params = WalkParams(field=Field.rational(1, m), coin_a=a, coin_b=b)
-        report = revival_report(params, m)
-        rows.append((report.m, report.parity, report.revival_time, report.sign,
-                     report.measured_deviation, report.predicted_scale))
+    reports = revival_reports((WalkParams(field=Field.rational(1, m), coin_a=a, coin_b=b), m)
+                              for m in m_list)
+    rows = [(report.m, report.parity, report.revival_time, report.sign,
+             report.measured_deviation, report.predicted_scale) for report in reports]
     meta = {"coin": coin_label, "m_list": ",".join(str(m) for m in m_list)}
     return meta, ["m", "parity", "revival_time", "sign", "measured_deviation",
                   "predicted_scale"], rows, 0

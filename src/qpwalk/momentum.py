@@ -12,8 +12,11 @@ m is time-independent for rational fields.
 Blocks over many momenta are composed with the momentum axis last: the
 entries are held as (2, 2) + k.shape, so each of a step's products runs over
 contiguous momenta instead of broadcasting over inner axes of length 2
-(``_compose``). Callers see the usual k.shape + (2, 2) stack. A revival scan
-builds the step matrices once and composes them for every k-grid it samples.
+(``_compose``). Callers see the usual k.shape + (2, 2) stack. ``_compose``
+takes several problems at once, each with its own momenta and step matrices
+(entries (2, 2, P) + k.shape), and ``regrouped_block`` is its one-problem
+case: a revival search composes the zoom brackets of all of a call's
+reports in one pass, each report's block keeping the bits it has alone.
 
 Trace formula
 -------------
@@ -65,35 +68,55 @@ def regrouped_block(k, params: WalkParams, m: int, t_from: int = 1) -> np.ndarra
 
     ``k`` is a scalar, giving one (2, 2) block, or an array of momenta, giving
     a stack of shape k.shape + (2, 2) composed in one pass over the steps,
-    with the momentum axis last (``_compose``); the stack is a view of that
-    layout.
+    with the momentum axis last (``_compose``, one problem); the stack is a
+    view of that layout.
     """
     if m < 1:
         raise ValueError("m must be positive")
-    return _compose(k, params.step_matrices(t_from, t_from + m - 1),
-                    params.matrix_before_shift)
+    mats = params.step_matrices(t_from, t_from + m - 1)
+    return _compose(np.asarray(k, dtype=float)[None], mats[..., None],
+                    params.matrix_before_shift)[0]
 
 
-def _compose(k, mats: np.ndarray, before: bool) -> np.ndarray:
-    """The product W(T) ... W(1) over momenta ``k`` of the step matrices ``mats``, (T, 2, 2).
+def _compose(k: np.ndarray, mats, before: bool) -> np.ndarray:
+    """Products W(T_p) ... W(1) for P problems at once, each over its own momenta.
 
-    ``before`` is ``WalkParams.matrix_before_shift``: W = S(k) M if true, else
-    M S(k). The entries are held as (2, 2) + k.shape, momentum axis last, so
-    every product runs over contiguous momenta; the result is a view of shape
-    k.shape + (2, 2). Operand order is part of the bits: the shift is the
+    ``k`` has shape (P,) + s: problem p's momenta are k[p]. ``mats`` is a
+    sequence over the steps t = 1, 2, ... of (2, 2, n_t) arrays, where column
+    p is problem p's matrix M(t). The problems are sorted longest first, so
+    the n_t never grow: problem p has T_p steps and leaves the product when
+    n_t drops to p or below. ``before`` is ``WalkParams.matrix_before_shift``
+    for every problem: W = S(k) M if true, else M S(k).
+
+    The entries are held as (2, 2, P) + s, momentum axis last, so every
+    product runs over contiguous momenta; a problem's matrix broadcasts over
+    that problem's momenta only. The result is a view of shape
+    (P,) + s + (2, 2). Operand order is part of the bits: the shift is the
     first factor of each entry and the block the first of each product.
     """
-    phase = np.exp(1j * np.asarray(k, dtype=float))
-    # a (2, 2) matrix indexed by ``entry`` broadcasts against (2, 2) + k.shape
-    entry = (slice(None), slice(None)) + (None,) * phase.ndim
+    phase = np.exp(1j * k)
+    # a (2, 2, n) stack indexed by ``entry`` broadcasts against (2, 2, n) + s
+    entry = (slice(None),) * 3 + (None,) * (phase.ndim - 1)
     # diag(S(k)) as a column scales rows (S(k) @ M), as a row columns (M @ S(k))
     shift = np.stack([phase, phase.conj()])
     shift = shift[:, None] if before else shift[None, :]
-    out = np.broadcast_to(np.eye(2, dtype=complex)[entry], (2, 2) + phase.shape)
+    out = np.broadcast_to(np.eye(2, dtype=complex)[entry[:2] + (None,) * phase.ndim],
+                          (2, 2) + phase.shape)
+    done = None
     for mat in mats:
+        n = mat.shape[2]
+        if n < out.shape[2]:
+            # problems n, n+1, ... are complete: keep their blocks, drop them
+            if done is None:
+                done = np.empty((2, 2) + phase.shape, dtype=complex)
+            done[:, :, n:out.shape[2]] = out[:, :, n:]
+            out, shift = out[:, :, :n], shift[:, :, :n]
         block = shift * mat[entry]
         # block @ out as column-times-row products: faster than np.matmul on 2x2 stacks
         out = block[:, :1] * out[None, 0] + block[:, 1:] * out[None, 1]
+    if done is not None:
+        done[:, :, :out.shape[2]] = out
+        out = done
     return np.moveaxis(out, (0, 1), (-2, -1))
 
 

@@ -10,7 +10,10 @@ space: the walk is translation invariant at every t, so
 with 2x2 blocks. These are SU(2), so U - c*I = [[p - c, q], [-conj(q), conj(p) - c]]
 is a multiple of a unitary: its norm is its Frobenius norm over sqrt(2), with
 no SVD. One k-grid scan gives the curves for c = +1 and c = -1 together, and
-each maximum is sharpened by zooming in (see ``revival_deviation``).
+each maximum is sharpened by zooming in (see ``revival_deviation``). One
+search (``_deviation_search``) measures every report of a call: the grid
+scan runs per report, and each zoom round composes all reports' brackets in
+one pass (``revival_reports``). A single report is the one-problem case.
 
 Exact values for the balanced (Hadamard-class) coin under the RX_FIELD rule
 with field 2*pi/m, derived from the dispersion relation and verified
@@ -89,38 +92,62 @@ def _phase_distance(blocks: np.ndarray, sign) -> np.ndarray:
 
 
 def _signed_deviations(params: WalkParams, steps: int, grid: int) -> np.ndarray:
-    """sup_k || W^{[steps,1]}(k) - c*I || for c = +1, -1 from one scan of ``grid`` momenta.
+    """sup_k || W^{[steps,1]}(k) - c*I || for c = +1, -1: ``_deviation_search`` of one problem."""
+    return _deviation_search([(params, steps)], grid)[0]
 
-    Each curve's bracket (the neighbours of its best sample) is re-sampled at
-    _ZOOM_POINTS momenta and narrowed around the best of them until it is
-    below 1e-8 wide; one block composition serves both brackets. The step
-    matrices are built once and composed for the grid and every zoom round.
+
+def _deviation_search(problems, grid: int) -> np.ndarray:
+    """(c = +1, c = -1) deviations, shape (P, 2), of every (params, steps) problem.
+
+    Per problem, one scan of ``grid`` momenta gives both curves; each curve's
+    bracket (the neighbours of its best sample) is re-sampled at _ZOOM_POINTS
+    momenta and narrowed around the best of them until it is below 1e-8 wide.
+    Each problem's step matrices are built once. The grid pass runs one
+    problem at a time, which keeps its temporaries at one grid's size. Every
+    problem runs the same zoom rounds, so each round composes all problems'
+    brackets in one ``_compose`` pass, longest problem first; each sign is
+    scored on its own bracket. Rows come back in input order. The problems
+    must share one step order (``WalkParams.matrix_before_shift``).
     """
-    if steps < 1:
+    problems = list(problems)
+    if any(steps < 1 for _, steps in problems):
         raise ValueError("steps must be positive")
-    mats = params.step_matrices(1, steps)
-    before = params.matrix_before_shift
+    if len({params.matrix_before_shift for params, _ in problems}) > 1:
+        raise ValueError("problems must share one step order (time rule)")
+    if not problems:
+        return np.empty((0, len(_SIGNS)))
+    before = problems[0][0].matrix_before_shift
+    order = sorted(range(len(problems)), key=lambda i: -problems[i][1])
+    lengths = [problems[i][1] for i in order]
+    # column p holds the p-th longest problem's step matrices; steps past its end are never read
+    mats = np.zeros((lengths[0], 2, 2, len(problems)), dtype=complex)
+    for p, i in enumerate(order):
+        mats[:lengths[p], :, :, p] = problems[i][0].step_matrices(1, lengths[p])
+    ragged = [mats[t, :, :, :sum(steps > t for steps in lengths)]
+              for t in range(lengths[0])]
     ks = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
-    curves = _phase_distance(_compose(ks, mats, before), _SIGNS[:, None])
-    rows = np.arange(len(_SIGNS))
-    peak = np.argmax(curves, axis=1)
-    centers, best = ks[peak], curves[rows, peak]
+    centers = np.empty((len(problems), len(_SIGNS)))
+    best = np.empty_like(centers)
+    probs, rows = np.arange(len(problems))[:, None], np.arange(len(_SIGNS))
+    for p, steps in enumerate(lengths):
+        curves = _phase_distance(_compose(ks[None], mats[:steps, :, :, p:p + 1], before)[0],
+                                 _SIGNS[:, None])
+        peak = np.argmax(curves, axis=1)
+        centers[p], best[p] = ks[peak], curves[rows, peak]
+        del curves  # freed before the next problem's grid pass, not after it
     half = 2.0 * math.pi / grid
     offsets = np.linspace(-1.0, 1.0, _ZOOM_POINTS)
     while 2.0 * half > 1e-8:
-        zoom = centers[:, None] + half * offsets
-        values = _phase_distance(_compose(zoom, mats, before), _SIGNS[:, None])
-        peak = np.argmax(values, axis=1)
-        centers = zoom[rows, peak]
-        best = np.maximum(best, values[rows, peak])
+        # (P, sign, point): sign c's bracket around its own center
+        zoom = centers[:, :, None] + half * offsets
+        values = _phase_distance(_compose(zoom, ragged, before), _SIGNS[:, None])
+        peak = np.argmax(values, axis=2)
+        centers = zoom[probs, rows, peak]
+        best = np.maximum(best, values[probs, rows, peak])
         half *= 2.0 / (_ZOOM_POINTS - 1)
-    return best
-
-
-def _closest_phase(params: WalkParams, steps: int, grid: int) -> tuple[int, float]:
-    """(c, deviation) for the phase c in {+1, -1} closer to W^{[steps,1]}; ties give +1."""
-    dev_plus, dev_minus = (float(d) for d in _signed_deviations(params, steps, grid))
-    return (+1, dev_plus) if dev_plus <= dev_minus else (-1, dev_minus)
+    result = np.empty_like(best)
+    result[order] = best
+    return result
 
 
 def revival_deviation(params: WalkParams, steps: int, target_sign: int,
@@ -136,9 +163,15 @@ def revival_deviation(params: WalkParams, steps: int, target_sign: int,
     return float(dev_plus if target_sign == +1 else dev_minus)
 
 
+def _closest_phase(deviations) -> tuple[int, float]:
+    """(c, deviation) for the phase c in {+1, -1} of the smaller of (dev_plus, dev_minus); ties give +1."""
+    dev_plus, dev_minus = (float(d) for d in deviations)
+    return (+1, dev_plus) if dev_plus <= dev_minus else (-1, dev_minus)
+
+
 def detect_sign(params: WalkParams, steps: int, grid: int = 256) -> int:
     """The phase c in {+1, -1} minimizing the measured deviation at ``steps``."""
-    return _closest_phase(params, steps, grid)[0]
+    return _closest_phase(_signed_deviations(params, steps, grid))[0]
 
 
 def expected_sign(m: int) -> int:
@@ -159,12 +192,27 @@ def revival_report(params: WalkParams, m: int, grid: int = 1024) -> RevivalRepor
     The sign is auto-detected (deviation-minimizing) so a convention mismatch
     shows up as data; for clean revivals it coincides with ``expected_sign``.
     """
-    steps = revival_time(m)
-    sign, dev = _closest_phase(params, steps, grid)
-    scale = 2.0 * alpha_tilde_sup(params.coin_a, params.coin_b) ** m
-    parity = "odd" if m % 2 == 1 else "even"
-    return RevivalReport(m=m, parity=parity, revival_time=steps,
-                         measured_deviation=dev, predicted_scale=scale, sign=sign)
+    return revival_reports([(params, m)], grid)[0]
+
+
+def revival_reports(problems, grid: int = 1024) -> list[RevivalReport]:
+    """``revival_report`` of every (params, m) problem, in input order.
+
+    The deviations come from one ``_deviation_search``, so the problems share
+    their zoom rounds; each report's bits are those of its own call.
+    """
+    problems = list(problems)
+    deviations = _deviation_search(
+        [(params, revival_time(m)) for params, m in problems], grid)
+    reports = []
+    for (params, m), signed in zip(problems, deviations):
+        sign, dev = _closest_phase(signed)
+        scale = 2.0 * alpha_tilde_sup(params.coin_a, params.coin_b) ** m
+        parity = "odd" if m % 2 == 1 else "even"
+        reports.append(RevivalReport(m=m, parity=parity, revival_time=revival_time(m),
+                                     measured_deviation=dev, predicted_scale=scale,
+                                     sign=sign))
+    return reports
 
 
 def appendix_expected(coin_name: str, m: int) -> float:
@@ -192,15 +240,13 @@ def appendix_table(field_denominators, coins=("identity", "i-sigma-y"),
     the given m values.
     """
     coin_entries = {"identity": (1.0, 0.0), "i-sigma-y": (0.0, 1.0)}
-    rows = []
-    for name in coins:
-        a, b = coin_entries[name]
-        for m in field_denominators:
-            params = WalkParams(field=Field.rational(field_numerator, m),
-                                coin_a=a, coin_b=b, time_rule=TimeRule.RX_FIELD)
-            report = revival_report(params, m)
-            rows.append((name, report, appendix_expected(name, m)))
-    return rows
+    cases = [(name, m) for name in coins for m in field_denominators]
+    reports = revival_reports(
+        (WalkParams(field=Field.rational(field_numerator, m), coin_a=coin_entries[name][0],
+                    coin_b=coin_entries[name][1], time_rule=TimeRule.RX_FIELD), m)
+        for name, m in cases)
+    return [(name, report, appendix_expected(name, m))
+            for (name, m), report in zip(cases, reports)]
 
 
 def irrational_revival_bound(cf: ContinuedFraction, k_index: int) -> tuple[int, float]:

@@ -189,6 +189,35 @@ def reference_regrouped_block(k, params: WalkParams, m: int, t_from: int = 1) ->
     return out
 
 
+def reference_signed_deviations(params: WalkParams, steps: int, grid: int) -> np.ndarray:
+    """The per-report deviation search: every round through the reference block,
+    which builds the step matrices afresh."""
+    from qpwalk.revivals import _SIGNS, _ZOOM_POINTS, _phase_distance
+
+    ks = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
+    curves = _phase_distance(reference_regrouped_block(ks, params, steps), _SIGNS[:, None])
+    rows = np.arange(len(_SIGNS))
+    peak = np.argmax(curves, axis=1)
+    centers, best = ks[peak], curves[rows, peak]
+    half = 2.0 * math.pi / grid
+    offsets = np.linspace(-1.0, 1.0, _ZOOM_POINTS)
+    while 2.0 * half > 1e-8:
+        zoom = centers[:, None] + half * offsets
+        values = _phase_distance(reference_regrouped_block(zoom, params, steps),
+                                 _SIGNS[:, None])
+        peak = np.argmax(values, axis=1)
+        centers = zoom[rows, peak]
+        best = np.maximum(best, values[rows, peak])
+        half *= 2.0 / (_ZOOM_POINTS - 1)
+    return best
+
+
+def reference_closest_phase(params: WalkParams, steps: int, grid: int = 1024) -> tuple[int, float]:
+    """A report's (sign, measured_deviation) from the per-report search; ties give +1."""
+    plus, minus = (float(d) for d in reference_signed_deviations(params, steps, grid))
+    return (+1, plus) if plus <= minus else (-1, minus)
+
+
 def reference_rx_step_matrices(params: WalkParams, t_from: int, t_to: int,
                                field_values=None) -> np.ndarray:
     """The RX_FIELD step matrices built as the stacked ``spin @ coin``: one matmul per 2x2 matrix.

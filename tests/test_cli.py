@@ -6,12 +6,16 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from conftest import nan_in_electric_evolve, reference_trace_check, reference_write_record
+from conftest import (nan_in_electric_evolve, reference_closest_phase, reference_trace_check,
+                      reference_write_record)
 
 from qpwalk import __version__, cli
 from qpwalk.cli import (ConfigError, parse_coin, parse_field, parse_int_list,
                         parse_spinor)
-from qpwalk.walk import WalkParams, WalkState, bloch_vector, evolve, position_distribution
+from qpwalk.cfrac import cf_expand, golden_ratio_fraction
+from qpwalk.revivals import irrational_revival_bound, revival_time
+from qpwalk.walk import (Field, WalkParams, WalkState, bloch_vector, evolve,
+                         position_distribution)
 
 ALL_EXPERIMENTS = ["evolve", "revival-scan", "trace-check", "cf",
                    "noise-series", "gauge-check", "appendix-table",
@@ -433,6 +437,73 @@ def test_revival_scan_golden_mode(capsys):
                       "measured_deviation", "bound_leading"]
     for row in rows:
         assert float(row[4]) <= float(row[5]) + 1e-9
+
+
+def _assert_report_cells(row, params, m):
+    """A row's sign and measured_deviation cells are the per-report search's, bit for bit."""
+    sign, dev = reference_closest_phase(params, revival_time(m))
+    assert (int(row[0]), float(row[1]).hex()) == (sign, dev.hex()), (row, m)
+
+
+def test_revival_scan_rows_match_each_report(capsys):
+    """Rows follow --m-list as given (unsorted, with a repeat)."""
+    code, out, _ = run_cli(["revival-scan", "--m-list", "12,3,7,3,2"], capsys)
+    assert code == 0
+    _, header, rows = parse_csv(out)
+    assert header[:5] == ["m", "parity", "revival_time", "sign", "measured_deviation"]
+    assert [int(row[0]) for row in rows] == [12, 3, 7, 3, 2]
+    for row in rows:
+        m = int(row[0])
+        _assert_report_cells(row[3:5], WalkParams(Field.rational(1, m), *parse_coin("hadamard")[:2]), m)
+
+
+@pytest.mark.parametrize("tmax", [30, 200])
+def test_golden_revival_scan_rows_match_each_report(capsys, tmax):
+    """Every convergent up to the first revival time past --tmax, in k order."""
+    code, out, _ = run_cli(["revival-scan", "--field", "golden", "--tmax", str(tmax)], capsys)
+    assert code == 0
+    _, _, rows = parse_csv(out)
+    cf = cf_expand(golden_ratio_fraction(60), 12)
+    expected = []
+    for k_index in range(1, cf.depth()):
+        time, _ = irrational_revival_bound(cf, k_index)
+        if time > tmax:
+            break
+        expected.append((k_index, cf.convergents[k_index - 1].denominator, time))
+    assert [(int(r[0]), int(r[1]), int(r[2])) for r in rows] == expected
+    params = WalkParams(Field.golden(), *parse_coin("hadamard")[:2])
+    for row in rows:
+        _assert_report_cells(row[3:5], params, int(row[1]))
+
+
+def test_appendix_table_rows_match_each_report(capsys):
+    code, out, _ = run_cli(["appendix-table"], capsys)
+    assert code == 0
+    _, header, rows = parse_csv(out)
+    assert header[:6] == ["coin", "m", "parity", "revival_time", "sign", "measured_deviation"]
+    cases = [(coin, m) for coin in ("identity", "i-sigma-y") for m in range(2, 13)]
+    assert [(row[0], int(row[1])) for row in rows] == cases
+    entries = {"identity": (1.0, 0.0), "i-sigma-y": (0.0, 1.0)}
+    for row, (coin, m) in zip(rows, cases):
+        _assert_report_cells(row[4:6], WalkParams(Field.rational(1, m), *entries[coin]), m)
+
+
+def test_revival_scan_memory_is_one_grid_pass(tmp_path):
+    """The grid pass runs one report at a time, so its temporaries stay one grid's size.
+
+    With one search per report, the tracemalloc peak of this scan was
+    464917 bytes (numpy 2.4.6, x86-64).
+    """
+    argv = ["revival-scan", "--m-list", "3,4,5,6,7,8,9,10,11,12", "--out",
+            str(tmp_path / "scan.csv")]
+    assert cli.main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 464917, peak
 
 
 def test_evolve_rows_match_per_step_loop(capsys):

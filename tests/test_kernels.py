@@ -573,6 +573,96 @@ def test_probe_ensemble_trims_a_site_only_when_every_walk_does():
     assert own[1, 6] > 1e199 and _same_bits(p0[1, :7], own[1, :7])
 
 
+def _reference_trim_shared(up, dn, lo, hi, ui, di):
+    """The every-walk trim rule, one Python complex at a time, on copies of the arrays."""
+    up, dn = up.copy(), dn.copy()
+
+    def every_walk_negligible(i):
+        return all(_kernels._negligible(p, q)
+                   for p, q in zip(up[i + ui].tolist(), dn[i + di].tolist()))
+
+    while hi > lo and every_walk_negligible(hi):
+        up[hi + ui] = dn[hi + di] = 0.0
+        hi -= 1
+    while lo < hi and every_walk_negligible(lo):
+        up[lo + ui] = dn[lo + di] = 0.0
+        lo += 1
+    return lo, hi, up, dn
+
+
+@pytest.mark.parametrize("walks", [1, 3])
+def test_trim_shared_keeps_a_site_any_walk_holds(walks):
+    """Walk 0's scalar check first: an edge negligible only in walk 0 stays, one
+    negligible in every walk goes, and sub-threshold parts in any component
+    or walk are judged as the every-walk rule judges them."""
+    tiny = 1e-230
+    cases = [
+        # right edge (site 4) negligible in walk 0 only; left edge (site 0) in every walk
+        ({(4, 0): tiny, (0, 0): tiny, (0, 1): tiny, (0, 2): tiny}, (1, 4)),
+        # both edges negligible in every walk, the next site inward in walk 0 only
+        ({(4, 0): 0.0, (4, 1): tiny, (4, 2): 0.0, (3, 0): tiny,
+          (0, 0): 0.0, (0, 1): 0.0, (0, 2): tiny, (1, 0): 0.0}, (1, 3)),
+        # walk 0 holds both edges; the others are negligible there
+        ({(4, 1): 0.0, (4, 2): 0.0, (0, 1): tiny, (0, 2): 0.0}, (0, 4)),
+        # every site negligible in every walk: one site is left
+        ({(i, e): tiny for i in range(5) for e in range(3)}, (0, 0)),
+    ]
+    for values, (want_lo, want_hi) in cases:
+        # site i of walk r: up[i + 2, r], dn[i + 1, r]; neighbours outside [0, 4] are zero
+        up = np.zeros((8, walks), dtype=complex)
+        dn = np.zeros((7, walks), dtype=complex)
+        up[2:7] = 0.6 + 0.1j
+        dn[1:6] = 0.3 - 0.2j
+        for (i, r), value in values.items():
+            if r < walks:
+                up[i + 2, r] = value * (1 + 1j)
+                dn[i + 1, r] = value * 0.5
+        if walks == 1:  # only walk 0's entries decide
+            want_lo, want_hi = _reference_trim_shared(up, dn, 0, 4, 2, 1)[:2]
+        ref_lo, ref_hi, ref_up, ref_dn = _reference_trim_shared(up, dn, 0, 4, 2, 1)
+        assert (ref_lo, ref_hi) == (want_lo, want_hi)
+        assert _kernels._trim_shared(up, dn, 0, 4, 2, 1) == (want_lo, want_hi)
+        assert _same_bits(up, ref_up) and _same_bits(dn, ref_dn)
+
+
+def test_probe_ensemble_edge_checks_match_each_walk():
+    """Edges negligible in walk 0 alone stay, edges negligible in every walk go.
+
+    Walk 0 keeps its first-step down amplitude at exactly zero (a diagonal
+    matrix) while the other walks spread, so walk 0 alone is negligible at
+    the left edge; with every walk diagonal, that edge is trimmed. p0 keeps
+    the bits of each walk's own run either way.
+    """
+    steps = 12
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    for walks, spreading, kept in ((3, (1, 2), True), (2, (), False)):
+        mats = np.zeros((steps, 2, 2, walks), dtype=complex)
+        mats[:, 0, 0] = 1.0
+        mats[:, 1, 1] = np.exp(0.3j * np.arange(walks))
+        for e in spreading:
+            mats[:, :, :, e] = hadamard
+        psi = np.array([[0.6, 0.0], [0.0, 0.0], [0.8j, 0.0]])
+        edges = []
+        trim = _kernels._trim_shared
+
+        def spy(up, dn, lo, hi, ui, di):
+            want = _reference_trim_shared(up, dn, lo, hi, ui, di)
+            if hi > lo:
+                neg = [_kernels._negligible(up[lo + ui, e], dn[lo + di, e]) for e in range(walks)]
+                edges.append((neg[0], all(neg), want[0] == lo))
+            got = trim(up, dn, lo, hi, ui, di)
+            assert got == want[:2] and _same_bits(up, want[2]) and _same_bits(dn, want[3])
+            return got
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_kernels, "_trim_shared", spy)
+            p0 = _kernels.probe_ensemble(psi, 1, steps, walks, [mats])
+        assert _same_bits(p0, _probe_each_walk(psi, mats, 1)[0])
+        # the left edge: negligible in walk 0, and kept only while another walk holds it
+        assert (True, not kept, kept) in edges
+        assert (True, kept, not kept) not in edges
+
+
 @pytest.mark.parametrize("field,coin,seed,walks", [
     (Field.from_turns(0.3), (0.1, 0.99498743710662j), 2, 3),
     (Field.golden(), (0.999, 0.0447101778122163j), 1, 2),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import bits, random_su2, reference_cyclic_trace, reference_regrouped_block
-from qpwalk.momentum import (alpha_tilde, alpha_tilde_sup, coin_shift_matrix,
+from qpwalk.momentum import (_compose, alpha_tilde, alpha_tilde_sup, coin_shift_matrix,
                              dispersion, regrouped_block, regrouped_trace,
                              shift_momentum, step_block, tilde_pair,
                              trace_formula)
@@ -105,6 +105,25 @@ def test_regrouped_block_bits_match_broadcast_reference(rule, coin):
             want = reference_regrouped_block(k, params, m, t_from=t_from)
             assert got.shape == want.shape == np.shape(k) + (2, 2)
             assert np.array_equal(bits(got), bits(want)), (k, m, t_from)
+
+
+@pytest.mark.parametrize("rule", [TimeRule.RX_FIELD, TimeRule.GAUGED_SZ])
+def test_compose_gives_each_problem_its_own_block(rng, rule):
+    """Ragged problems in one pass: problem p's block over its own momenta k[p],
+    bit for bit, whether it leaves the product early or runs to the end."""
+    lengths = [9, 9, 6, 2, 1]  # longest first
+    params = [WalkParams(field, *random_su2(rng), time_rule=rule)
+              for field in (Field.golden(), Field.rational(1, 7), Field.rational(2, 5),
+                            Field.rational(1, 4), Field.from_turns(0.3))]
+    mats = np.zeros((9, 2, 2, 5), dtype=complex)
+    for p, (par, steps) in enumerate(zip(params, lengths)):
+        mats[:steps, :, :, p] = par.step_matrices(1, steps)
+    ragged = [mats[t, :, :, :sum(steps > t for steps in lengths)] for t in range(9)]
+    k = rng.uniform(0.0, 2.0 * math.pi, size=(5, 3, 4))
+    got = _compose(k, ragged, params[0].matrix_before_shift)
+    assert got.shape == (5, 3, 4, 2, 2)
+    for p, (par, steps) in enumerate(zip(params, lengths)):
+        assert np.array_equal(bits(got[p]), bits(reference_regrouped_block(k[p], par, steps)))
 
 
 def test_tilde_pair_is_hadamard_basis_transform(rng):

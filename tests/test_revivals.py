@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import bits, random_su2, reference_regrouped_block
+from conftest import bits, random_su2, reference_signed_deviations
+from qpwalk import revivals
 from qpwalk.cfrac import cf_expand, golden_ratio_fraction
 from qpwalk.momentum import regrouped_block
-from qpwalk.revivals import (_SIGNS, _ZOOM_POINTS, RevivalReport, _phase_distance,
+from qpwalk.revivals import (RevivalReport, _deviation_search, _phase_distance,
                              _signed_deviations, appendix_expected, appendix_table,
                              detect_sign, expected_sign, irrational_revival_bound,
-                             revival_deviation, revival_report, revival_time)
+                             revival_deviation, revival_report, revival_reports,
+                             revival_time)
 from qpwalk.spinops import operator_norm_2x2
 from qpwalk.walk import (Field, TimeRule, WalkParams, WalkState, evolve,
                          hadamard_params)
@@ -34,27 +36,6 @@ def test_revival_deviation_refines_brute_force_grid():
     assert dev == pytest.approx(brute, abs=1e-6)
 
 
-def reference_signed_deviations(params, steps, grid):
-    """``_signed_deviations`` as it was: every round through the reference block,
-    which builds the step matrices afresh."""
-    ks = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
-    curves = _phase_distance(reference_regrouped_block(ks, params, steps), _SIGNS[:, None])
-    rows = np.arange(len(_SIGNS))
-    peak = np.argmax(curves, axis=1)
-    centers, best = ks[peak], curves[rows, peak]
-    half = 2.0 * math.pi / grid
-    offsets = np.linspace(-1.0, 1.0, _ZOOM_POINTS)
-    while 2.0 * half > 1e-8:
-        zoom = centers[:, None] + half * offsets
-        values = _phase_distance(reference_regrouped_block(zoom, params, steps),
-                                 _SIGNS[:, None])
-        peak = np.argmax(values, axis=1)
-        centers = zoom[rows, peak]
-        best = np.maximum(best, values[rows, peak])
-        half *= 2.0 / (_ZOOM_POINTS - 1)
-    return best
-
-
 @pytest.mark.parametrize("field, coin, rule, steps, grid", [
     (Field.rational(1, 5), (HALF, HALF), TimeRule.RX_FIELD, 10, 1024),
     (Field.rational(1, 8), (0.6, 0.8j), TimeRule.RX_FIELD, 8, 256),
@@ -69,6 +50,67 @@ def test_signed_deviations_bits_match_reference_zoom(field, coin, rule, steps, g
     got = _signed_deviations(params, steps, grid)
     want = reference_signed_deviations(params, steps, grid)
     assert np.array_equal(bits(got), bits(want))
+
+
+COINS = {"hadamard": (HALF, HALF), "complex": (0.6, 0.8j), "identity": (1.0, 0.0),
+         "i-sigma-y": (0.0, 1.0)}
+
+
+def _problem_set(name, coin, rule):
+    """(params, steps) problems: rational m = 12, 3, 7, 3, 2 (unsorted, one step
+    count twice), the golden convergents d_k = 1, 2, 3, 5, 8, 13, or one problem."""
+    if name == "golden":
+        params = WalkParams(Field.golden(), *coin, time_rule=rule)
+        return [(params, revival_time(d)) for d in (1, 2, 3, 5, 8, 13)]
+    ms = (12, 3, 7, 3, 2) if name == "rational" else (5,)
+    return [(WalkParams(Field.rational(1, m), *coin, time_rule=rule), revival_time(m))
+            for m in ms]
+
+
+@pytest.mark.parametrize("grid", [256, 1024])
+@pytest.mark.parametrize("rule", [TimeRule.RX_FIELD, TimeRule.GAUGED_SZ])
+@pytest.mark.parametrize("coin", COINS.values(), ids=COINS.keys())
+@pytest.mark.parametrize("name", ["rational", "golden", "single"])
+def test_deviation_search_bits_match_each_problem_alone(name, coin, rule, grid):
+    """Shared zoom rounds keep every bit of each problem's own per-report search."""
+    problems = _problem_set(name, coin, rule)
+    got = _deviation_search(problems, grid)
+    assert got.shape == (len(problems), 2)
+    for row, (params, steps) in zip(got, problems):
+        assert np.array_equal(bits(row), bits(reference_signed_deviations(params, steps, grid)))
+
+
+def test_deviation_search_rejects_mixed_step_orders_and_empty_products():
+    rx = (hadamard_params(Field.rational(1, 3)), 6)
+    gauged = (hadamard_params(Field.rational(1, 3), TimeRule.GAUGED_SZ), 6)
+    with pytest.raises(ValueError, match="one step order"):
+        _deviation_search([rx, gauged], 256)
+    with pytest.raises(ValueError, match="steps must be positive"):
+        _deviation_search([rx, (rx[0], 0)], 256)
+    assert _deviation_search([], 256).shape == (0, 2)
+
+
+def test_deviation_search_composes_each_zoom_round_once(monkeypatch):
+    """One grid pass per problem, then one composition per zoom round for all of them."""
+    calls = []
+    compose = revivals._compose
+    monkeypatch.setattr(revivals, "_compose",
+                        lambda k, mats, before: calls.append(k.shape) or compose(k, mats, before))
+    problems = _problem_set("rational", COINS["hadamard"], TimeRule.RX_FIELD)
+    _deviation_search(problems[:1], 1024)
+    rounds = len(calls) - 1
+    calls.clear()
+    _deviation_search(problems, 1024)
+    assert calls == [(1, 1024)] * 5 + [(5, 2, revivals._ZOOM_POINTS)] * rounds
+
+
+def test_revival_reports_match_revival_report_in_input_order():
+    problems = [(hadamard_params(Field.rational(1, m)), m) for m in (12, 3, 7, 3, 2)]
+    problems.append((WalkParams(Field.golden(), 0.6, 0.8j), 13))
+    reports = revival_reports(problems)
+    assert reports == [revival_report(params, m) for params, m in problems]
+    assert [r.m for r in reports] == [12, 3, 7, 3, 2, 13]
+    assert revival_reports([]) == []
 
 
 @pytest.mark.parametrize("rule", [TimeRule.RX_FIELD, TimeRule.GAUGED_SZ])

@@ -1,5 +1,5 @@
 """Position-space evolution kernels: one vectorized numpy loop per step order,
-and an ensemble probe that runs many walks in one loop.
+and an origin probe that runs one walk or many in one loop.
 
 Both step-order kernels take a state's window ``psi`` of shape
 ``(hi - lo + 1, 2)``, whose row i holds site ``lo + i`` (column 0 is the
@@ -10,55 +10,52 @@ those sites. They never write to ``psi``.
 
 The state convention: one walk step applies a 2x2 matrix in spin space and a
 spin-conditioned shift (up moves one site right, down one site left). The two
-step orders are matrix-before-shift, with an optional probe of the spinor at
-one site, and shift-before-matrix, with an optional per-site phase applied
-after the matrix (the electric walk).
+step orders are matrix-before-shift and shift-before-matrix, the latter with
+an optional per-site phase applied after the matrix (the electric walk).
 
 Comoving layout: spin-up and spin-down live in two contiguous arrays. A call
 keeps every site of its window (stride 1) unless the window holds one
 sublattice: each step moves every amplitude by one site, so a walk that
 starts on one site x0 lives only on sites x with x + t = x0 (mod 2), and a
-window whose every other site is exactly zero (one-site windows included)
-is stepped on its occupied half alone (stride 2). After t of a call's
-``steps`` steps, compressed index j holds site ``first + stride * j``, where
-``first`` drops by ``stride - 1`` per step. Index j's up amplitude is at
+window whose every other site is exactly zero (one-site windows included) is
+stepped on its occupied half alone (stride 2). After t of a call's ``steps``
+steps, compressed index j holds site ``first + stride * j``, where ``first``
+drops by ``stride - 1`` per step. Index j's up amplitude is at
 ``up[j + steps - t]``; its down amplitude is at ``dn[j - steps + t]`` at
 stride 1 and at ``dn[j]`` at stride 2. Either way a shift leaves every
-amplitude at its index and moves no data. The first step fills the arrays
-from ``psi``; after the last, both offsets are zero and the live part of the
-arrays is copied into the returned window. Each step's matrix product is six
-ufunc calls on contiguous slices in the operand order of ``m00*u + m01*d``,
-and the electric walk's per-site phases are read per parity from contiguous
-copies: bit-identical to shifting a zero-padded buffer in place, as the
-reference loops in ``tests/conftest.py`` do (BLAS ``matmul`` would round
-differently). The matrix entries go in as 0-d array views of the step's
-row: a numpy scalar operand rounds the same but is converted to an array
-on every call, about half a microsecond of each ufunc call at small
-windows, six (eight with phases) times per step. At stride 2 the empty
-sublattice is never computed: where those loops leave zeros of either
-sign, the returned window holds +0.0, and the origin probe reads +0.0 at
-the steps that leave the origin empty. Occupied amplitudes, bounds and
-trims are bit-identical.
+amplitude at its index and moves no data. A call first copies ``psi`` into
+the arrays; after the last step both offsets are zero and the live part of
+the arrays is copied into the returned window. Each step's matrix product
+is six ufunc calls on contiguous slices in the operand order of
+``m00*u + m01*d``, and the electric walk's per-site phases are read per
+parity from contiguous copies: bit-identical to shifting a zero-padded
+buffer in place, as the reference loops in ``tests/conftest.py`` do (BLAS
+``matmul`` would round differently). The matrix entries of one walk go in
+as 0-d array views of the step's row: a numpy scalar operand rounds the same
+but is converted to an array on every call, about half a microsecond of each
+ufunc call at small windows, six (eight with phases) times per step. At
+stride 2 the empty sublattice is never computed: where those loops leave
+zeros of either sign, the returned window holds +0.0. Occupied amplitudes,
+bounds and trims are bit-identical.
 
 After every step the kernels zero boundary sites whose four real components
-are all below ``TRIM_THRESHOLD`` (1e-200) and shrink the bounds accordingly.
-The trim changes the state by less than ~1e-196 per step — far below every
-tolerance in use — and keeps the live window proportional to the physically
-occupied region, which matters for localized walks: without it their
-exponential tails descend into subnormal floats, where hardware arithmetic
-is orders of magnitude slower.
+are all below ``TRIM_THRESHOLD`` (1e-200) and shrink the bounds accordingly
+(``_trim``). The trim changes the state by less than ~1e-196 per step — far
+below every tolerance in use — and keeps the live window proportional to the
+physically occupied region, which matters for localized walks: without it
+their exponential tails descend into subnormal floats, where hardware
+arithmetic is orders of magnitude slower.
 
-The ensemble probe (``probe_ensemble``) advances E matrix-before-shift walks
-from one start and returns only their return probabilities. It takes the
-same stride rule and layout, with site-major arrays of shape (compressed
-sites, E), so a step is the same six ufunc calls with a row of one matrix
-entry per walk, each over contiguous rows. Because no final state comes
-back, each step keeps only the sites that can still reach the origin (the
-light cone), about half the site-steps of a full run, and the arrays hold
-about (T + width) / stride rows. All walks share one window, and an edge
-site is trimmed only when it is negligible in every walk. A walk's own run
-may zero a site that the shared window keeps; for unitary matrices such a
-site changes no bit of any return probability (see ``probe_ensemble``).
+The origin probe (``probe_ensemble``) advances E >= 1 matrix-before-shift
+walks from one start and hands back their spinors at one site, step by step.
+It takes the same stride rule and layout, with a column per walk when E > 1.
+No final state comes back, so each step keeps only the light cone: the sites
+that can still reach the origin, about half the site-steps of a full run.
+All walks share one window, and an edge site is trimmed only where it is
+negligible in every walk. The probe's origin components therefore differ
+from those of a walk's own full run by less than (width + 2T) * 2e-200,
+which can change the bits of a component only where it is below about
+1e-178 (see ``probe_ensemble``).
 """
 
 from __future__ import annotations
@@ -72,21 +69,41 @@ import numpy as np
 TRIM_THRESHOLD = 1e-200
 
 
-def _negligible(u, d):
-    """True when every component of the Python complex spinor (u, d) is below the threshold."""
-    return (abs(u.real) < TRIM_THRESHOLD and abs(u.imag) < TRIM_THRESHOLD
-            and abs(d.real) < TRIM_THRESHOLD and abs(d.imag) < TRIM_THRESHOLD)
+def _negligible(lead, i, other, j):
+    """True when the site at lead[i] and other[j] is below the threshold in every walk.
+
+    The arrays are 1-D for one walk and (rows, E) for E walks. ``lead`` is
+    the part the shift brings to the edge being checked (``up`` on the
+    right, ``dn`` on the left), usually the larger one, so walk 0's lead is
+    read first: at an edge that walk 0 holds, the usual case, one Python
+    scalar decides and no numpy call runs. With more walks, a lead modulus
+    of at least twice the threshold in any walk puts a component above it.
+    """
+    one = lead.ndim == 1
+    z = lead.item(i) if one else lead.item(i, 0)
+    if not (abs(z.real) < TRIM_THRESHOLD and abs(z.imag) < TRIM_THRESHOLD):
+        return False
+    if one:
+        z = other.item(j)
+        return abs(z.real) < TRIM_THRESHOLD and abs(z.imag) < TRIM_THRESHOLD
+    if np.abs(lead[i]).max() >= 2.0 * TRIM_THRESHOLD:
+        return False
+    return all(abs(z.real) < TRIM_THRESHOLD and abs(z.imag) < TRIM_THRESHOLD
+               for z in lead[i].tolist() + other[j].tolist())
 
 
-def _trim_bounds(up, dn, lo, hi, drift, dn_drift):
-    """Drop negligible edge sites; compressed site j is at up[j + drift], dn[j - dn_drift]."""
-    while hi > lo and _negligible(up.item(hi + drift), dn.item(hi - dn_drift)):
-        up[hi + drift] = 0.0
-        dn[hi - dn_drift] = 0.0
+def _trim(up, dn, lo, hi, ui, di):
+    """Zero and drop the edge sites of [lo, hi] negligible in every walk; return the bounds.
+
+    Compressed site i is at up[i + ui] and dn[i + di], an element for one
+    walk and a row of E for E walks. The right edge is trimmed first, then
+    the left; at least one site is kept.
+    """
+    while hi > lo and _negligible(up, hi + ui, dn, hi + di):
+        up[hi + ui] = dn[hi + di] = 0.0
         hi -= 1
-    while lo < hi and _negligible(up.item(lo + drift), dn.item(lo - dn_drift)):
-        up[lo + drift] = 0.0
-        dn[lo - dn_drift] = 0.0
+    while lo < hi and _negligible(dn, lo + di, up, lo + ui):
+        up[lo + ui] = dn[lo + di] = 0.0
         lo += 1
     return lo, hi
 
@@ -97,23 +114,26 @@ def _stride(psi):
 
 
 def _layout(psi, lo, hi, steps):
-    """The compressed layout of a call: stride, first site, window, four arrays.
+    """The compressed layout of a one-walk call: stride, first site, window, four arrays.
 
     The stride is ``_stride(psi)``. Returns the site of compressed index 0,
-    the compressed bounds of [lo, hi], and two zeroed comoving arrays and
-    two scratch arrays, each with room for the widest compressed window.
+    the compressed bounds of [lo, hi], and the two comoving arrays, holding
+    ``psi`` before the first step and zeros elsewhere, and two scratch
+    arrays, each with room for the widest compressed window.
     """
     stride = _stride(psi)
     dn_rate = 2 - stride
     size = (hi - lo + 2 * steps) // stride + 1
-    arrays = (np.zeros(size, dtype=complex), np.zeros(size, dtype=complex),
-              np.empty(size, dtype=complex), np.empty(size, dtype=complex))
-    return (stride, lo - dn_rate * steps, dn_rate * steps,
-            dn_rate * steps + (hi - lo) // stride, arrays)
+    up, dn = np.zeros(size, dtype=complex), np.zeros(size, dtype=complex)
+    c_lo, c_hi = dn_rate * steps, dn_rate * steps + (hi - lo) // stride
+    up[c_lo + steps:c_hi + steps + 1] = psi[::stride, 0]
+    dn[:c_hi - c_lo + 1] = psi[::stride, 1]
+    return (stride, lo - dn_rate * steps, c_lo, c_hi,
+            (up, dn, np.empty(size, dtype=complex), np.empty(size, dtype=complex)))
 
 
 def _window(up, dn, lo, hi, first, stride):
-    """The final arrays (drift zero) as ``(lo, hi, window)`` in sites.
+    """The final arrays (offsets zero) as ``(lo, hi, window)`` in sites.
 
     Compressed site j is site ``first + stride * j``; parity-empty sites hold +0.0.
     """
@@ -149,165 +169,23 @@ def _spin_product(m, u, d, u_out, d_out, x, y, phase=None):
         np.multiply(d_out, phase, d_out)
 
 
-def steps_matrix_then_shift(psi, lo, hi, mats, origin=None, out_spinor=None):
-    """Apply ``mats[t]`` then the shift for each t.
-
-    When ``origin`` is given, ``out_spinor[t]`` receives the (up, down)
-    spinor at site ``origin`` after step t: zero whenever ``origin`` lies
-    outside the live window or on the sublattice the window leaves empty.
-    """
+def steps_matrix_then_shift(psi, lo, hi, mats):
+    """Apply ``mats[t]`` then the shift for each t."""
     steps = mats.shape[0]
     entries = mats.reshape(steps, 4)
     stride, first, lo, hi, (up, dn, x, y) = _layout(psi, lo, hi, steps)
     dn_rate = 2 - stride  # compressed sites a down amplitude moves left per step
+    ui, di = steps, -dn_rate * steps
     for t in range(steps):
-        drift = steps - t - 1
-        dn_drift = dn_rate * drift
         # compressed site j's new up (down) amplitude belongs to j + 1
         # (j - dn_rate), whose index after this step is the one j's had before it
-        u = up[lo + drift + 1:hi + drift + 2]
-        d = dn[lo - dn_drift - dn_rate:hi - dn_drift - dn_rate + 1]
-        if t == 0:  # the first product reads psi and fills the comoving arrays
-            _spin_product(entries[0], psi[::stride, 0], psi[::stride, 1], u, d, x, y)
-        else:
-            _spin_product(entries[t], u, d, u, d, x, y)
-        first -= stride - 1
-        lo, hi = _trim_bounds(up, dn, lo - dn_rate, hi + 1, drift, dn_drift)
-        if origin is not None:
-            j, off = divmod(origin - first, stride)
-            if off == 0 and lo <= j <= hi:
-                out_spinor[t, 0] = up[j + drift]
-                out_spinor[t, 1] = dn[j - dn_drift]
-            else:
-                out_spinor[t] = 0.0
-    return _window(up, dn, lo, hi, first, stride)
-
-
-def spinor_probabilities(ups, downs):
-    """|u|^2 + |d|^2 for each spinor, over sequences of Python complex values.
-
-    Python's ``abs`` and ``** 2`` round exactly as numpy's scalar forms do;
-    ``np.abs`` on a complex array differs from them in the last ulp, and so
-    does numpy's squaring (``x * x``, or ``np.power`` with an array exponent)
-    for some values.
-    """
-    return [abs(u) ** 2 + abs(d) ** 2 for u, d in zip(ups, downs)]
-
-
-def _trim_shared(up, dn, lo, hi, ui, di):
-    """``_trim_bounds`` for walks that share the window [lo, hi].
-
-    Walk r's site i is at up[i + ui, r] and dn[i + di, r]. An edge site is
-    dropped only when it is negligible in every walk. Walk 0 is checked
-    first with ``_negligible`` on its two scalars, as ``_trim_bounds`` does:
-    an edge that walk 0 holds, the usual case, stays without a numpy
-    reduction. Every trim decision is the every-walk rule's.
-    """
-    for inward in (-1, 1):
-        while hi > lo:
-            i = hi if inward < 0 else lo
-            if not _negligible(up.item(i + ui, 0), dn.item(i + di, 0)):
-                break
-            u, d = up[i + ui], dn[i + di]
-            # the part the shift brings to this edge (up on the right, down on
-            # the left) is usually the large one; a modulus of at least twice
-            # the threshold in any walk puts a component above it
-            if np.abs(u if inward < 0 else d).max() >= 2.0 * TRIM_THRESHOLD:
-                break
-            if not all(_negligible(p, q) for p, q in zip(u.tolist(), d.tolist())):
-                break
-            up[i + ui] = 0.0
-            dn[i + di] = 0.0
-            if inward < 0:
-                hi -= 1
-            else:
-                lo += 1
-    return lo, hi
-
-
-def _step_entries(blocks, walks):
-    """Per-step matrix entries, shape (4, E), from consecutive (n, 2, 2, E) blocks.
-
-    One walk gets rows of shape (4,), whose entries ``_spin_product`` reads
-    as 0-d arrays, as ``steps_matrix_then_shift`` does. A (4, 1) row would
-    give entries of shape (1,), which broadcast as a one-element array: that
-    takes another numpy loop for a one-site product and rounds differently.
-    """
-    for block in blocks:
-        entries = block.reshape(block.shape[0], 4, walks)
-        yield from (entries[:, :, 0] if walks == 1 else entries)
-
-
-def probe_ensemble(psi, origin, steps, walks, blocks):
-    """Return probabilities at row ``origin`` of ``psi`` of E walks that share a start.
-
-    ``blocks`` yields the step matrices as consecutive arrays of shape
-    (n, 2, 2, E) that cover the T = ``steps`` steps; walk e applies matrix
-    [t, :, :, e] then the shift at step t, as ``steps_matrix_then_shift``
-    does, to the window ``psi`` of shape (width, 2). ``origin`` may lie
-    outside the window. Returns p0 of shape (E, T + 1): p0[e, t] is walk e's
-    |up|^2 + |down|^2 at the origin after t steps.
-
-    The layout is ``steps_matrix_then_shift``'s, in comoving arrays of shape
-    (compressed sites, E): stride 2 when ``psi`` holds one sublattice, else
-    1, and after t steps compressed index j holds row ``first + stride * j``,
-    where ``first`` starts at 0 and drops by ``stride - 1`` per step. No final
-    state comes back, so each step keeps only the light cone, the rows within
-    T - t of the origin: compressed [c_lo + t, c_hi - (2 - stride) * t], with
-    c_lo and c_hi the ceiling and floor of (origin -/+ T) / stride, so the
-    arrays need about (T + width) / stride rows. At stride 2 p0 is read only
-    at the steps that put the origin on the occupied sublattice; at the
-    others it stays +0.0, as |u|^2 + |d|^2 gives for zeros of either sign.
-    All walks share one window [lo, hi], and an edge site is trimmed only
-    when it is negligible in every walk.
-
-    For unitary matrices every p0 is bit for bit the value the walk's own
-    origin-probed ``steps_matrix_then_shift`` run gives. The two runs differ
-    only at edge sites that one zeroes and the other keeps: sites the walk's
-    own run trims but another walk keeps in the shared window, and, where the
-    cone cuts a window, sites at the cut. Each such site has norm below
-    2 * ``TRIM_THRESHOLD``, and unitary steps never grow a difference, so
-    after T steps every amplitude differs by less than (width + 2T) * 2e-200.
-    That can change a bit of an amplitude u only where |u| < ~1e-178, and
-    there |u|^2 underflows to zero, so p0 keeps its bits.
-    """
-    p0 = np.zeros((walks, steps + 1))
-    if 0 <= origin < psi.shape[0]:
-        p0[:, 0] = spinor_probabilities([psi.item(origin, 0)], [psi.item(origin, 1)])
-    stride = _stride(psi)
-    dn_rate = 2 - stride  # compressed sites a down amplitude moves left per step
-    cone_lo, cone_hi = -((steps - origin) // stride), (origin + steps) // stride
-    lo, hi = max(0, cone_lo), min((psi.shape[0] - 1) // stride, cone_hi)
-    if lo > hi:
-        return p0
-    # After t steps compressed site j's up amplitude is at up[j + steps - t - ub]
-    # and its down amplitude at dn[j - dn_rate * (steps - t) - db]; the rows
-    # span every index the cone and the window growth can reach.
-    ub, db = max(cone_lo + steps, lo - dn_rate * steps), lo - dn_rate * steps
-    up = np.zeros((hi + steps - ub + 1, walks), dtype=complex)
-    dn = np.zeros((min(cone_hi - dn_rate * steps, hi + steps) - db + 1, walks), dtype=complex)
-    x, y = np.empty_like(up), np.empty_like(up)
-    first = 0
-    for t, m in enumerate(_step_entries(blocks, walks)):
-        drift = steps - t - 1
-        dn_drift = dn_rate * drift
-        u = up[lo + drift + 1 - ub:hi + drift + 2 - ub]
-        d = dn[lo - dn_drift - dn_rate - db:hi - dn_drift - dn_rate + 1 - db]
-        if t == 0:
-            rows = slice(stride * lo, stride * hi + 1, stride)
-            _spin_product(m, psi[rows, 0:1], psi[rows, 1:2], u, d, x, y)
-        else:
-            _spin_product(m, u, d, u, d, x, y)
-        first -= stride - 1
-        # grow by one site, clip to the cone of half-width drift, trim
-        ui, di = drift - ub, -dn_drift - db
-        lo, hi = max(lo - dn_rate, cone_lo + t + 1), min(hi + 1, cone_hi - dn_rate * (t + 1))
-        lo, hi = _trim_shared(up, dn, lo, hi, ui, di)
-        # the origin's slots hold zeros while the window misses it
-        j, off = divmod(origin - first, stride)
-        if off == 0 and 0 <= j + ui < up.shape[0] and 0 <= j + di < dn.shape[0]:
-            p0[:, t + 1] = spinor_probabilities(up[j + ui].tolist(), dn[j + di].tolist())
-    return p0
+        u = up[lo + ui:hi + ui + 1]
+        d = dn[lo + di:hi + di + 1]
+        _spin_product(entries[t], u, d, u, d, x, y)
+        ui -= 1
+        di += dn_rate
+        lo, hi = _trim(up, dn, lo - dn_rate, hi + 1, ui, di)
+    return _window(up, dn, lo, hi, first - (stride - 1) * steps, stride)
 
 
 def steps_shift_then_matrix(psi, lo, hi, mats, site_phase=None):
@@ -320,26 +198,123 @@ def steps_shift_then_matrix(psi, lo, hi, mats, site_phase=None):
     steps = mats.shape[0]
     entries = mats.reshape(steps, 4)
     phase_site = lo - steps  # the site of site_phase[0]
+    # the copy into the comoving arrays is the first shift
     stride, first, lo, hi, (up, dn, x, y) = _layout(psi, lo, hi, steps)
     dn_rate = 2 - stride  # compressed sites a down amplitude moves left per step
-    # the copy into the comoving arrays is the first shift
-    up[lo + steps:hi + steps + 1] = psi[::stride, 0]
-    dn[lo - dn_rate * steps:hi - dn_rate * steps + 1] = psi[::stride, 1]
+    ui, di = steps, -dn_rate * steps
     phase = None
     if site_phase is not None:
         # phase index stride * k + p is at phases[p][k], in contiguous memory
         phases = [np.ascontiguousarray(site_phase[p::stride]) for p in range(stride)]
     for t in range(steps):
-        drift = steps - t - 1
-        dn_drift = dn_rate * drift
         first -= stride - 1
         lo -= dn_rate
         hi += 1
-        u = up[lo + drift:hi + drift + 1]
-        d = dn[lo - dn_drift:hi - dn_drift + 1]
+        ui -= 1
+        di += dn_rate
+        u = up[lo + ui:hi + ui + 1]
+        d = dn[lo + di:hi + di + 1]
         if site_phase is not None:
             k, p = divmod(first + stride * lo - phase_site, stride)
             phase = phases[p][k:k + hi - lo + 1]
         _spin_product(entries[t], u, d, u, d, x, y, phase)
-        lo, hi = _trim_bounds(up, dn, lo, hi, drift, dn_drift)
+        lo, hi = _trim(up, dn, lo, hi, ui, di)
     return _window(up, dn, lo, hi, first, stride)
+
+
+def _step_entries(blocks, walks):
+    """Per-step matrix entries, shape (4, E), from consecutive (n, 2, 2, E) blocks.
+
+    One walk gets rows of shape (4,), whose entries ``_spin_product`` reads
+    as 0-d arrays, as the step-order kernels do. A (4, 1) row would give
+    entries of shape (1,), which broadcast as a one-element array: that
+    takes another numpy loop for a one-site product and rounds differently.
+    """
+    for block in blocks:
+        entries = block.reshape(block.shape[0], 4, walks)
+        yield from (entries[:, :, 0] if walks == 1 else entries)
+
+
+def probe_ensemble(psi, origin, steps, walks, blocks):
+    """Yield the spinors at row ``origin`` of ``psi`` of E walks that share a start.
+
+    ``blocks`` yields the step matrices as consecutive arrays of shape
+    (n, 2, 2, E) that cover the T = ``steps`` steps; walk e applies matrix
+    [t, :, :, e] then the shift at step t to the window ``psi`` of shape
+    (width, 2). ``origin`` may lie outside the window. After step t the
+    probe yields ``(t, ups, downs)``: each walk's up and down amplitude at
+    the origin, as lists of Python complex values. Steps that leave the
+    origin empty (out of reach, or on the sublattice the window leaves
+    empty) yield nothing; their spinors are zero.
+
+    The layout is the step-order kernels', with one walk in 1-D arrays and
+    E > 1 walks in arrays of shape (compressed sites, E): after t steps
+    compressed index j holds row ``first + stride * j``, where ``first``
+    starts at 0 and drops by ``stride - 1`` per step. Each step keeps only
+    the rows within T - t of the origin: compressed [c_lo + t, c_hi -
+    (2 - stride) * t], with c_lo and c_hi the ceiling and floor of
+    (origin -/+ T) / stride, so the arrays need about (T + width) / stride
+    rows. All walks share one window [lo, hi], and an edge site is trimmed
+    only when it is negligible in every walk.
+
+    For unitary matrices the spinors differ from those of the walk's own
+    full run (``steps_matrix_then_shift``, which keeps every site and trims
+    only its own) only through sites that one run zeroes and the other
+    keeps: sites the walk's own run trims but another walk keeps in the
+    shared window, and sites a trim at the cone's edge drops. Each has norm
+    below 2 * ``TRIM_THRESHOLD``, and unitary steps never grow a difference,
+    so after T steps every amplitude differs by less than (width + 2T) *
+    2e-200. That can change the bits of an origin component only where the
+    component is below about 1e-178 (for width + 2T up to 10^6), a zero of
+    either sign included. Likewise it can change |u| only where |u| is below
+    about 1e-178, and there |u|^2 underflows to zero, so every return
+    probability |u|^2 + |d|^2 keeps its bits.
+    """
+    stride = _stride(psi)
+    dn_rate = 2 - stride  # compressed sites a down amplitude moves left per step
+    cone_lo, cone_hi = -((steps - origin) // stride), (origin + steps) // stride
+    lo, hi = max(0, cone_lo), min((psi.shape[0] - 1) // stride, cone_hi)
+    if lo > hi:
+        return
+    # Compressed site i's up amplitude is at up[i + ui] and its down amplitude
+    # at dn[i + di]; the rows span every index the cone and the window growth
+    # can reach. ui drops by one per step and di grows by dn_rate.
+    ub, db = max(cone_lo + steps, lo - dn_rate * steps), lo - dn_rate * steps
+    ups = np.zeros((hi + steps - ub + 1, walks), dtype=complex)
+    downs = np.zeros((min(cone_hi - dn_rate * steps, hi + steps) - db + 1, walks), dtype=complex)
+    ui, di = steps - ub, -dn_rate * steps - db
+    rows = slice(stride * lo, stride * hi + 1, stride)
+    ups[lo + ui:hi + ui + 1] = psi[rows, 0:1]
+    downs[lo + di:hi + di + 1] = psi[rows, 1:2]
+    # one walk steps 1-D views, as the step-order kernels do: a site is an
+    # element, which the trim zeroes several times faster than a row
+    up, dn = (ups[:, 0], downs[:, 0]) if walks == 1 else (ups, downs)
+    x, y = np.empty_like(up), np.empty_like(up)
+    # The origin's compressed index after t steps is (origin + (stride - 1) * t)
+    # / stride, at the steps where that is whole: every step at stride 1, every
+    # other one at stride 2. From one such step to the next, its up index drops
+    # by one and its down index grows by one. Its slots hold zeros while the
+    # window misses it.
+    t_read = 1 + (stride == 2 and origin % 2 == 0)
+    j = (origin + (stride - 1) * t_read) // stride
+    ou, od = j + ui - t_read, j + di + dn_rate * t_read
+    for t, m in enumerate(_step_entries(blocks, walks), 1):
+        u = up[lo + ui:hi + ui + 1]
+        d = dn[lo + di:hi + di + 1]
+        _spin_product(m, u, d, u, d, x, y)
+        ui -= 1
+        di += dn_rate
+        # grow by one site, clip to the cone of half-width T - t, trim
+        lo -= dn_rate
+        hi += 1
+        if lo < cone_lo + t:
+            lo = cone_lo + t
+        if hi > cone_hi - dn_rate * t:
+            hi = cone_hi - dn_rate * t
+        lo, hi = _trim(up, dn, lo, hi, ui, di)
+        if t == t_read:
+            if 0 <= ou < up.shape[0] and 0 <= od < dn.shape[0]:
+                yield t, ups[ou].tolist(), downs[od].tolist()
+            t_read += stride
+            ou -= 1
+            od += 1

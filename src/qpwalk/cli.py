@@ -300,12 +300,19 @@ def run_evolve(opts: Options) -> Record:
 def run_revival_scan(opts: Options) -> Record:
     field_spec = opts.get("field", "", str)
     a, b, coin_label = parse_coin(opts.get("coin", "hadamard", str))
-    t_max = opts.get("tmax", 400, int)
 
     if field_spec not in ("", "golden"):
         raise ConfigError("revival-scan takes --field golden only; rational "
                           "fields 1/m are chosen with --m-list")
+    # an explicit flag of the other mode is an error; config-file keys are ignored
+    other = ("m_list",) if field_spec == "golden" else ("tmax", "depth")
+    given = ["--" + name.replace("_", "-") for name in other
+             if getattr(opts.args, name, None) is not None]
+    if given:
+        mode = "the golden scan (--field golden)" if field_spec else "the rational scan (--m-list)"
+        raise ConfigError(f"revival-scan does not read {', '.join(given)} in {mode}")
     if field_spec == "golden":
+        t_max = opts.get("tmax", 400, int)
         depth = opts.get("depth", 12, int)
         # irrational_revival_bound reads c_{k+1}, so the scan needs depth >= 2
         if t_max < 2 or depth < 2:
@@ -514,7 +521,7 @@ def run_bloch_trace(opts: Options) -> Record:
                  math.sqrt(sx0 ** 2 + sy0 ** 2 + sz0 ** 2)))
     nearest_t = None
     nearest_dist = math.inf
-    _, spinors = track_origin(state, t_max, params)
+    spinors = track_origin(state, t_max, params)
     for t, (u, d) in enumerate(spinors.tolist(), start=1):
         sx, sy, sz = spinor_bloch_vector(u, d)
         r = math.sqrt(sx ** 2 + sy ** 2 + sz ** 2)

@@ -12,11 +12,11 @@ numpy's PCG64 seeded with SeedSequence((s, i)). All draws happen before the
 trajectory is evolved, outside the evolution kernels.
 
 ``return_series`` advances all trajectories of one epsilon together through
-one ensemble-probe kernel call (``walk.ensemble_tracking_origin``), which
-keeps only the sites that can still reach the origin by t_max. Every
-trajectory's p0 is bit for bit the one ``evolve_tracking_origin`` gives, so
-the series does not depend on how the ensemble is evolved. At epsilon = 0
-every trajectory is the clean walk, which is evolved once.
+one origin-probe call (``walk.ensemble_tracking_origin``), which keeps only
+the sites that can still reach the origin by t_max. Every trajectory's p0 is
+bit for bit the return probability of its own full run, so the series does
+not depend on how the ensemble is evolved. At epsilon = 0 every trajectory
+is the clean walk, which the same probe runs once, on the exact field.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .momentum import alpha_tilde_sup
-from .walk import (WalkParams, WalkState, ensemble_tracking_origin, evolve,
-                   evolve_tracking_origin)
+from .walk import WalkParams, WalkState, ensemble_tracking_origin, evolve
 
 SUPPORTS = ("pm1", "01")
 
@@ -136,9 +135,8 @@ def return_series(params: WalkParams, noise: NoiseConfig, t_max: int,
         raise ValueError("t_max must be positive")
     start = initial if initial is not None else WalkState.single_site()
     if noise.epsilon == 0.0:
-        # every trajectory is the clean one: evolve it once
-        tracks = np.empty((noise.ensemble_size, t_max + 1))
-        tracks[:] = evolve_tracking_origin(start, t_max, params)[1]
+        # every trajectory is the clean walk, which is run once
+        tracks = np.repeat(ensemble_tracking_origin(start, t_max, params), noise.ensemble_size, 0)
     else:
         fields = [noise.draw_fields(params.field.value, t_max, i)
                   for i in range(noise.ensemble_size)]

@@ -36,8 +36,8 @@ from .spinops import make_coin
 
 TWO_PI = 2.0 * math.pi
 
-# steps whose matrices ensemble_tracking_origin builds at a time, for all
-# walks in one step_matrices call, which holds one (steps, E, 2, 2) array
+# steps whose matrices the origin probe of an ensemble builds at a time, for
+# all walks in one step_matrices call, which holds one (steps, E, 2, 2) array
 ENSEMBLE_MATRIX_BLOCK = 32
 
 # rows of an RX_FIELD stack that step_matrices multiplies by the coin per
@@ -281,61 +281,79 @@ def step(state: WalkState, t: int, params: WalkParams) -> WalkState:
     return evolve(state, t, t, params)
 
 
-def track_origin(state: WalkState, t_max: int, params: WalkParams,
-                 field_values=None):
-    """Evolve through steps 1..t_max; return (final state, origin spinors).
+def spinor_probabilities(ups, downs):
+    """|u|^2 + |d|^2 for each spinor, over sequences of Python complex values.
 
-    Row t-1 of the (t_max, 2) spinor array is the (up, down) spinor at the
-    origin x = 0 after step t; it is zero while the origin lies outside the
-    window. Only the RX_FIELD rule is supported here; it is the rule the
-    return-probability and Bloch-trace experiments use.
+    Python's ``abs`` and ``** 2`` round exactly as numpy's scalar forms do;
+    ``np.abs`` on a complex array differs from them in the last ulp, and so
+    does numpy's squaring (``x * x``, or ``np.power`` with an array exponent)
+    for some values.
     """
+    return [abs(u) ** 2 + abs(d) ** 2 for u, d in zip(ups, downs)]
+
+
+def _origin_reads(state: WalkState, t_max: int, params: WalkParams, field_values):
+    """``_kernels.probe_ensemble`` at x = 0, steps 1..t_max (see ``ensemble_tracking_origin``)."""
     if not params.matrix_before_shift:
         raise ValueError("origin tracking is implemented for the RX_FIELD rule")
-    mats = params.step_matrices(1, t_max, field_values=field_values)
-    spinors = np.empty((t_max, 2), dtype=complex)
-    lo, _, window = _kernels.steps_matrix_then_shift(state.amplitudes, state.x_min, state.x_max,
-                                                     mats, origin=0, out_spinor=spinors)
-    return WalkState(x_min=lo, amplitudes=window), spinors
+    if field_values is None:  # one walk on the exact field: one call, as evolve makes
+        walks, blocks = 1, [params.step_matrices(1, t_max)[..., None]]
+    else:
+        walks = len(field_values)
+
+        def matrix_blocks():
+            # a block of steps at a time keeps the matrices' memory independent of t_max
+            for t0 in range(0, t_max, ENSEMBLE_MATRIX_BLOCK):
+                t1 = min(t0 + ENSEMBLE_MATRIX_BLOCK, t_max)
+                fields = np.array([values[t0:t1] for values in field_values], dtype=float)
+                yield np.ascontiguousarray(np.moveaxis(
+                    params.step_matrices(t0 + 1, t1, field_values=fields.T), 1, -1))
+
+        blocks = matrix_blocks()
+    return _kernels.probe_ensemble(state.amplitudes, -state.x_min, t_max, walks, blocks)
+
+
+def track_origin(state: WalkState, t_max: int, params: WalkParams,
+                 field_values=None) -> np.ndarray:
+    """The (up, down) spinors at x = 0 after steps 1..t_max, shape (t_max, 2), from the probe.
+
+    Row t-1 is the spinor after step t, zero while the origin lies outside
+    the window. ``field_values`` overrides the field, one angle per step. A
+    component can differ from a full run's only where it is below about
+    1e-178 (see ``_kernels.probe_ensemble``). RX_FIELD rule only.
+    """
+    spinors = np.zeros((t_max, 2), dtype=complex)
+    values = None if field_values is None else [field_values]
+    for t, ups, downs in _origin_reads(state, t_max, params, values):
+        spinors[t - 1, 0] = ups[0]
+        spinors[t - 1, 1] = downs[0]
+    return spinors
+
+
+def ensemble_tracking_origin(state: WalkState, t_max: int, params: WalkParams,
+                             field_values=None) -> np.ndarray:
+    """Return probabilities at x = 0 after steps 0..t_max, shape (E, t_max+1).
+
+    ``field_values`` is None for one walk (E = 1) on the exact field, or
+    holds t_max per-step field values for each of E walks. All walks advance
+    together through one origin probe, which keeps only the sites that can
+    still reach the origin and so hands back no final state. Row e is bit
+    for bit the p0 of walk e's own full run. RX_FIELD rule only.
+    """
+    reads = _origin_reads(state, t_max, params, field_values)
+    p0 = np.zeros((1 if field_values is None else len(field_values), t_max + 1))
+    p0[:, 0] = spinor_probabilities([state.amplitude(0, +1)], [state.amplitude(0, -1)])
+    for t, ups, downs in reads:
+        p0[:, t] = spinor_probabilities(ups, downs)
+    return p0
 
 
 def evolve_tracking_origin(state: WalkState, t_max: int, params: WalkParams,
                            field_values=None):
-    """Evolve through steps 1..t_max; return (final state, p0 array of length t_max+1).
-
-    p0[t] is the probability at the origin after step t (p0[0] is the initial
-    value); it reads zero while the origin lies outside the window. Only the
-    RX_FIELD rule is supported, as in ``track_origin``.
-    """
-    final, spinors = track_origin(state, t_max, params, field_values=field_values)
-    p0 = _kernels.spinor_probabilities([state.amplitude(0, +1), *spinors[:, 0].tolist()],
-                                       [state.amplitude(0, -1), *spinors[:, 1].tolist()])
-    return final, np.array(p0)
-
-
-def ensemble_tracking_origin(state: WalkState, t_max: int, params: WalkParams,
-                             field_values) -> np.ndarray:
-    """Return probabilities of one walk per entry of ``field_values``, shape (E, t_max+1).
-
-    Row e is bit for bit the p0 of ``evolve_tracking_origin(state, t_max,
-    params, field_values[e])``. All E walks advance together through one
-    kernel call, which keeps only the sites that can still reach the origin
-    by step t_max and so hands back no final state. Only the RX_FIELD rule is
-    supported, as in ``track_origin``.
-    """
-    if not params.matrix_before_shift:
-        raise ValueError("origin tracking is implemented for the RX_FIELD rule")
-    walks = len(field_values)
-
-    def blocks():
-        # a block of steps at a time keeps the matrices' memory independent of t_max
-        for t0 in range(0, t_max, ENSEMBLE_MATRIX_BLOCK):
-            t1 = min(t0 + ENSEMBLE_MATRIX_BLOCK, t_max)
-            fields = np.array([values[t0:t1] for values in field_values], dtype=float)
-            yield np.ascontiguousarray(np.moveaxis(
-                params.step_matrices(t0 + 1, t1, field_values=fields.T), 1, -1))
-
-    return _kernels.probe_ensemble(state.amplitudes, -state.x_min, t_max, walks, blocks())
+    """Return ``evolve``'s state after steps 1..t_max and the probe's p0, of length t_max+1."""
+    values = None if field_values is None else [field_values]
+    p0 = ensemble_tracking_origin(state, t_max, params, values)[0]
+    return evolve(state, 1, t_max, params, field_values=field_values), p0
 
 
 def position_distribution(state: WalkState) -> dict[int, float]:

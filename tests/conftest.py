@@ -172,6 +172,27 @@ def run_padded(state: WalkState, steps: int, run) -> WalkState:
     return WalkState(x_min=lo - offset, amplitudes=buf[lo:hi + 1])
 
 
+def reference_track_origin(start: WalkState, t_max: int, params: WalkParams,
+                           field_values=None):
+    """One walk through ``reference_matrix_then_shift``, probed at x = 0.
+
+    Returns the final state, p0 of length t_max + 1 (numpy-scalar formula)
+    and the (t_max, 2) origin spinors; both read zero when the origin lies
+    out of the walk's reach.
+    """
+    mats = params.step_matrices(1, t_max, field_values=field_values)
+    p0 = np.zeros(t_max + 1)
+    p0[0] = abs(start.spinor(0)[0]) ** 2 + abs(start.spinor(0)[1]) ** 2
+    spinors = np.zeros((t_max, 2), dtype=complex)
+
+    def run(buf, lo, hi, offset):
+        if 0 <= offset < buf.shape[0]:
+            return reference_matrix_then_shift(buf, lo, hi, mats, offset, p0[1:], spinors)
+        return reference_matrix_then_shift(buf, lo, hi, mats)
+
+    return run_padded(start, t_max, run), p0, spinors
+
+
 def reference_regrouped_block(k, params: WalkParams, m: int, t_from: int = 1) -> np.ndarray:
     """The block composition as it was with the 2x2 axes last, k.shape + (2, 2) throughout.
 

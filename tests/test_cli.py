@@ -253,6 +253,11 @@ def _config_error_argvs(tmp_path):
             ["evolve", "--tmax", "2", "--out", str(tmp_path / "missing" / "x.csv")],
             # rational fields are scanned through --m-list only
             ["revival-scan", "--field", "1/7"],
+            # a flag the other revival-scan mode reads would be ignored
+            ["revival-scan", "--field", "golden", "--m-list", "3,4"],
+            ["revival-scan", "--m-list", "3", "--tmax", "-5", "--depth", "-1"],
+            ["revival-scan", "--tmax", "30"],
+            ["revival-scan", "--depth", "5"],
             # phi * x overflows in the electric walk's site phases (5e305),
             # and phi * t * x in the final gauge phases (3e305)
             ["gauge-check", "--field", "5e305", "--trials", "3"],
@@ -289,6 +294,26 @@ def test_config_error_messages_name_the_cause(tmp_path, capsys):
     assert err == "error: field 1e+307: the step angle 3*phi overflows a float\n"
     _, _, err = run_cli(["revival-scan", "--field", "golden", "--tmax", "1"], capsys)
     assert "tmax >= 2" in err
+    _, _, err = run_cli(["revival-scan", "--m-list", "3", "--tmax", "-5", "--depth", "-1"],
+                        capsys)
+    assert err == ("error: revival-scan does not read --tmax, --depth in the rational scan "
+                   "(--m-list)\n")
+    _, _, err = run_cli(["revival-scan", "--field", "golden", "--m-list", "3,4"], capsys)
+    assert err == ("error: revival-scan does not read --m-list in the golden scan "
+                   "(--field golden)\n")
+
+
+def test_revival_scan_ignores_config_keys_of_the_other_mode(tmp_path, capsys):
+    """Config-file keys an experiment's mode does not read stay ignored, as for any experiment."""
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("tmax=-5\ndepth=-1\nm_list=3\n")
+    rational = run_cli(["revival-scan", "--config", str(cfg)], capsys)
+    assert rational == run_cli(["revival-scan", "--m-list", "3"], capsys)
+    cfg.write_text("m_list=0\n")
+    golden = run_cli(["revival-scan", "--config", str(cfg), "--field", "golden", "--tmax", "30"],
+                     capsys)
+    assert golden == run_cli(["revival-scan", "--field", "golden", "--tmax", "30"], capsys)
+    assert rational[0] == golden[0] == 0
 
 
 BAD_EPSILON = "error: epsilon must be finite and nonnegative"

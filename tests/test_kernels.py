@@ -7,8 +7,8 @@ take the window [lo, hi] of that buffer (site i at buffer index i) and return
 a new window, which is compared with the reference buffer's final [lo, hi].
 Where a window holds one sublattice, the kernels step only that sublattice:
 there the occupied entries and the bounds agree bit for bit, and the sites
-the reference leaves as zeros of either sign hold +0.0. The ensemble probe is
-checked against one probed single-walk run per walk.
+the reference leaves as zeros of either sign hold +0.0. The origin probe is
+checked against the probed reference loop, run once per walk.
 """
 
 import tracemalloc
@@ -16,15 +16,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (bits, max_diff, random_su2, reference_electric, reference_evolve,
-                      reference_matrix_then_shift, reference_shift_then_matrix,
-                      reference_spin_product, run_padded, state_to_dict)
+from conftest import (REFERENCE_TRIM_THRESHOLD, bits, max_diff, random_su2, reference_electric,
+                      reference_evolve, reference_matrix_then_shift, reference_shift_then_matrix,
+                      reference_spin_product, reference_track_origin, run_padded, state_to_dict)
 from qpwalk import _kernels
 from qpwalk.gauge import electric_evolve
 from qpwalk.noise import NoiseConfig
 from qpwalk.walk import (Field, TimeRule, WalkParams, WalkState, ensemble_tracking_origin, evolve,
                          evolve_tracking_origin, hadamard_params, return_probability,
-                         track_origin)
+                         spinor_probabilities, track_origin)
 
 
 def _random_case(rng, steps=9, width=5, tiny_edges=False):
@@ -42,11 +42,16 @@ def _random_case(rng, steps=9, width=5, tiny_edges=False):
         block[:edge] *= 1e-230
         block[width - edge:] *= 1e-215
     buf[pad:pad + width] = block
+    return buf, pad, pad + width - 1, _random_unitaries(rng, steps)
+
+
+def _random_unitaries(rng, steps):
+    """``steps`` random unitary 2x2 matrices, shape (steps, 2, 2)."""
     mats = np.empty((steps, 2, 2), dtype=complex)
     for i in range(steps):
         q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
         mats[i] = q
-    return buf, pad, pad + width - 1, mats
+    return mats
 
 
 def _same_bits(a, b):
@@ -66,9 +71,8 @@ def _run_window(kernel, buf, lo, hi, mats, *args, **kwargs):
     return (lo2, hi2), window
 
 
-def _matrix_then_shift(buf, lo, hi, mats, origin=None, out_spinor=None):
-    return _run_window(_kernels.steps_matrix_then_shift, buf, lo, hi, mats,
-                       origin=origin, out_spinor=out_spinor)
+def _matrix_then_shift(buf, lo, hi, mats):
+    return _run_window(_kernels.steps_matrix_then_shift, buf, lo, hi, mats)
 
 
 def _shift_then_matrix(buf, lo, hi, mats, phase=None):
@@ -103,9 +107,81 @@ def _assert_window_bits(bounds, window, ref, occupied):
     _assert_sublattice_bits(window, ref[lo:hi + 1], occupied[lo:hi + 1])
 
 
-def _probe_occupied(buf, lo, hi, origin, steps):
-    """Mask of the steps after which ``origin`` can be non-zero (see ``_occupied``)."""
-    return np.array([_occupied(buf, lo, hi, t + 1)[origin] for t in range(steps)])
+def _probe_occupied(psi, origin, steps):
+    """Mask of the steps 1..steps after which row ``origin`` of a walk from ``psi`` can be
+    non-zero: every step, unless the window holds one sublattice (see ``_occupied``)."""
+    width = psi.shape[0]
+    if width % 2 == 0 or psi[1::2].any():
+        return np.ones(steps, dtype=bool)
+    return (origin - np.arange(1, steps + 1)) % 2 == 0
+
+
+def _probe(psi, origin, mats):
+    """``probe_ensemble``'s reads as arrays: p0 (E, T + 1) and spinors (E, T, 2).
+
+    ``mats`` has shape (T, 2, 2, E). Steps that yield nothing read zero, and
+    p0 comes from ``spinor_probabilities``, as ``ensemble_tracking_origin``
+    computes it.
+    """
+    steps, walks = mats.shape[0], mats.shape[3]
+    p0 = np.zeros((walks, steps + 1))
+    spinors = np.zeros((walks, steps, 2), dtype=complex)
+    if 0 <= origin < psi.shape[0]:
+        p0[:, 0] = spinor_probabilities([psi.item(origin, 0)], [psi.item(origin, 1)])
+    for t, ups, downs in _kernels.probe_ensemble(psi, origin, steps, walks, [mats]):
+        p0[:, t] = spinor_probabilities(ups, downs)
+        spinors[:, t - 1, 0] = ups
+        spinors[:, t - 1, 1] = downs
+    return p0, spinors
+
+
+def _probe_each_walk(psi, mats, origin):
+    """The probe's reference: each walk alone through the probed interleaved reference loop.
+
+    Returns p0 (numpy-scalar formula), the origin spinors and each walk's
+    final bounds.
+    """
+    steps, walks = mats.shape[0], mats.shape[3]
+    start = WalkState(x_min=0, amplitudes=psi)
+    p0 = np.zeros((walks, steps + 1))
+    if 0 <= origin < psi.shape[0]:
+        p0[:, 0] = abs(psi[origin, 0]) ** 2 + abs(psi[origin, 1]) ** 2
+    spinors = np.zeros((walks, steps, 2), dtype=complex)
+    bounds = []
+    for e in range(walks):
+        def run(buf, lo, hi, offset):
+            # the padded buffer holds every site the walk can reach
+            if 0 <= origin + offset < buf.shape[0]:
+                return reference_matrix_then_shift(buf, lo, hi, mats[..., e], origin + offset,
+                                                   p0[e, 1:], spinors[e])
+            return reference_matrix_then_shift(buf, lo, hi, mats[..., e])
+        bounds.append(run_padded(start, steps, run).window)
+    return p0, spinors, bounds
+
+
+def _assert_probe_matches(psi, origin, mats):
+    """Every walk's p0 bit for bit against its own reference run, and its origin spinors
+    as ``probe_ensemble`` states.
+
+    A spinor component keeps its bits unless it is below 1e-178 in the
+    reference and within (width + 2T) * 2e-200 of it: there the probe may
+    keep a sub-threshold value, or a zero of the other sign, that the
+    reference's own trims zero, or the other way round. At the steps that
+    leave the origin's sublattice empty the reference holds zeros of either
+    sign and the probe +0.0. Returns the probe's p0 and the reference runs'
+    final bounds.
+    """
+    steps = mats.shape[0]
+    p0, spinors = _probe(psi, origin, mats)
+    ref_p0, ref_spinors, bounds = _probe_each_walk(psi, mats, origin)
+    assert _same_bits(p0, ref_p0)
+    occupied = _probe_occupied(psi, origin, steps)
+    assert np.all(ref_spinors[:, ~occupied] == 0)
+    assert not spinors[:, ~occupied].view(np.uint64).any()
+    new, ref = spinors[:, occupied].view(float), ref_spinors[:, occupied].view(float)
+    tiny = (np.abs(ref) < 1e-178) & (np.abs(new - ref) < (psi.shape[0] + 2 * steps) * 2e-200)
+    assert np.all((new.view(np.uint64) == ref.view(np.uint64)) | tiny)
+    return p0, bounds
 
 
 def test_window_bounds_track_support(rng):
@@ -145,7 +221,7 @@ def test_origin_tracking_from_off_origin_start():
 
 
 def test_kernels_match_interleaved_reference(rng):
-    """Bounds, every occupied window entry and the probe agree bit for bit with the old loops.
+    """Bounds and every occupied window entry agree bit for bit with the old loops.
 
     One-site starts take the sublattice path.
     """
@@ -154,21 +230,11 @@ def test_kernels_match_interleaved_reference(rng):
         width = int(rng.integers(1, 12))
         buf, lo, hi, mats = _random_case(rng, steps, width, tiny_edges=case % 2 == 1)
         occupied = _occupied(buf, lo, hi, steps)
-
-        for origin in (None, int(rng.integers(0, buf.shape[0])), lo, hi):
-            ref = buf.copy()
-            ref_p0 = np.empty(steps)
-            ref_spinor = np.empty((steps, 2), dtype=complex)
-            ref_bounds = reference_matrix_then_shift(ref, lo, hi, mats, origin, ref_p0, ref_spinor)
-            spinor = np.full((steps, 2), np.nan, dtype=complex)
-            bounds, new = _matrix_then_shift(buf, lo, hi, mats, origin, spinor)
-            assert bounds == ref_bounds
-            _assert_window_bits(bounds, new, ref, occupied)
-            if origin is not None:
-                _assert_sublattice_bits(spinor, ref_spinor,
-                                        _probe_occupied(buf, lo, hi, origin, steps))
-                p0 = np.array([abs(u) ** 2 + abs(d) ** 2 for u, d in spinor])
-                assert _same_bits(p0, ref_p0)
+        ref = buf.copy()
+        ref_bounds = reference_matrix_then_shift(ref, lo, hi, mats)
+        bounds, new = _matrix_then_shift(buf, lo, hi, mats)
+        assert bounds == ref_bounds
+        _assert_window_bits(bounds, new, ref, occupied)
 
         phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, buf.shape[0]))
         for site_phase in (None, phase):
@@ -177,6 +243,30 @@ def test_kernels_match_interleaved_reference(rng):
             bounds, new = _shift_then_matrix(buf, lo, hi, mats, site_phase)
             assert bounds == ref_bounds
             _assert_window_bits(bounds, new, ref, occupied)
+
+
+@pytest.mark.parametrize("walks", [1, 3])
+def test_probe_matches_interleaved_reference(rng, walks):
+    """The cases of ``test_kernels_match_interleaved_reference`` through the origin probe.
+
+    Every walk's p0 agrees bit for bit with its own reference run, and so
+    does every origin spinor component above 1e-178: multi-site windows
+    (stride 1) and one-site ones (stride 2), sub-threshold edges, origins
+    anywhere in the padded buffer and at both window edges. Walk 0 takes
+    the case's matrices, the others their own random unitary ones.
+    """
+    strides = set()
+    for case in range(24):
+        steps = int(rng.integers(1, 25))
+        width = int(rng.integers(1, 12))
+        buf, lo, hi, mats = _random_case(rng, steps, width, tiny_edges=case % 2 == 1)
+        ensemble = np.stack([mats] + [_random_unitaries(rng, steps) for _ in range(walks - 1)],
+                            axis=-1)
+        psi = buf[lo:hi + 1]
+        strides.add(_kernels._stride(psi))
+        for origin in (int(rng.integers(0, buf.shape[0])), lo, hi):
+            _assert_probe_matches(psi, origin - lo, ensemble)
+    assert strides == {1, 2}
 
 
 def _single_site_case(rng, steps, antidiagonal=False):
@@ -204,25 +294,21 @@ def _single_site_case(rng, steps, antidiagonal=False):
 def test_single_site_starts_match_the_reference(rng):
     """One-site starts, both rules: the sublattice path against the interleaved loops.
 
-    Origins on both sublattices and out of reach, ``site_phase``, windows
-    that trim and one-site windows.
+    The origin probe at origins on both sublattices and out of reach,
+    ``site_phase``, windows that trim and one-site windows.
     """
     trimmed = one_site = 0
     for case in range(90):
         steps = int(rng.integers(1, 30))
         buf, start, mats = _single_site_case(rng, steps, antidiagonal=case % 3 == 0)
         occupied = _occupied(buf, start, start, steps)
+        ref = buf.copy()
+        ref_bounds = reference_matrix_then_shift(ref, start, start, mats)
+        bounds, new = _matrix_then_shift(buf, start, start, mats)
+        assert bounds == ref_bounds
+        _assert_window_bits(bounds, new, ref, occupied)
         for origin in (start, start + 1, start - 1, start + steps + 1, start - steps - 1):
-            ref = buf.copy()
-            ref_spinor = np.empty((steps, 2), dtype=complex)
-            ref_bounds = reference_matrix_then_shift(ref, start, start, mats, origin,
-                                                     np.empty(steps), ref_spinor)
-            spinor = np.full((steps, 2), np.nan, dtype=complex)
-            bounds, new = _matrix_then_shift(buf, start, start, mats, origin, spinor)
-            assert bounds == ref_bounds
-            _assert_window_bits(bounds, new, ref, occupied)
-            _assert_sublattice_bits(spinor, ref_spinor,
-                                    _probe_occupied(buf, start, start, origin, steps))
+            _assert_probe_matches(buf[start:start + 1], origin - start, mats[..., None])
         trimmed += bounds[1] - bounds[0] < 2 * steps
         one_site += bounds[0] == bounds[1]
         phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, buf.shape[0]))
@@ -247,24 +333,43 @@ def test_single_site_walks_match_the_reference(rng, x0):
         occupied = np.arange(new.amplitudes.shape[0]) % 2 == 0
         _assert_sublattice_bits(new.amplitudes, ref.amplitudes, occupied)
     params = WalkParams(Field.rational(1, 7), *random_su2(rng))
-    final, spinors = track_origin(start, 200, params)
-    mats = params.step_matrices(1, 200)
-    ref_spinors = np.empty((200, 2), dtype=complex)
-    ref = run_padded(start, 200, lambda buf, lo, hi, offset: reference_matrix_then_shift(
-        buf, lo, hi, mats, offset, np.empty(200), ref_spinors))
+    final = evolve(start, 1, 200, params)
+    ref, _, ref_spinors = reference_track_origin(start, 200, params)
     assert final.x_min == ref.x_min
     _assert_sublattice_bits(final.amplitudes, ref.amplitudes,
                             np.arange(final.amplitudes.shape[0]) % 2 == 0)
-    _assert_sublattice_bits(spinors, ref_spinors, (np.arange(1, 201) + x0) % 2 == 0)
+    _assert_sublattice_bits(track_origin(start, 200, params), ref_spinors,
+                            (np.arange(1, 201) + x0) % 2 == 0)
     _assert_electric_matches_reference(start, 300, Field.rational(2, 9).value,
                                        WalkParams(Field.golden(), *random_su2(rng)).coin)
+
+
+def test_track_origin_matches_the_reference_where_the_cone_cuts_a_trimmed_window():
+    """3000 golden steps from x = 5 with the coin (0.6, 0.8i): every spinor bit for bit.
+
+    The walk's window is trimmed (1747 sites at step 1000, 2593 at step
+    2000), and from about step 1800 on the light cone, of half-width
+    3000 - t, cuts it: the probe steps only the cone, the reference every
+    site of the window.
+    """
+    params = WalkParams(Field.golden(), 0.6, 0.8j)
+    start = WalkState.single_site(x=5, spinor=(0.6, 0.8j))
+    lo, hi = evolve(start, 1, 1000, params).window
+    assert hi - lo < 2 * 1000
+    lo, hi = evolve(start, 1, 2000, params).window
+    assert min(-lo, hi) > 3000 - 2000
+    _, _, ref = reference_track_origin(start, 3000, params)
+    spinors = track_origin(start, 3000, params)
+    _assert_sublattice_bits(spinors, ref, (np.arange(1, 3001) + 5) % 2 == 0)
+    assert np.abs(spinors[-2]).min() > 1e-2  # step 2999; odd t + x0 leave the origin empty
 
 
 def test_both_sublattices_match_the_reference_bit_for_bit(rng):
     """Windows that hold both sublattices step every site: every bit, signed zeros included.
 
     Two-site starts; even widths with every other site zero; and a window
-    whose odd sites are zero but one, at 1e-250.
+    whose odd sites are zero but one, at 1e-250. The origin probe reads
+    every step, as ``_assert_probe_matches`` states.
     """
     for case in range(60):
         steps = int(rng.integers(1, 25))
@@ -278,13 +383,11 @@ def test_both_sublattices_match_the_reference_bit_for_bit(rng):
         assert _occupied(buf, lo, hi, steps).all()
         origin = int(rng.integers(0, buf.shape[0]))
         ref = buf.copy()
-        ref_spinor = np.empty((steps, 2), dtype=complex)
-        ref_bounds = reference_matrix_then_shift(ref, lo, hi, mats, origin, np.empty(steps),
-                                                 ref_spinor)
-        spinor = np.empty((steps, 2), dtype=complex)
-        bounds, new = _matrix_then_shift(buf, lo, hi, mats, origin, spinor)
+        ref_bounds = reference_matrix_then_shift(ref, lo, hi, mats)
+        bounds, new = _matrix_then_shift(buf, lo, hi, mats)
         assert bounds == ref_bounds
-        assert _same_bits(new, ref[bounds[0]:bounds[1] + 1]) and _same_bits(spinor, ref_spinor)
+        assert _same_bits(new, ref[bounds[0]:bounds[1] + 1])
+        _assert_probe_matches(buf[lo:hi + 1], origin - lo, mats[..., None])
         phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, buf.shape[0]))
         ref = buf.copy()
         ref_bounds = reference_shift_then_matrix(ref, lo, hi, mats, phase)
@@ -300,12 +403,11 @@ def test_trimming_cases_do_trim(rng):
 
 
 def test_probe_reads_zero_outside_the_buffer(rng):
-    """Origins outside the reference buffer lie out of the walk's reach."""
+    """Origins outside the reference buffer lie out of the walk's reach: nothing is read."""
     buf, lo, hi, mats = _random_case(rng, steps=5, width=3)
     for origin in (-7, -1, buf.shape[0], buf.shape[0] + 40):
-        spinor = np.full((5, 2), np.nan, dtype=complex)
-        _matrix_then_shift(buf, lo, hi, mats, origin, spinor)
-        assert np.all(spinor == 0.0)
+        assert not list(_kernels.probe_ensemble(buf[lo:hi + 1], origin - lo, 5, 1,
+                                                [mats[..., None]]))
 
 
 def _reference_evolve(state, t_from, t_to, params):
@@ -365,12 +467,13 @@ def test_origin_tracking_matches_interleaved_reference():
 
 def _kernel_paths(start, rng):
     """The final state of each path that runs a position kernel: ``evolve`` (both
-    rules), ``track_origin`` and ``electric_evolve``."""
+    rules), ``evolve_tracking_origin`` (``evolve`` and the origin probe) and
+    ``electric_evolve``."""
     coin = random_su2(rng)
     for rule in TimeRule:
         yield evolve(start, 1, 40, WalkParams(Field.golden(), *coin, time_rule=rule))
     params = WalkParams(Field.rational(1, 7), *coin)
-    yield track_origin(start, 40, params)[0]
+    yield evolve_tracking_origin(start, 40, params)[0]
     yield electric_evolve(start, 40, Field.golden().value, params.coin)
 
 
@@ -454,25 +557,6 @@ def test_spin_product_keeps_the_bits_of_unpacked_entries(rng, n, in_place):
         assert np.array_equal(bits(results[0]), bits(results[1]))
 
 
-def _probe_each_walk(psi, mats, origin):
-    """The ensemble probe's reference: each walk alone through the probed single-walk kernel.
-
-    p0 comes from the numpy-scalar formula. Also returns each walk's final bounds.
-    """
-    steps, walks = mats.shape[0], mats.shape[3]
-    width = psi.shape[0]
-    first = psi[origin] if 0 <= origin < width else np.zeros(2, dtype=complex)
-    p0 = np.empty((walks, steps + 1))
-    bounds = []
-    for e in range(walks):
-        spinor = np.empty((steps, 2), dtype=complex)
-        lo, hi, _ = _kernels.steps_matrix_then_shift(psi, 0, width - 1, mats[..., e].copy(),
-                                                     origin=origin, out_spinor=spinor)
-        bounds.append((lo, hi))
-        p0[e] = [abs(u) ** 2 + abs(d) ** 2 for u, d in [first, *spinor]]
-    return p0, bounds
-
-
 def _random_ensemble(rng, steps, walks, width):
     """A shared start with sub-threshold components, and unitary matrices per walk.
 
@@ -511,9 +595,7 @@ def test_probe_ensemble_matches_each_walk(rng, walks):
         width = int(rng.integers(1, 10))
         origin = int(rng.integers(-steps - 3, width + steps + 3))
         psi, mats = _random_ensemble(rng, steps, walks, width)
-        p0, bounds = _probe_each_walk(psi, mats, origin)
-        assert _same_bits(_kernels.probe_ensemble(psi, origin, steps, walks, [mats]), p0)
-        split |= len(set(bounds)) > 1
+        split |= len(set(_assert_probe_matches(psi, origin, mats)[1])) > 1
     assert split or walks == 1
 
 
@@ -539,14 +621,12 @@ def test_probe_ensemble_steps_the_occupied_sublattice(rng, walks):
             psi[[0, -1]] *= 1e-230
         empty = (origin - np.arange(steps + 1)) % 2 == 1
         assert _kernels._stride(psi) == 2
-        p0 = _kernels.probe_ensemble(psi, origin, steps, walks, [mats])
-        assert _same_bits(p0, _probe_each_walk(psi, mats, origin)[0])
+        p0 = _assert_probe_matches(psi, origin, mats)[0]
         assert not p0[:, empty].view(np.uint64).any()
         seen.add((origin % 2, 0 <= origin < width, -steps <= origin < width + steps))
         psi[1] = [0.6, 0.8j]
         assert _kernels._stride(psi) == 1
-        p0 = _kernels.probe_ensemble(psi, origin, steps, walks, [mats])
-        assert _same_bits(p0, _probe_each_walk(psi, mats, origin)[0])
+        p0 = _assert_probe_matches(psi, origin, mats)[0]
         mixed |= p0[:, empty].any()
     assert mixed
     assert seen >= {(0, True, True), (1, True, True), (0, False, True), (1, False, True),
@@ -566,20 +646,29 @@ def test_probe_ensemble_trims_a_site_only_when_every_walk_does():
     mats[:, 0, 0] = mats[:, 1, 1] = 1.0
     mats[0, :, :, 1] = [[0.0, 1.0], [1.0, 0.0]]
     mats[1:6] *= 1e20
-    own, _ = _probe_each_walk(psi, mats, -6)
-    p0 = _kernels.probe_ensemble(psi, -6, 26, 2, [mats])
+    own = _probe_each_walk(psi, mats, -6)[0]
+    p0 = _probe(psi, -6, mats)[0]
     assert own[0, 6] == 0.0 and 1e-261 < p0[0, 6] < 1e-259
     assert _same_bits(p0[0, :6], own[0, :6])
     assert own[1, 6] > 1e199 and _same_bits(p0[1, :7], own[1, :7])
 
 
-def _reference_trim_shared(up, dn, lo, hi, ui, di):
-    """The every-walk trim rule, one Python complex at a time, on copies of the arrays."""
+def _below_threshold(*values):
+    """True when every component of the complex ``values`` is below the trim threshold."""
+    return all(abs(v.real) < REFERENCE_TRIM_THRESHOLD and abs(v.imag) < REFERENCE_TRIM_THRESHOLD
+               for v in values)
+
+
+def _reference_trim(up, dn, lo, hi, ui, di):
+    """The every-walk trim rule, one Python complex at a time, on copies of the arrays.
+
+    The arrays are 1-D for one walk and (rows, E) for E walks.
+    """
     up, dn = up.copy(), dn.copy()
 
     def every_walk_negligible(i):
-        return all(_kernels._negligible(p, q)
-                   for p, q in zip(up[i + ui].tolist(), dn[i + di].tolist()))
+        return _below_threshold(*np.atleast_1d(up[i + ui]).tolist(),
+                                *np.atleast_1d(dn[i + di]).tolist())
 
     while hi > lo and every_walk_negligible(hi):
         up[hi + ui] = dn[hi + di] = 0.0
@@ -591,10 +680,11 @@ def _reference_trim_shared(up, dn, lo, hi, ui, di):
 
 
 @pytest.mark.parametrize("walks", [1, 3])
-def test_trim_shared_keeps_a_site_any_walk_holds(walks):
+def test_trim_keeps_a_site_any_walk_holds(walks):
     """Walk 0's scalar check first: an edge negligible only in walk 0 stays, one
     negligible in every walk goes, and sub-threshold parts in any component
-    or walk are judged as the every-walk rule judges them."""
+    or walk are judged as the every-walk rule judges them. One walk has 1-D
+    arrays, as the kernels give it."""
     tiny = 1e-230
     cases = [
         # right edge (site 4) negligible in walk 0 only; left edge (site 0) in every walk
@@ -618,11 +708,19 @@ def test_trim_shared_keeps_a_site_any_walk_holds(walks):
                 up[i + 2, r] = value * (1 + 1j)
                 dn[i + 1, r] = value * 0.5
         if walks == 1:  # only walk 0's entries decide
-            want_lo, want_hi = _reference_trim_shared(up, dn, 0, 4, 2, 1)[:2]
-        ref_lo, ref_hi, ref_up, ref_dn = _reference_trim_shared(up, dn, 0, 4, 2, 1)
+            up, dn = up[:, 0].copy(), dn[:, 0].copy()
+            want_lo, want_hi = _reference_trim(up, dn, 0, 4, 2, 1)[:2]
+        ref_lo, ref_hi, ref_up, ref_dn = _reference_trim(up, dn, 0, 4, 2, 1)
         assert (ref_lo, ref_hi) == (want_lo, want_hi)
-        assert _kernels._trim_shared(up, dn, 0, 4, 2, 1) == (want_lo, want_hi)
+        assert _kernels._trim(up, dn, 0, 4, 2, 1) == (want_lo, want_hi)
         assert _same_bits(up, ref_up) and _same_bits(dn, ref_dn)
+    # the part the shift brings to an edge (up on the right, down on the left)
+    # is negligible in every walk there, the other part is not: both edges stay
+    up, dn = np.full((8, walks), 0.6 + 0.1j), np.full((7, walks), 0.3 - 0.2j)
+    up[4 + 2] = dn[0 + 1] = tiny
+    if walks == 1:
+        up, dn = up[:, 0].copy(), dn[:, 0].copy()
+    assert _kernels._trim(up, dn, 0, 4, 2, 1) == (0, 4)
 
 
 def test_probe_ensemble_edge_checks_match_each_walk():
@@ -643,20 +741,20 @@ def test_probe_ensemble_edge_checks_match_each_walk():
             mats[:, :, :, e] = hadamard
         psi = np.array([[0.6, 0.0], [0.0, 0.0], [0.8j, 0.0]])
         edges = []
-        trim = _kernels._trim_shared
+        trim = _kernels._trim
 
         def spy(up, dn, lo, hi, ui, di):
-            want = _reference_trim_shared(up, dn, lo, hi, ui, di)
+            want = _reference_trim(up, dn, lo, hi, ui, di)
             if hi > lo:
-                neg = [_kernels._negligible(up[lo + ui, e], dn[lo + di, e]) for e in range(walks)]
+                neg = [_below_threshold(up[lo + ui, e], dn[lo + di, e]) for e in range(walks)]
                 edges.append((neg[0], all(neg), want[0] == lo))
             got = trim(up, dn, lo, hi, ui, di)
             assert got == want[:2] and _same_bits(up, want[2]) and _same_bits(dn, want[3])
             return got
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(_kernels, "_trim_shared", spy)
-            p0 = _kernels.probe_ensemble(psi, 1, steps, walks, [mats])
+            patch.setattr(_kernels, "_trim", spy)
+            p0 = _probe(psi, 1, mats)[0]
         assert _same_bits(p0, _probe_each_walk(psi, mats, 1)[0])
         # the left edge: negligible in walk 0, and kept only while another walk holds it
         assert (True, not kept, kept) in edges
@@ -679,7 +777,7 @@ def test_ensemble_tracking_origin_keeps_sites_some_trajectories_trim(field, coin
     assert len(windows) > 1
     p0 = ensemble_tracking_origin(start, 1200, params, fields)
     for e, values in enumerate(fields):
-        assert _same_bits(p0[e], evolve_tracking_origin(start, 1200, params, values)[1])
+        assert _same_bits(p0[e], reference_track_origin(start, 1200, params, values)[1])
 
 
 def test_ensemble_tracking_origin_mixes_localized_and_spreading_walks():
@@ -695,7 +793,7 @@ def test_ensemble_tracking_origin_mixes_localized_and_spreading_walks():
     p0 = ensemble_tracking_origin(start, 3000, params, fields)
     widths = []
     for e, values in enumerate(fields):
-        final, own = evolve_tracking_origin(start, 3000, params, values)
+        final, own, _ = reference_track_origin(start, 3000, params, values)
         widths.append(final.amplitudes.shape[0])
         assert _same_bits(p0[e], own)
     assert widths[1] < widths[0]
@@ -712,7 +810,7 @@ def test_ensemble_tracking_origin_matches_each_trajectory():
     assert half.amplitudes.shape[0] < 2 * 1500 + 1
     p0 = ensemble_tracking_origin(start, 3000, params, fields)
     for e, values in enumerate(fields):
-        assert _same_bits(p0[e], evolve_tracking_origin(start, 3000, params, values)[1])
+        assert _same_bits(p0[e], reference_track_origin(start, 3000, params, values)[1])
 
 
 @pytest.mark.parametrize("x0,t_max", [(0, 1), (1, 1), (-1, 2), (3, 40), (-9, 9), (12, 11)])
@@ -722,7 +820,7 @@ def test_ensemble_tracking_origin_single_walk(x0, t_max):
     start = WalkState.single_site(x=x0, spinor=(0.6, 0.8j))
     fields = NoiseConfig(epsilon=1e-2, seed=1).draw_fields(params.field.value, t_max, 0)
     p0 = ensemble_tracking_origin(start, t_max, params, [fields])
-    assert _same_bits(p0[0], evolve_tracking_origin(start, t_max, params, fields)[1])
+    assert _same_bits(p0[0], reference_track_origin(start, t_max, params, fields)[1])
     assert p0.shape == (1, t_max + 1) and np.any(p0 > 0.0) == (abs(x0) <= t_max)
 
 

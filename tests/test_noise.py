@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from conftest import reference_track_origin
 from qpwalk.momentum import alpha_tilde_sup
 from qpwalk.noise import (NoiseConfig, check_step_angles, noise_bound, noise_bound_for,
                          noisy_evolve, return_series)
 from qpwalk.revivals import expected_sign, revival_time
-from qpwalk.walk import Field, WalkState, evolve, evolve_tracking_origin, hadamard_params
+from qpwalk.walk import Field, WalkState, evolve, hadamard_params
 
 HALF = 1.0 / math.sqrt(2.0)
 
@@ -118,7 +119,7 @@ def test_return_series_shape_and_envelope():
     # clean ensemble collapses the envelope
     clean = return_series(params, NoiseConfig(epsilon=0.0, ensemble_size=3), 10)
     assert np.array_equal(clean[:, 2], clean[:, 3])
-    _, p0 = evolve_tracking_origin(WalkState.single_site(), 10, params)
+    _, p0, _ = reference_track_origin(WalkState.single_site(), 10, params)
     for column in (1, 2, 3):
         assert clean[:, column].tobytes() == p0.tobytes()
 

@@ -25,22 +25,27 @@ drops by ``stride - 1`` per step. Index j's up amplitude is at
 stride 1 and at ``dn[j]`` at stride 2. Either way a shift leaves every
 amplitude at its index and moves no data. A call first copies ``psi`` into
 the arrays; after the last step both offsets are zero and the live part of
-the arrays is copied into the returned window. Each step's matrix product
-is six ufunc calls on contiguous slices in the operand order of
-``m00*u + m01*d``, and the electric walk's per-site phases are read per
-parity from contiguous copies: bit-identical to shifting a zero-padded
-buffer in place, as the reference loops in ``tests/conftest.py`` do (BLAS
-``matmul`` would round differently). The matrix entries of one walk go in
-as 0-d array views of the step's row: a numpy scalar operand rounds the same
-but is converted to an array on every call, about half a microsecond of each
-ufunc call at small windows, six (eight with phases) times per step. At
+the arrays is copied into the returned window. Each loop computes a step's
+matrix product inline, as six ufunc calls on contiguous slices in the
+operand order of ``m00*u + m01*d``; each product goes to scratch memory,
+because numpy rounds a complex product differently when its output is
+strided or, for one element, its own input. The electric walk's per-site
+phases are read per parity from contiguous copies and applied in place.
+All of it is bit-identical to shifting a zero-padded buffer in place, as
+the reference loops in ``tests/conftest.py`` do (BLAS ``matmul`` would
+round differently). One walk's matrix entries go in as 0-d array views
+(``_step_entries``): a numpy scalar operand rounds the same but is
+converted to an array on every call, about half a microsecond of each ufunc
+call at small windows. A ``mats`` that repeats one matrix (stride 0 on the
+step axis, as the electric walk's coin) gives one set of views per call. At
 stride 2 the empty sublattice is never computed: where those loops leave
 zeros of either sign, the returned window holds +0.0. Occupied amplitudes,
 bounds and trims are bit-identical.
 
 After every step the kernels zero boundary sites whose four real components
 are all below ``TRIM_THRESHOLD`` (1e-200) and shrink the bounds accordingly
-(``_trim``). The trim changes the state by less than ~1e-196 per step — far
+(``_trim``; one walk's edges are read as Python scalars, with no call per
+site). The trim changes the state by less than ~1e-196 per step — far
 below every tolerance in use — and keeps the live window proportional to the
 physically occupied region, which matters for localized walks: without it
 their exponential tails descend into subnormal floats, where hardware
@@ -60,6 +65,8 @@ which can change the bits of a component only where it is below about
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 # Boundary sites where every component is below this magnitude are zeroed and
@@ -70,22 +77,17 @@ TRIM_THRESHOLD = 1e-200
 
 
 def _negligible(lead, i, other, j):
-    """True when the site at lead[i] and other[j] is below the threshold in every walk.
+    """True when the site at rows lead[i] and other[j] is below the threshold in all E walks.
 
-    The arrays are 1-D for one walk and (rows, E) for E walks. ``lead`` is
-    the part the shift brings to the edge being checked (``up`` on the
-    right, ``dn`` on the left), usually the larger one, so walk 0's lead is
-    read first: at an edge that walk 0 holds, the usual case, one Python
-    scalar decides and no numpy call runs. With more walks, a lead modulus
-    of at least twice the threshold in any walk puts a component above it.
+    ``lead`` is the part the shift brings to the edge being checked (``up``
+    on the right, ``dn`` on the left), usually the larger one, so walk 0's
+    lead is read first: at an edge that walk 0 holds, the usual case, one
+    Python scalar decides and no numpy call runs. A lead modulus of at least
+    twice the threshold in any walk puts a component above it.
     """
-    one = lead.ndim == 1
-    z = lead.item(i) if one else lead.item(i, 0)
+    z = lead.item(i, 0)
     if not (abs(z.real) < TRIM_THRESHOLD and abs(z.imag) < TRIM_THRESHOLD):
         return False
-    if one:
-        z = other.item(j)
-        return abs(z.real) < TRIM_THRESHOLD and abs(z.imag) < TRIM_THRESHOLD
     if np.abs(lead[i]).max() >= 2.0 * TRIM_THRESHOLD:
         return False
     return all(abs(z.real) < TRIM_THRESHOLD and abs(z.imag) < TRIM_THRESHOLD
@@ -97,12 +99,34 @@ def _trim(up, dn, lo, hi, ui, di):
 
     Compressed site i is at up[i + ui] and dn[i + di], an element for one
     walk and a row of E for E walks. The right edge is trimmed first, then
-    the left; at least one site is kept.
+    the left; at least one site is kept. One walk's edge is read as Python
+    scalars, the lead part first (see ``_negligible``), with no further call.
     """
-    while hi > lo and _negligible(up, hi + ui, dn, hi + di):
+    if up.ndim == 2:
+        while hi > lo and _negligible(up, hi + ui, dn, hi + di):
+            up[hi + ui] = dn[hi + di] = 0.0
+            hi -= 1
+        while lo < hi and _negligible(dn, lo + di, up, lo + ui):
+            up[lo + ui] = dn[lo + di] = 0.0
+            lo += 1
+        return lo, hi
+    up_at, dn_at, tiny = up.item, dn.item, TRIM_THRESHOLD
+    while hi > lo:
+        z = up_at(hi + ui)
+        if not (abs(z.real) < tiny and abs(z.imag) < tiny):
+            break
+        z = dn_at(hi + di)
+        if not (abs(z.real) < tiny and abs(z.imag) < tiny):
+            break
         up[hi + ui] = dn[hi + di] = 0.0
         hi -= 1
-    while lo < hi and _negligible(dn, lo + di, up, lo + ui):
+    while lo < hi:
+        z = dn_at(lo + di)
+        if not (abs(z.real) < tiny and abs(z.imag) < tiny):
+            break
+        z = up_at(lo + ui)
+        if not (abs(z.real) < tiny and abs(z.imag) < tiny):
+            break
         up[lo + ui] = dn[lo + di] = 0.0
         lo += 1
     return lo, hi
@@ -143,45 +167,26 @@ def _window(up, dn, lo, hi, first, stride):
     return first + stride * lo, first + stride * hi, window
 
 
-def _spin_product(m, u, d, u_out, d_out, x, y, phase=None):
-    """(u_out, d_out) <- m @ (u, d) site by site, then times ``phase`` if given.
-
-    ``m`` holds the matrix entries m00, m01, m10, m11 along its first axis:
-    shape (4,) for one walk, (4, E) for an ensemble. Each entry is read as
-    the view ``m[i, ...]``, 0-d for one walk (numpy would turn an unpacked
-    numpy scalar into an array on every call) and a row of one entry per
-    walk for an ensemble. The outputs may be the inputs, and are passed
-    positionally; ``x`` and ``y`` are scratch. Each matrix product goes to
-    contiguous memory other than its input, because numpy rounds a complex
-    product differently when its output is strided or, for one element, its
-    own input. The phase is applied in place, as the reference loops do.
-    """
-    n = u.shape[0]
-    x, y = x[:n], y[:n]
-    np.multiply(m[0, ...], u, x)
-    np.multiply(m[2, ...], u, y)
-    np.multiply(m[1, ...], d, u_out)
-    np.add(x, u_out, u_out)
-    np.multiply(m[3, ...], d, x)
-    np.add(y, x, d_out)
-    if phase is not None:
-        np.multiply(u_out, phase, u_out)
-        np.multiply(d_out, phase, d_out)
-
-
 def steps_matrix_then_shift(psi, lo, hi, mats):
     """Apply ``mats[t]`` then the shift for each t."""
     steps = mats.shape[0]
-    entries = mats.reshape(steps, 4)
     stride, first, lo, hi, (up, dn, x, y) = _layout(psi, lo, hi, steps)
     dn_rate = 2 - stride  # compressed sites a down amplitude moves left per step
     ui, di = steps, -dn_rate * steps
-    for t in range(steps):
+    mul, add = np.multiply, np.add
+    for m00, m01, m10, m11 in _step_entries([mats[..., None]], 1):
         # compressed site j's new up (down) amplitude belongs to j + 1
         # (j - dn_rate), whose index after this step is the one j's had before it
+        n = hi - lo + 1
         u = up[lo + ui:hi + ui + 1]
         d = dn[lo + di:hi + di + 1]
-        _spin_product(entries[t], u, d, u, d, x, y)
+        xs, ys = x[:n], y[:n]
+        mul(m00, u, xs)
+        mul(m10, u, ys)
+        mul(m01, d, u)
+        add(xs, u, u)
+        mul(m11, d, xs)
+        add(ys, xs, d)
         ui -= 1
         di += dn_rate
         lo, hi = _trim(up, dn, lo - dn_rate, hi + 1, ui, di)
@@ -196,43 +201,60 @@ def steps_shift_then_matrix(psi, lo, hi, mats, site_phase=None):
     spinor is multiplied by its phase after the matrix product.
     """
     steps = mats.shape[0]
-    entries = mats.reshape(steps, 4)
     phase_site = lo - steps  # the site of site_phase[0]
     # the copy into the comoving arrays is the first shift
     stride, first, lo, hi, (up, dn, x, y) = _layout(psi, lo, hi, steps)
     dn_rate = 2 - stride  # compressed sites a down amplitude moves left per step
     ui, di = steps, -dn_rate * steps
-    phase = None
     if site_phase is not None:
         # phase index stride * k + p is at phases[p][k], in contiguous memory
         phases = [np.ascontiguousarray(site_phase[p::stride]) for p in range(stride)]
-    for t in range(steps):
+    mul, add = np.multiply, np.add
+    for m00, m01, m10, m11 in _step_entries([mats[..., None]], 1):
         first -= stride - 1
         lo -= dn_rate
         hi += 1
         ui -= 1
         di += dn_rate
+        n = hi - lo + 1
         u = up[lo + ui:hi + ui + 1]
         d = dn[lo + di:hi + di + 1]
+        xs, ys = x[:n], y[:n]
+        mul(m00, u, xs)
+        mul(m10, u, ys)
+        mul(m01, d, u)
+        add(xs, u, u)
+        mul(m11, d, xs)
+        add(ys, xs, d)
         if site_phase is not None:
             k, p = divmod(first + stride * lo - phase_site, stride)
-            phase = phases[p][k:k + hi - lo + 1]
-        _spin_product(entries[t], u, d, u, d, x, y, phase)
+            phase = phases[p][k:k + n]
+            mul(u, phase, u)
+            mul(d, phase, d)
         lo, hi = _trim(up, dn, lo, hi, ui, di)
     return _window(up, dn, lo, hi, first, stride)
 
 
 def _step_entries(blocks, walks):
-    """Per-step matrix entries, shape (4, E), from consecutive (n, 2, 2, E) blocks.
+    """Per-step matrix entries m00, m01, m10, m11 from consecutive (n, 2, 2, E) blocks.
 
-    One walk gets rows of shape (4,), whose entries ``_spin_product`` reads
-    as 0-d arrays, as the step-order kernels do. A (4, 1) row would give
-    entries of shape (1,), which broadcast as a one-element array: that
-    takes another numpy loop for a one-site product and rounds differently.
+    Each entry is a view of its block: 0-d for one walk and one entry per
+    walk, shape (E,), for an ensemble. One walk's (1,) entries would take
+    another numpy loop for a one-site product and round differently. A
+    block that repeats one matrix (stride 0 on the step axis) gives the same
+    four views for all its steps.
     """
     for block in blocks:
         entries = block.reshape(block.shape[0], 4, walks)
-        yield from (entries[:, :, 0] if walks == 1 else entries)
+        if walks == 1:
+            entries = entries[:, :, 0]
+        if entries.shape[0] > 1 and entries.strides[0] == 0:
+            row = entries[0]
+            yield from itertools.repeat((row[0, ...], row[1, ...], row[2, ...], row[3, ...]),
+                                        entries.shape[0])
+        else:
+            for row in entries:
+                yield row[0, ...], row[1, ...], row[2, ...], row[3, ...]
 
 
 def probe_ensemble(psi, origin, steps, walks, blocks):
@@ -298,10 +320,18 @@ def probe_ensemble(psi, origin, steps, walks, blocks):
     t_read = 1 + (stride == 2 and origin % 2 == 0)
     j = (origin + (stride - 1) * t_read) // stride
     ou, od = j + ui - t_read, j + di + dn_rate * t_read
-    for t, m in enumerate(_step_entries(blocks, walks), 1):
+    mul, add = np.multiply, np.add
+    for t, (m00, m01, m10, m11) in enumerate(_step_entries(blocks, walks), 1):
+        n = hi - lo + 1
         u = up[lo + ui:hi + ui + 1]
         d = dn[lo + di:hi + di + 1]
-        _spin_product(m, u, d, u, d, x, y)
+        xs, ys = x[:n], y[:n]
+        mul(m00, u, xs)
+        mul(m10, u, ys)
+        mul(m01, d, u)
+        add(xs, u, u)
+        mul(m11, d, xs)
+        add(ys, xs, d)
         ui -= 1
         di += dn_rate
         # grow by one site, clip to the cone of half-width T - t, trim

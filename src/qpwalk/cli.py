@@ -515,25 +515,33 @@ def run_bloch_trace(opts: Options) -> Record:
         raise ConfigError("tmax must be positive")
     params = WalkParams(field=field, coin_a=a, coin_b=b)
     state = WalkState.single_site(x=x0, spinor=spinor)
-    rows = []
     sx0, sy0, sz0 = bloch_vector(state, 0)
-    rows.append((0, sx0, sy0, sz0,
-                 math.sqrt(sx0 ** 2 + sy0 ** 2 + sz0 ** 2)))
+    spinors = track_origin(state, t_max, params)
+    # The metadata, written first, names the nearest return: a first pass
+    # finds it, and the rows stream from a second one. Each pass turns the
+    # (T, 2) spinors into Python values ROWS_PER_WRITE rows at a time.
+    blocks = range(0, t_max, ROWS_PER_WRITE)
     nearest_t = None
     nearest_dist = math.inf
-    spinors = track_origin(state, t_max, params)
-    for t, (u, d) in enumerate(spinors.tolist(), start=1):
-        sx, sy, sz = spinor_bloch_vector(u, d)
-        r = math.sqrt(sx ** 2 + sy ** 2 + sz ** 2)
-        rows.append((t, sx, sy, sz, r))
-        dist = math.sqrt((sx - sx0) ** 2 + (sy - sy0) ** 2 + (sz - sz0) ** 2)
-        if dist < nearest_dist:
-            nearest_dist = dist
-            nearest_t = t
+    for t0 in blocks:
+        for t, (u, d) in enumerate(spinors[t0:t0 + ROWS_PER_WRITE].tolist(), t0 + 1):
+            sx, sy, sz = spinor_bloch_vector(u, d)
+            dist = math.sqrt((sx - sx0) ** 2 + (sy - sy0) ** 2 + (sz - sz0) ** 2)
+            if dist < nearest_dist:
+                nearest_dist = dist
+                nearest_t = t
+
+    def rows():
+        yield 0, sx0, sy0, sz0, math.sqrt(sx0 ** 2 + sy0 ** 2 + sz0 ** 2)
+        for t0 in blocks:
+            for t, (u, d) in enumerate(spinors[t0:t0 + ROWS_PER_WRITE].tolist(), t0 + 1):
+                sx, sy, sz = spinor_bloch_vector(u, d)
+                yield t, sx, sy, sz, math.sqrt(sx ** 2 + sy ** 2 + sz ** 2)
+
     meta = {"field": field.label, "coin": coin_label, "tmax": t_max, "x0": x0,
             "spinor": opts.get("spinor", "1,0", str), "nearest_return_t": nearest_t,
             "nearest_return_dist": nearest_dist}
-    return meta, ["t", "sx", "sy", "sz", "r"], rows, 0
+    return meta, ["t", "sx", "sy", "sz", "r"], rows(), 0
 
 
 HANDLERS = {

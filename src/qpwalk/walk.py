@@ -385,18 +385,18 @@ def bloch_vector(state: WalkState, x: int) -> tuple[float, float, float]:
     The vector length equals the spinor's squared norm, so sub-unit spinors
     land inside the Bloch ball. Outside the window the result is (0, 0, 0).
     """
-    sp = state.spinor(x)
-    return spinor_bloch_vector(sp[0], sp[1])
+    u, d = state.spinor(x).tolist()
+    return spinor_bloch_vector(u, d)
 
 
-def spinor_bloch_vector(u, d) -> tuple[float, float, float]:
-    """``bloch_vector`` of the spinor (u, d), given as Python or numpy complex scalars.
+def spinor_bloch_vector(u: complex, d: complex) -> tuple[float, float, float]:
+    """``bloch_vector`` of the spinor (u, d), given as Python complex values.
 
-    Both give the same bits; Python complex values are several times faster.
+    numpy complex scalars give the same bits as numpy float scalars; Python
+    values are several times faster.
     """
     cross = u.conjugate() * d
-    return (float(2.0 * cross.real), float(2.0 * cross.imag),
-            float(abs(u) ** 2 - abs(d) ** 2))
+    return 2.0 * cross.real, 2.0 * cross.imag, abs(u) ** 2 - abs(d) ** 2
 
 
 def support_radius(state: WalkState, mass: float = 0.999) -> int:

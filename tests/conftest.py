@@ -260,9 +260,12 @@ def reference_rx_step_matrices(params: WalkParams, t_from: int, t_to: int,
 
 
 def reference_spin_product(m, u, d, u_out, d_out, x, y, phase=None):
-    """``_kernels._spin_product`` with the matrix entries unpacked, numpy scalars for one walk.
+    """(u_out, d_out) <- m @ (u, d) site by site, then times ``phase`` if given.
 
-    The kernels read the entries as 0-d views instead and must give the same bits.
+    The six ufunc calls of a kernel step, with the matrix entries m00, m01,
+    m10, m11 unpacked from ``m`` (numpy scalars for one walk); ``x`` and
+    ``y`` are scratch. The kernels read the entries as 0-d views and
+    multiply in place instead, and must give the same bits.
     """
     n = u.shape[0]
     x, y = x[:n], y[:n]

@@ -171,17 +171,23 @@ def _assert_probe_matches(psi, origin, mats):
     sign and the probe +0.0. Returns the probe's p0 and the reference runs'
     final bounds.
     """
-    steps = mats.shape[0]
     p0, spinors = _probe(psi, origin, mats)
     ref_p0, ref_spinors, bounds = _probe_each_walk(psi, mats, origin)
     assert _same_bits(p0, ref_p0)
+    _assert_origin_spinors(spinors, ref_spinors, psi, origin)
+    return p0, bounds
+
+
+def _assert_origin_spinors(spinors, ref_spinors, psi, origin):
+    """``_assert_probe_matches``'s rule for origin spinors of shape (..., T, 2), from ``psi``."""
+    steps = spinors.shape[-2]
     occupied = _probe_occupied(psi, origin, steps)
-    assert np.all(ref_spinors[:, ~occupied] == 0)
-    assert not spinors[:, ~occupied].view(np.uint64).any()
-    new, ref = spinors[:, occupied].view(float), ref_spinors[:, occupied].view(float)
+    assert np.all(ref_spinors[..., ~occupied, :] == 0)
+    assert not spinors[..., ~occupied, :].view(np.uint64).any()
+    new = spinors[..., occupied, :].view(float)
+    ref = ref_spinors[..., occupied, :].view(float)
     tiny = (np.abs(ref) < 1e-178) & (np.abs(new - ref) < (psi.shape[0] + 2 * steps) * 2e-200)
     assert np.all((new.view(np.uint64) == ref.view(np.uint64)) | tiny)
-    return p0, bounds
 
 
 def test_window_bounds_track_support(rng):
@@ -525,36 +531,211 @@ def _su2_entries(rng, *walks):
     return np.stack([a, b, -b.conj(), a.conj()])
 
 
-@pytest.mark.parametrize("in_place", [True, False], ids=["in-place", "out-of-place"])
-@pytest.mark.parametrize("n", [1, 2, 3, 40, 1317])
-def test_spin_product_keeps_the_bits_of_unpacked_entries(rng, n, in_place):
-    """0-d entry views give the bits of the unpacked numpy scalars.
+def _unpacked_product(m, u, d, phase=None):
+    """``reference_spin_product`` of the unpacked entries ``m`` on u and d, into new arrays."""
+    u_out, d_out = np.empty(u.shape, complex), np.empty(u.shape, complex)
+    scratch = np.empty((u.shape[0] + 3,) + u.shape[1:], complex)
+    reference_spin_product(m, u, d, u_out, d_out, scratch, scratch.copy(), phase)
+    return u_out, d_out
 
-    One walk's (4,) entries, with and without a phase; the (4,) rows that
-    ``_step_entries`` gives a one-walk ensemble, against (n, 1) arrays; and
-    (4, E) rows against (n, E) arrays. Out of place, the inputs are strided
-    columns, as in a kernel's first step.
+
+@pytest.mark.parametrize("n", [1, 2, 3, 40, 1317])
+def test_step_products_keep_the_bits_of_unpacked_entries(rng, n):
+    """One step of each step-order kernel on n sites against ``reference_spin_product``.
+
+    The kernels read 0-d entry views and multiply contiguous copies in
+    place; the reference takes the entries as unpacked numpy scalars, reads
+    the window's strided columns (as a first step once did) and writes
+    arrays of its own. Shift-then-matrix runs with a per-site phase. Ten
+    steps of each kernel then match the interleaved reference loops.
     """
-    block = np.moveaxis(_su2_entries(rng, 3, 1).reshape(2, 2, 3, 1), 2, 0)
-    phase = np.exp(1j * rng.uniform(-np.pi, np.pi, n))
-    cases = [(_su2_entries(rng), (n,), None), (_su2_entries(rng), (n,), phase),
-             (_su2_entries(rng, 5), (n, 5), None)]
-    cases += [(row, (n, 1), None) for row in _kernels._step_entries([block], 1)]
-    assert [m.shape for m, _, _ in cases] == [(4,), (4,), (4, 5), (4,), (4,), (4,)]
-    for m, shape, ph in cases:
-        psi = rng.normal(size=shape + (2,)) + 1j * rng.normal(size=shape + (2,))
-        results = []
-        for product in (_kernels._spin_product, reference_spin_product):
-            if in_place:
-                u, d = psi[..., 0].copy(), psi[..., 1].copy()
-                u_out, d_out = u, d
-            else:
-                u, d = psi[..., 0], psi[..., 1]
-                u_out, d_out = np.empty(shape, complex), np.empty(shape, complex)
-            scratch = np.empty((n + 3,) + shape[1:], complex)
-            product(m, u, d, u_out, d_out, scratch, scratch.copy(), ph)
-            results.append(np.stack([u_out, d_out]))
-        assert np.array_equal(bits(results[0]), bits(results[1]))
+    psi = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+    m = _su2_entries(rng)
+    mats = m.reshape(1, 2, 2)
+    # a one-site window steps one sublattice: site 0 is empty after a step
+    occupied = np.arange(n + 2) % 2 == 0 if n == 1 else np.ones(n + 2, dtype=bool)
+    want = np.zeros((n + 2, 2), dtype=complex)  # sites -1..n
+    want[2:, 0], want[:n, 1] = _unpacked_product(m, psi[:, 0], psi[:, 1])
+    lo, hi, window = _kernels.steps_matrix_then_shift(psi, 0, n - 1, mats)
+    assert (lo, hi) == (-1, n)
+    _assert_sublattice_bits(window, want, occupied)
+
+    shifted = np.zeros((n + 2, 2), dtype=complex)
+    shifted[2:, 0], shifted[:n, 1] = psi[:, 0], psi[:, 1]
+    phase = np.exp(1j * rng.uniform(-np.pi, np.pi, n + 2))
+    want = np.stack(_unpacked_product(m, shifted[:, 0], shifted[:, 1], phase), axis=1)
+    lo, hi, window = _kernels.steps_shift_then_matrix(psi, 0, n - 1, mats, phase)
+    assert (lo, hi) == (-1, n)
+    _assert_sublattice_bits(window, want, occupied)
+
+    buf, lo, hi, mats = _random_case(rng, steps=10, width=n)
+    occupied = _occupied(buf, lo, hi, 10)
+    ref = buf.copy()
+    bounds, new = _matrix_then_shift(buf, lo, hi, mats)
+    assert bounds == reference_matrix_then_shift(ref, lo, hi, mats)
+    _assert_window_bits(bounds, new, ref, occupied)
+    phase = np.exp(1j * rng.uniform(-np.pi, np.pi, buf.shape[0]))
+    ref = buf.copy()
+    bounds, new = _shift_then_matrix(buf, lo, hi, mats, phase)
+    assert bounds == reference_shift_then_matrix(ref, lo, hi, mats, phase)
+    _assert_window_bits(bounds, new, ref, occupied)
+
+
+@pytest.mark.parametrize("walks", [1, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 40, 1317])
+def test_probe_products_keep_the_bits_of_the_reference_loops(rng, n, walks):
+    """The probe's products on n sites against each walk's interleaved reference loop.
+
+    One walk reads the 0-d entry views of ``_step_entries``, E walks its
+    rows of one entry per walk. The origin is the middle row and the run
+    takes n // 2 + 2 steps, so the light cone holds the whole window at the
+    first step.
+    """
+    steps = n // 2 + 2
+    psi = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+    psi /= np.linalg.norm(psi)
+    mats = np.stack([_random_unitaries(rng, steps) for _ in range(walks)], axis=-1)
+    _assert_probe_matches(psi, n // 2, mats)
+
+
+def test_a_repeated_matrix_gives_the_bits_of_its_copy(rng):
+    """A ``mats`` that repeats one matrix (stride 0 on the step axis, as ``gauge``
+    passes the coin) gives the windows and the probe reads of its materialized copy.
+
+    ``_step_entries`` hands out one set of entry views for all of its steps.
+    """
+    coin = _su2_entries(rng).reshape(2, 2)
+    for width in (1, 4, 9):
+        buf, lo, hi, _ = _random_case(rng, steps=30, width=width, tiny_edges=width == 9)
+        repeated = np.broadcast_to(coin, (30, 2, 2))
+        copy = np.ascontiguousarray(repeated)
+        phase = np.exp(1j * rng.uniform(-np.pi, np.pi, buf.shape[0]))
+        for run, args in ((_matrix_then_shift, ()), (_shift_then_matrix, ()),
+                          (_shift_then_matrix, (phase,))):
+            bounds, window = run(buf, lo, hi, repeated, *args)
+            copy_bounds, copy_window = run(buf, lo, hi, copy, *args)
+            assert bounds == copy_bounds and _same_bits(window, copy_window)
+        for walks in (1, 3):
+            block = np.broadcast_to(coin[..., None], (30, 2, 2, walks))
+            reads = _probe(buf[lo:hi + 1], width // 2, block)
+            copy_reads = _probe(buf[lo:hi + 1], width // 2, np.ascontiguousarray(block))
+            assert all(_same_bits(a, b) for a, b in zip(reads, copy_reads))
+            entries = list(_kernels._step_entries([block], walks))
+            assert len(entries) == 30 and all(e is entries[0] for e in entries)
+            assert [m.shape for m in entries[0]] == [(walks,) if walks > 1 else ()] * 4
+
+
+def _permuting_matrix(rng):
+    """A diagonal or antidiagonal unitary with entries in {1, -1, i, -i}.
+
+    A step with it moves every component exactly, so a real or imaginary
+    part below the trim threshold reaches the edges intact.
+    """
+    p, q = (complex((1, -1, 1j, -1j)[k]) for k in rng.integers(0, 4, 2))
+    return np.array([[p, 0], [0, q]]) if rng.random() < 0.5 else np.array([[0, p], [q, 0]])
+
+
+def _edge_case(rng, steps, width):
+    """A window whose real and imaginary parts are each O(1), sub-threshold or zero.
+
+    A third of the windows hold one O(1) part and sub-threshold ones
+    elsewhere, so the trims shrink them to one site. Most steps permute
+    (``_permuting_matrix``); a tenth are random unitaries.
+    """
+    pad = steps + 2
+    buf = np.zeros((width + 2 * pad, 2), dtype=complex)
+    parts = rng.normal(size=(width, 2, 2)) * np.array([1.0, 1e-230, 0.0])[
+        rng.integers(0, 3, size=(width, 2, 2))]
+    if rng.random() < 1 / 3:
+        parts *= 1e-230
+        parts[rng.integers(0, width), rng.integers(0, 2), rng.integers(0, 2)] = 0.8
+    buf[pad:pad + width] = parts[..., 0] + 1j * parts[..., 1]
+    mats = np.stack([_permuting_matrix(rng) if rng.random() < 0.9 else _random_unitaries(rng, 1)[0]
+                     for _ in range(steps)])
+    return buf, pad, pad + width - 1, mats
+
+
+def _trim_patterns(up, dn, lo, hi, ui, di):
+    """Each edge site the one-walk trim rule reads: which of lead.real, lead.imag,
+    other.real and other.imag are below the threshold (``_reference_trim``'s order)."""
+    def below(lead, other):
+        return tuple(abs(v) < REFERENCE_TRIM_THRESHOLD
+                     for v in (lead.real, lead.imag, other.real, other.imag))
+    patterns = []
+    while hi > lo:
+        patterns.append(below(up[hi + ui], dn[hi + di]))
+        if not all(patterns[-1]):
+            break
+        hi -= 1
+    while lo < hi:
+        patterns.append(below(dn[lo + di], up[lo + ui]))
+        if not all(patterns[-1]):
+            break
+        lo += 1
+    return patterns
+
+
+def _run_edge_case(rng, path, buf, lo, hi, mats):
+    """Run ``path`` on the case and check it against its interleaved reference loop."""
+    steps = mats.shape[0]
+    if path == "track_origin":
+        # field 0 makes every step matrix the coin; the coins permute
+        a, b = ((1, 0), (0, 1), (1j, 0), (0, 1j))[rng.integers(0, 4)]
+        params = WalkParams(Field.from_turns(0.0), a, b)
+        start = WalkState(x_min=-int(rng.integers(0, hi - lo + 1)), amplitudes=buf[lo:hi + 1])
+        spinors = track_origin(start, steps, params)
+        _assert_origin_spinors(spinors, reference_track_origin(start, steps, params)[2],
+                               start.amplitudes, -start.x_min)
+    elif path == "probe":
+        for origin in (lo, hi, int(rng.integers(lo - steps, hi + steps + 1))):
+            _assert_probe_matches(buf[lo:hi + 1], origin - lo, mats[..., None])
+    elif path == "matrix_then_shift":
+        ref = buf.copy()
+        bounds, new = _matrix_then_shift(buf, lo, hi, mats)
+        assert bounds == reference_matrix_then_shift(ref, lo, hi, mats)
+        _assert_window_bits(bounds, new, ref, _occupied(buf, lo, hi, steps))
+    else:
+        # unit phases keep the parts apart, others mix them
+        phase = (np.array([1, -1, 1j, -1j])[rng.integers(0, 4, buf.shape[0])] if rng.random() < 0.5
+                 else np.exp(1j * rng.uniform(-np.pi, np.pi, buf.shape[0])))
+        ref = buf.copy()
+        bounds, new = _shift_then_matrix(buf, lo, hi, mats, phase)
+        assert bounds == reference_shift_then_matrix(ref, lo, hi, mats, phase)
+        _assert_window_bits(bounds, new, ref, _occupied(buf, lo, hi, steps))
+
+
+@pytest.mark.parametrize("path", ["matrix_then_shift", "shift_then_matrix", "probe",
+                                  "track_origin"])
+def test_one_walk_trim_matches_the_reference_through_each_kernel(rng, path):
+    """The one-walk branch of ``_trim``, through each kernel, against the reference loops.
+
+    Every ``_trim`` call of the run is checked against ``_reference_trim``,
+    and the runs cover edges where only the lead part is below the
+    threshold, where only one real or imaginary part is not, both edges
+    trimmed in one step, and windows trimmed to one site.
+    """
+    trim, patterns, both_edges, one_site = _kernels._trim, set(), False, False
+
+    def spy(up, dn, lo, hi, ui, di):
+        nonlocal both_edges, one_site
+        assert up.ndim == 1
+        patterns.update(_trim_patterns(up, dn, lo, hi, ui, di))
+        want = _reference_trim(up, dn, lo, hi, ui, di)
+        got = trim(up, dn, lo, hi, ui, di)
+        assert got == want[:2] and _same_bits(up, want[2]) and _same_bits(dn, want[3])
+        both_edges |= got[0] > lo and got[1] < hi
+        one_site |= got[0] == got[1] and hi > lo
+        return got
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernels, "_trim", spy)
+        for _ in range(120):
+            steps, width = int(rng.integers(1, 12)), int(rng.integers(1, 9))
+            _run_edge_case(rng, path, *_edge_case(rng, steps, width))
+    lead_only = {(True, True, False, False), (True, True, True, False), (True, True, False, True)}
+    one_part = {tuple(i != k for i in range(4)) for k in range(4)}
+    assert patterns >= one_part and patterns & lead_only and (True,) * 4 in patterns
+    assert both_edges and one_site
 
 
 def _random_ensemble(rng, steps, walks, width):

@@ -49,6 +49,7 @@ from .walk import (Field, WalkParams, WalkState, bloch_vector, evolve,
 TRACE_CHECK_TOL = 1e-9
 GAUGE_CHECK_TOL = 1e-10
 ROWS_PER_WRITE = 4096  # rows formatted per write
+SPINOR_BLOCK = 512  # bloch-trace spinors turned into Python values at a time
 
 NAMED_COINS = {
     "hadamard": (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)),
@@ -519,12 +520,12 @@ def run_bloch_trace(opts: Options) -> Record:
     spinors = track_origin(state, t_max, params)
     # The metadata, written first, names the nearest return: a first pass
     # finds it, and the rows stream from a second one. Each pass turns the
-    # (T, 2) spinors into Python values ROWS_PER_WRITE rows at a time.
-    blocks = range(0, t_max, ROWS_PER_WRITE)
+    # (T, 2) spinors into Python values SPINOR_BLOCK rows at a time.
+    blocks = range(0, t_max, SPINOR_BLOCK)
     nearest_t = None
     nearest_dist = math.inf
     for t0 in blocks:
-        for t, (u, d) in enumerate(spinors[t0:t0 + ROWS_PER_WRITE].tolist(), t0 + 1):
+        for t, (u, d) in enumerate(spinors[t0:t0 + SPINOR_BLOCK].tolist(), t0 + 1):
             sx, sy, sz = spinor_bloch_vector(u, d)
             dist = math.sqrt((sx - sx0) ** 2 + (sy - sy0) ** 2 + (sz - sz0) ** 2)
             if dist < nearest_dist:
@@ -534,7 +535,7 @@ def run_bloch_trace(opts: Options) -> Record:
     def rows():
         yield 0, sx0, sy0, sz0, math.sqrt(sx0 ** 2 + sy0 ** 2 + sz0 ** 2)
         for t0 in blocks:
-            for t, (u, d) in enumerate(spinors[t0:t0 + ROWS_PER_WRITE].tolist(), t0 + 1):
+            for t, (u, d) in enumerate(spinors[t0:t0 + SPINOR_BLOCK].tolist(), t0 + 1):
                 sx, sy, sz = spinor_bloch_vector(u, d)
                 yield t, sx, sy, sz, math.sqrt(sx ** 2 + sy ** 2 + sz ** 2)
 

@@ -545,9 +545,9 @@ def test_step_products_keep_the_bits_of_unpacked_entries(rng, n):
 
     The kernels read 0-d entry views and multiply contiguous copies in
     place; the reference takes the entries as unpacked numpy scalars, reads
-    the window's strided columns (as a first step once did) and writes
-    arrays of its own. Shift-then-matrix runs with a per-site phase. Ten
-    steps of each kernel then match the interleaved reference loops.
+    strided columns and writes arrays of its own. Shift-then-matrix runs
+    with a per-site phase. Ten steps of each kernel then match the
+    interleaved reference loops.
     """
     psi = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
     m = _su2_entries(rng)

@@ -392,8 +392,8 @@ def bloch_vector(state: WalkState, x: int) -> tuple[float, float, float]:
 def spinor_bloch_vector(u: complex, d: complex) -> tuple[float, float, float]:
     """``bloch_vector`` of the spinor (u, d), given as Python complex values.
 
-    numpy complex scalars give the same bits as numpy float scalars; Python
-    values are several times faster.
+    Given numpy complex scalars it returns the same bits, as numpy floats;
+    Python values are several times faster.
     """
     cross = u.conjugate() * d
     return 2.0 * cross.real, 2.0 * cross.imag, abs(u) ** 2 - abs(d) ** 2

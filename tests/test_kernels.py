@@ -16,7 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (REFERENCE_TRIM_THRESHOLD, bits, max_diff, random_su2, reference_electric,
+from conftest import (REFERENCE_TRIM_THRESHOLD, max_diff, random_su2, reference_electric,
                       reference_evolve, reference_matrix_then_shift, reference_shift_then_matrix,
                       reference_spin_product, reference_track_origin, run_padded, state_to_dict)
 from qpwalk import _kernels

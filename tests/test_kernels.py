@@ -11,6 +11,7 @@ the reference leaves as zeros of either sign hold +0.0. The origin probe is
 checked against the probed reference loop, run once per walk.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -19,9 +20,10 @@ import pytest
 from conftest import (REFERENCE_TRIM_THRESHOLD, max_diff, random_su2, reference_electric,
                       reference_evolve, reference_matrix_then_shift, reference_shift_then_matrix,
                       reference_spin_product, reference_track_origin, run_padded, state_to_dict)
-from qpwalk import _kernels
+from qpwalk import _kernels, cli
 from qpwalk.gauge import electric_evolve
 from qpwalk.noise import NoiseConfig
+from qpwalk.spinops import make_coin
 from qpwalk.walk import (Field, TimeRule, WalkParams, WalkState, ensemble_tracking_origin, evolve,
                          evolve_tracking_origin, hadamard_params, return_probability,
                          spinor_probabilities, track_origin)
@@ -602,10 +604,11 @@ def test_a_repeated_matrix_gives_the_bits_of_its_copy(rng):
     """A ``mats`` that repeats one matrix (stride 0 on the step axis, as ``gauge``
     passes the coin) gives the windows and the probe reads of its materialized copy.
 
-    ``_step_entries`` hands out one set of entry views for all of its steps.
+    ``_step_entries`` hands out one set of entry views for all of its steps, with
+    one balanced flag: False for a random SU(2) coin, True for a Hadamard step.
     """
-    coin = _su2_entries(rng).reshape(2, 2)
-    for width in (1, 4, 9):
+    coins = [_su2_entries(rng).reshape(2, 2), _hadamard_stack(rng, TimeRule.RX_FIELD, 1)[0]]
+    for width, coin in itertools.product((1, 4, 9), coins):
         buf, lo, hi, _ = _random_case(rng, steps=30, width=width, tiny_edges=width == 9)
         repeated = np.broadcast_to(coin, (30, 2, 2))
         copy = np.ascontiguousarray(repeated)
@@ -622,8 +625,205 @@ def test_a_repeated_matrix_gives_the_bits_of_its_copy(rng):
             assert all(_same_bits(a, b) for a, b in zip(reads, copy_reads))
             entries = list(_kernels._step_entries([block], walks))
             assert len(entries) == 30 and all(e is entries[0] for e in entries)
-            assert [m.shape for m in entries[0]] == [(walks,) if walks > 1 else ()] * 4
+            balanced, *views = entries[0]
+            assert balanced is (coin is coins[1])
+            assert [m.shape for m in views] == [(walks,) if walks > 1 else ()] * 4
 
+
+def _general_only(monkeypatch):
+    """Make every step take the general six-call product."""
+    monkeypatch.setattr(_kernels, "_balanced", lambda entries: [False] * entries.shape[0])
+
+
+def _flags(mats, walks=1):
+    """``_step_entries``' balanced flag per step of a (T, 2, 2) or (T, 2, 2, E) stack."""
+    block = mats if walks > 1 else mats[..., None]
+    return [entry[0] for entry in _kernels._step_entries([block], walks)]
+
+
+def _hadamard_stack(rng, rule, steps, walks=None):
+    """Hadamard step matrices at random angles, (T, 2, 2) or, for E walks, (T, 2, 2, E)."""
+    params = hadamard_params(Field.golden(), rule)
+    values = rng.uniform(0.1, 6.2, steps if walks is None else (steps, walks))
+    # GAUGED_SZ's first step has angle 0, so the stack starts at t = 2
+    mats = params.step_matrices(2, steps + 1, field_values=values)
+    return mats if walks is None else np.ascontiguousarray(np.moveaxis(mats, 1, -1))
+
+
+def _assert_both_paths_match(monkeypatch, run):
+    """``run()``'s arrays, bit for bit, with the balanced steps and with the general path only."""
+    fast = run()
+    with monkeypatch.context() as m:
+        _general_only(m)
+        slow = run()
+    assert all(_same_bits(np.asarray(a), np.asarray(b)) for a, b in zip(fast, slow))
+    return fast
+
+
+@pytest.mark.parametrize("rule", list(TimeRule))
+def test_balanced_steps_keep_the_bits_of_the_general_path(rng, monkeypatch, rule):
+    """Hadamard stacks at random angles, every step balanced, against the general path
+    and the interleaved reference loops: stride 1 and 2, edges that trim, the phase,
+    and the probe with one walk and with an ensemble."""
+    for case in range(24):
+        steps = int(rng.integers(2, 40))
+        width = (1, 2, 5, 9)[case % 4]
+        buf, lo, hi, _ = _random_case(rng, steps, width, tiny_edges=case % 3 == 0)
+        if case % 8 == 6:  # a sublattice window wider than one site: stride 2
+            buf[lo + 1:hi:2] = 0.0
+        mats = _hadamard_stack(rng, rule, steps)
+        assert all(_flags(mats))
+        occupied = _occupied(buf, lo, hi, steps)
+        phase = np.exp(1j * rng.uniform(-np.pi, np.pi, buf.shape[0]))
+        for run, reference, args in ((_matrix_then_shift, reference_matrix_then_shift, ()),
+                                     (_shift_then_matrix, reference_shift_then_matrix, ()),
+                                     (_shift_then_matrix, reference_shift_then_matrix, (phase,))):
+            bounds, window = _assert_both_paths_match(
+                monkeypatch, lambda: run(buf, lo, hi, mats, *args))
+            ref = buf.copy()
+            assert bounds == reference(ref, lo, hi, mats, *args)
+            _assert_window_bits(bounds, window, ref, occupied)
+        origin = int(rng.integers(-2, width + 2))
+        for walks in (1, 4):
+            block = _hadamard_stack(rng, rule, steps, walks)
+            _assert_both_paths_match(monkeypatch, lambda: _probe(buf[lo:hi + 1], origin, block))
+            _assert_probe_matches(buf[lo:hi + 1], origin, block)
+
+
+def test_balanced_noisy_ensembles_keep_their_bits(monkeypatch):
+    """A noisy 1/100 ensemble, as ``noise-series`` runs it, against the general path and
+    against each trajectory's reference run."""
+    params = hadamard_params(Field.rational(1, 100))
+    start = WalkState.single_site(x=1, spinor=(0.6, 0.8j))
+    noise = NoiseConfig(epsilon=1e-3, seed=5)
+    fields = [noise.draw_fields(params.field.value, 300, i) for i in range(6)]
+    p0, = _assert_both_paths_match(
+        monkeypatch, lambda: [ensemble_tracking_origin(start, 300, params, fields)])
+    for e, values in enumerate(fields):
+        assert _same_bits(p0[e], reference_track_origin(start, 300, params, values)[1])
+
+
+def _degenerate(rng, kind):
+    """A balanced Hadamard matrix turned degenerate: a real or imaginary part of m00
+    or m01 is +0.0 or -0.0 (mirrored into m10 or m11), or an entry is NaN."""
+    m = _hadamard_stack(rng, TimeRule.RX_FIELD, 1)[0]
+    row, col, part = (int(k) for k in rng.integers(0, 2, 3))
+    if kind == "nan":
+        m[row, col] = np.nan
+        return m
+    value = 0.0 if kind == "+0" else -0.0
+    z = m[0, col]
+    m[0, col] = complex(value, z.imag) if part == 0 else complex(z.real, value)
+    m[1, col] = -m[0, col] if col == 0 else m[0, col]
+    return m
+
+
+def test_degenerate_steps_take_the_general_path(rng):
+    """Zero or -0.0 parts and NaN entries are never flagged; the runs keep the
+    reference loops' bits, signed zeros included, at stride 1 and 2."""
+    for case in range(30):
+        steps = int(rng.integers(2, 30))
+        mats = _hadamard_stack(rng, TimeRule.RX_FIELD, steps)
+        bad = rng.random(steps) < 0.4
+        bad[rng.integers(0, steps)] = True
+        kind = ("+0", "-0", "nan")[case % 3]
+        mats[bad] = [_degenerate(rng, kind) for _ in range(bad.sum())]
+        assert _flags(mats) == list(~bad)
+        if kind == "nan":
+            continue
+        buf, lo, hi, _ = _random_case(rng, steps, (1, 4)[case % 2])
+        ref = buf.copy()
+        bounds, window = _matrix_then_shift(buf, lo, hi, mats)
+        assert bounds == reference_matrix_then_shift(ref, lo, hi, mats)
+        _assert_window_bits(bounds, window, ref, _occupied(buf, lo, hi, steps))
+    for field in (Field.rational(0, 1), Field.rational(1, 7)):
+        mats = hadamard_params(field).step_matrices(1, 70)
+        assert _flags(mats) == [field.numerator > 0 and t % 7 > 0 for t in range(1, 71)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["bloch-trace", "--field", "0", "--tmax", "300"],
+    ["bloch-trace", "--field", "1/2", "--spinor", "1,1", "--tmax", "300"],
+    ["bloch-trace", "--field", "1/2", "--spinor", "1,1", "--tmax", "300", "--format", "json"],
+    ["evolve", "--field", "1/2", "--spinor", "1,1", "--tmax", "60"],
+])
+def test_cli_bytes_do_not_depend_on_the_balanced_path(monkeypatch, capsys, argv):
+    """Walks with exact zeros (field 0; field 1/2, where every other step is degenerate
+    and the Hadamard step from spinor (1, 1) cancels exactly) print the same bytes,
+    -0.0 and 0.0 included, with the balanced steps and with the general path only."""
+    assert cli.main(argv) == 0
+    fast = capsys.readouterr().out
+    _general_only(monkeypatch)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == fast
+
+
+def test_balanced_flags_cover_the_hadamard_walks():
+    """Every step of the golden Hadamard walk and of a noisy 1/100 ensemble block is
+    flagged; 1/7 loses the steps at t = 0 mod 7; other coins are never flagged."""
+    golden = hadamard_params(Field.golden())
+    assert all(_flags(golden.step_matrices(1, 6000)))
+    fields = NoiseConfig(epsilon=1e-3, seed=1).draw_fields(0.01 * 2 * np.pi, 32 * 50, 0)
+    block = hadamard_params(Field.rational(1, 100)).step_matrices(
+        1, 32, field_values=fields.reshape(32, 50))
+    assert all(_flags(np.ascontiguousarray(np.moveaxis(block, 1, -1)), walks=50))
+    assert sum(_flags(hadamard_params(Field.rational(1, 7)).step_matrices(1, 6000))) == 5143
+    assert not any(_flags(WalkParams(Field.golden(), 0.6, 0.8j).step_matrices(1, 6000)))
+    electric_coin = np.broadcast_to(make_coin(2 ** -0.5, 2 ** -0.5), (100, 2, 2))
+    assert not any(_flags(electric_coin))
+
+
+def test_an_ensemble_step_is_balanced_only_in_every_walk(rng):
+    """One unbalanced walk at a step clears that step's flag."""
+    block = _hadamard_stack(rng, TimeRule.RX_FIELD, 40, walks=3)
+    block[7, :, :, 2] = _su2_entries(rng).reshape(2, 2)
+    block[20, 1, 0, 0] *= -1
+    assert _flags(block, walks=3) == [t not in (7, 20) for t in range(40)]
+
+
+def test_the_scalar_and_the_vectorized_checks_agree(rng):
+    """One walk's short blocks are checked as Python scalars, longer ones and ensembles
+    in numpy: all flag the same matrices, among parts that are zero, -0.0, tiny, huge,
+    infinite or NaN, and entries one ulp from the mirror."""
+    values = [0.5, -0.5, 0.0, -0.0, 5e-324, 1e300, np.inf, -np.inf, np.nan,
+              np.nextafter(0.5, 1.0), np.nextafter(-0.5, -1.0)]
+    entries = np.empty((4000, 4), dtype=complex)
+    for m in entries:
+        m00, m01 = (complex(*rng.choice(values, 2)) for _ in range(2))
+        m10 = -m00 if rng.random() < 0.8 else complex(*rng.choice(values, 2))
+        m11 = m01 if rng.random() < 0.8 else complex(*rng.choice(values, 2))
+        m[:] = m00, m01, m10, m11
+    assert _kernels.SCALAR_CHECK_STEPS < 4000
+    scalar = [flag for block in np.split(entries, 1000) for flag in _kernels._balanced(block)]
+    assert scalar == _kernels._balanced(entries) == _kernels._balanced(entries[..., None])
+    assert 0 < sum(scalar) < len(scalar)
+
+
+def test_one_walk_single_steps_are_not_checked(rng):
+    """A one-step block of one walk takes the general path unchecked; of E walks it is checked."""
+    step = _hadamard_stack(rng, TimeRule.RX_FIELD, 1)
+    assert _flags(step) == [False] and _flags(step[..., None].repeat(3, -1), walks=3) == [True]
+
+
+def test_balanced_steps_differ_only_in_the_sign_of_zeros(monkeypatch):
+    """Where a site's down amplitude is exactly zero, the balanced step's Q - P can give
+    -0.0 where the general path's m10 u + m11 d gives +0.0. A window whose every
+    other site is zero, at stride 1, shows it in the Hadamard steps with cos(theta) < 0:
+    the values are equal, and only zeros differ in sign."""
+    r = 2 ** -0.5
+    psi = np.array([[0.6, 0.8j], [0, 0], [0.8, 0.6j], [0, 0]], dtype=complex)
+    for theta in (0.5, 2.0, 3.5, 5.0):
+        m00, m01 = r * np.exp(-1j * theta), r * np.exp(1j * theta)
+        mats = np.array([[[m00, m01], [-m00, m01]]] * 2)
+        assert _flags(mats) == [True, True]
+        _, _, fast = _kernels.steps_matrix_then_shift(psi, 0, 3, mats)
+        with monkeypatch.context() as m:
+            _general_only(m)
+            _, _, slow = _kernels.steps_matrix_then_shift(psi, 0, 3, mats)
+        assert np.array_equal(fast, slow)
+        differ = fast.view(float).view(np.uint64) != slow.view(float).view(np.uint64)
+        assert (fast.view(float)[differ] == 0).all()
+        assert differ.any() == (np.cos(theta) < 0)
 
 def _permuting_matrix(rng):
     """A diagonal or antidiagonal unitary with entries in {1, -1, i, -i}.

@@ -35,24 +35,14 @@ All of it is bit-identical to shifting a zero-padded buffer in place, as
 the reference loops in ``tests/conftest.py`` do (BLAS ``matmul`` would
 round differently).
 
-A balanced step (``_balanced``: m10 = -m00 and m11 = m01, every part of
-m00 and m01 finite and nonzero, in every walk), as every step of the
-Hadamard walk at a nonzero angle is, takes four calls instead: P = m00*u,
-Q = m01*d, u' = P + Q, d' = Q - P. u' is the general path's sum. Since
-(-a)*b = -(a*b), the general path's m10*u is -P, except where a part of P
-cancels exactly (zero products included): that part is +0.0 in both. As
-Q - P = Q + (-P), d' keeps the general path's bits except for the sign of
-a zero: where such a part meets -0.0 in the same part of Q, which takes a
-site whose down amplitude is exactly zero, d' holds -0.0 and the general
-path +0.0. No value differs, and a zero's sign changes no later nonzero
-value. From one site, as every ``qpwalk`` experiment starts, the right
-edge's down amplitude is zero after every step, and there a part of P
-cancels only where m00*u is exactly real or imaginary; windows of stride 1
-with exactly-zero sites meet the case in about half of the Hadamard steps.
-The flags come from the entries, once per block; one walk's blocks of up
-to ``SCALAR_CHECK_STEPS`` steps are checked as Python scalars, which is
-quicker there, and one walk's single step (``walk.step``) is not checked,
-as the check would cost about what it saves.
+A balanced step (``_balanced``: m11 has the bits of m01 in every walk), as
+every step of the Hadamard walk is, takes
+five calls: m11*d would repeat m01*d bit for bit, so d' = m10*u + m11*d
+adds m10*u to the m01*d already computed for u'. The operands and their
+order are the six calls', so every bit is theirs, zeros of either sign
+and NaN included. The flags come from the entries, once per block; one
+walk's single step (``walk.step``) is not checked, as the check would cost
+about what it saves.
 
 One walk's matrix entries go in as 0-d array views
 (``_step_entries``): a numpy scalar operand rounds the same but is
@@ -87,7 +77,6 @@ which can change the bits of a component only where it is below about
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
@@ -195,7 +184,7 @@ def steps_matrix_then_shift(psi, lo, hi, mats):
     stride, first, lo, hi, (up, dn, x, y) = _layout(psi, lo, hi, steps)
     dn_rate = 2 - stride  # compressed sites a down amplitude moves left per step
     ui, di = steps, -dn_rate * steps
-    mul, add, sub = np.multiply, np.add, np.subtract
+    mul, add = np.multiply, np.add
     for balanced, m00, m01, m10, m11 in _step_entries([mats[..., None]], 1):
         # compressed site j's new up (down) amplitude belongs to j + 1
         # (j - dn_rate), whose index after this step is the one j's had before it
@@ -204,13 +193,12 @@ def steps_matrix_then_shift(psi, lo, hi, mats):
         d = dn[lo + di:hi + di + 1]
         xs, ys = x[:n], y[:n]
         mul(m00, u, xs)
-        if balanced:
-            mul(m01, d, ys)
-            add(xs, ys, u)
-            sub(ys, xs, d)
+        mul(m10, u, ys)
+        mul(m01, d, u)
+        if balanced:  # m11 d has the bits of m01 d, now in u
+            add(ys, u, d)
+            add(xs, u, u)
         else:
-            mul(m10, u, ys)
-            mul(m01, d, u)
             add(xs, u, u)
             mul(m11, d, xs)
             add(ys, xs, d)
@@ -236,7 +224,7 @@ def steps_shift_then_matrix(psi, lo, hi, mats, site_phase=None):
     if site_phase is not None:
         # phase index stride * k + p is at phases[p][k], in contiguous memory
         phases = [np.ascontiguousarray(site_phase[p::stride]) for p in range(stride)]
-    mul, add, sub = np.multiply, np.add, np.subtract
+    mul, add = np.multiply, np.add
     for balanced, m00, m01, m10, m11 in _step_entries([mats[..., None]], 1):
         first -= stride - 1
         lo -= dn_rate
@@ -248,13 +236,12 @@ def steps_shift_then_matrix(psi, lo, hi, mats, site_phase=None):
         d = dn[lo + di:hi + di + 1]
         xs, ys = x[:n], y[:n]
         mul(m00, u, xs)
-        if balanced:
-            mul(m01, d, ys)
-            add(xs, ys, u)
-            sub(ys, xs, d)
+        mul(m10, u, ys)
+        mul(m01, d, u)
+        if balanced:  # m11 d has the bits of m01 d, now in u
+            add(ys, u, d)
+            add(xs, u, u)
         else:
-            mul(m10, u, ys)
-            mul(m01, d, u)
             add(xs, u, u)
             mul(m11, d, xs)
             add(ys, xs, d)
@@ -267,45 +254,29 @@ def steps_shift_then_matrix(psi, lo, hi, mats, site_phase=None):
     return _window(up, dn, lo, hi, first, stride)
 
 
-# One walk's blocks of at most this many steps are checked as Python scalars,
-# which is quicker there than the vectorized check.
-SCALAR_CHECK_STEPS = 16
-_MIRROR = np.array([[-1.0], [1.0]])  # (m10, m11) of a balanced matrix are (-m00, m01)
-
-
 def _balanced(entries):
     """One flag per step of one walk's (n, 4) or E walks' (n, 4, E) entries m00, m01, m10,
-    m11: whether the step's matrix is balanced in every walk.
+    m11, as a bool array: whether m11 has the bits of m01 in every walk.
 
-    A matrix is balanced when m10 = -m00 and m11 = m01 in value and every
-    real and imaginary part of m00 and m01 is finite and nonzero (equal
-    nonzero floats have equal bits); its step takes two products instead
-    of four (see the module docstring).
+    A balanced step's m11 d has the bits of m01 d, so its product takes
+    the five ufunc calls that skip m11 d (see the module docstring).
     """
     n = entries.shape[0]
-    if entries.ndim == 2 and n <= SCALAR_CHECK_STEPS:
-        inf = math.inf
-        return [m10 == -m00 and m11 == m01
-                and 0.0 < abs(m00.real) < inf and 0.0 < abs(m00.imag) < inf
-                and 0.0 < abs(m01.real) < inf and 0.0 < abs(m01.imag) < inf
-                for m00, m01, m10, m11 in entries.tolist()]
-    parts = np.ascontiguousarray(entries.reshape(n, 4, -1)).view(float)  # real, imag, ...
-    mirror = parts[:, :2] * _MIRROR
-    ok = (parts[:, 2:] == mirror) & (mirror != 0) & np.isfinite(mirror)
-    return ok.reshape(n, -1).all(axis=1).tolist()
+    bits = np.ascontiguousarray(entries.reshape(n, 4, -1)).view(np.uint64)  # real, imag, ...
+    return (bits[:, 1] == bits[:, 3]).reshape(n, -1).all(axis=1)
 
 
 def _step_entries(blocks, walks):
     """Per step of consecutive (n, 2, 2, E) blocks: (balanced, m00, m01, m10, m11).
 
-    ``balanced`` is the step's ``_balanced`` flag, a bool. One walk's block
-    of one step (``walk.step``) is not checked and takes the general path:
-    there the check costs about what the two saved products do. Each entry
-    is a view of its block: 0-d for one walk and one entry per walk, shape
-    (E,), for an ensemble. One walk's (1,) entries would take another numpy
-    loop for a one-site product and round differently. A block that repeats
-    one matrix (stride 0 on the step axis) is checked once and gives the
-    same tuple for all its steps.
+    ``balanced`` is the step's ``_balanced`` flag. One walk's block of one
+    step (``walk.step``) is not checked and takes the general path: there
+    the check costs about what the saved product does. Each entry is a view
+    of its block: 0-d for one walk and one entry per walk, shape (E,), for
+    an ensemble. One walk's (1,) entries would take another numpy loop for
+    a one-site product and round differently. A block that repeats one
+    matrix (stride 0 on the step axis) is checked once and gives the same
+    tuple for all its steps.
     """
     for block in blocks:
         n = block.shape[0]
@@ -313,9 +284,10 @@ def _step_entries(blocks, walks):
         if n > 1 and entries.strides[0] == 0:
             row = entries[0]
             yield from itertools.repeat(
-                (_balanced(entries[:1])[0], row[0, ...], row[1, ...], row[2, ...], row[3, ...]), n)
+                (bool(_balanced(entries[:1])[0]), row[0, ...], row[1, ...], row[2, ...],
+                 row[3, ...]), n)
         else:
-            flags = [False] if n == 1 and walks == 1 else _balanced(entries)
+            flags = (False,) if n == 1 and walks == 1 else _balanced(entries)
             for flag, row in zip(flags, entries):
                 yield flag, row[0, ...], row[1, ...], row[2, ...], row[3, ...]
 
@@ -383,20 +355,19 @@ def probe_ensemble(psi, origin, steps, walks, blocks):
     t_read = 1 + (stride == 2 and origin % 2 == 0)
     j = (origin + (stride - 1) * t_read) // stride
     ou, od = j + ui - t_read, j + di + dn_rate * t_read
-    mul, add, sub = np.multiply, np.add, np.subtract
+    mul, add = np.multiply, np.add
     for t, (balanced, m00, m01, m10, m11) in enumerate(_step_entries(blocks, walks), 1):
         n = hi - lo + 1
         u = up[lo + ui:hi + ui + 1]
         d = dn[lo + di:hi + di + 1]
         xs, ys = x[:n], y[:n]
         mul(m00, u, xs)
-        if balanced:
-            mul(m01, d, ys)
-            add(xs, ys, u)
-            sub(ys, xs, d)
+        mul(m10, u, ys)
+        mul(m01, d, u)
+        if balanced:  # m11 d has the bits of m01 d, now in u
+            add(ys, u, d)
+            add(xs, u, u)
         else:
-            mul(m10, u, ys)
-            mul(m01, d, u)
             add(xs, u, u)
             mul(m11, d, xs)
             add(ys, xs, d)

@@ -704,23 +704,26 @@ def test_balanced_noisy_ensembles_keep_their_bits(monkeypatch):
 
 
 def _degenerate(rng, kind):
-    """A balanced Hadamard matrix turned degenerate: a real or imaginary part of m00
-    or m01 is +0.0 or -0.0 (mirrored into m10 or m11), or an entry is NaN."""
+    """A Hadamard matrix with a real or imaginary part of an entry set to +0.0 or -0.0,
+    or an entry set to NaN. A change to m01 is copied into m11 on odd draws, so about
+    half of the matrices stay balanced; a zero in m11 alone leaves m01's other sign."""
     m = _hadamard_stack(rng, TimeRule.RX_FIELD, 1)[0]
-    row, col, part = (int(k) for k in rng.integers(0, 2, 3))
+    row, col, part, copy = (int(k) for k in rng.integers(0, 2, 4))
+    z = m[row, col]
     if kind == "nan":
         m[row, col] = np.nan
-        return m
-    value = 0.0 if kind == "+0" else -0.0
-    z = m[0, col]
-    m[0, col] = complex(value, z.imag) if part == 0 else complex(z.real, value)
-    m[1, col] = -m[0, col] if col == 0 else m[0, col]
+    else:
+        value = 0.0 if kind == "+0" else -0.0
+        m[row, col] = complex(value, z.imag) if part == 0 else complex(z.real, value)
+    if col == 1 and copy:
+        m[1 - row, 1] = m[row, 1]
     return m
 
 
-def test_degenerate_steps_take_the_general_path(rng):
-    """Zero or -0.0 parts and NaN entries are never flagged; the runs keep the
-    reference loops' bits, signed zeros included, at stride 1 and 2."""
+def test_degenerate_steps_keep_their_bits(rng, monkeypatch):
+    """Steps with +0.0 or -0.0 parts or NaN entries are flagged exactly where m11 has
+    the bits of m01, and keep the general path's and the reference loops' bits,
+    signed zeros included, at stride 1 and 2."""
     for case in range(30):
         steps = int(rng.integers(2, 30))
         mats = _hadamard_stack(rng, TimeRule.RX_FIELD, steps)
@@ -728,29 +731,31 @@ def test_degenerate_steps_take_the_general_path(rng):
         bad[rng.integers(0, steps)] = True
         kind = ("+0", "-0", "nan")[case % 3]
         mats[bad] = [_degenerate(rng, kind) for _ in range(bad.sum())]
-        assert _flags(mats) == list(~bad)
-        if kind == "nan":
-            continue
+        assert _flags(mats) == [m[0, 1].tobytes() == m[1, 1].tobytes() for m in mats]
         buf, lo, hi, _ = _random_case(rng, steps, (1, 4)[case % 2])
-        ref = buf.copy()
-        bounds, window = _matrix_then_shift(buf, lo, hi, mats)
-        assert bounds == reference_matrix_then_shift(ref, lo, hi, mats)
-        _assert_window_bits(bounds, window, ref, _occupied(buf, lo, hi, steps))
+        bounds, window = _assert_both_paths_match(
+            monkeypatch, lambda: _matrix_then_shift(buf, lo, hi, mats))
+        if kind != "nan":
+            ref = buf.copy()
+            assert bounds == reference_matrix_then_shift(ref, lo, hi, mats)
+            _assert_window_bits(bounds, window, ref, _occupied(buf, lo, hi, steps))
     for field in (Field.rational(0, 1), Field.rational(1, 7)):
-        mats = hadamard_params(field).step_matrices(1, 70)
-        assert _flags(mats) == [field.numerator > 0 and t % 7 > 0 for t in range(1, 71)]
+        assert all(_flags(hadamard_params(field).step_matrices(1, 70)))
 
 
 @pytest.mark.parametrize("argv", [
     ["bloch-trace", "--field", "0", "--tmax", "300"],
     ["bloch-trace", "--field", "1/2", "--spinor", "1,1", "--tmax", "300"],
     ["bloch-trace", "--field", "1/2", "--spinor", "1,1", "--tmax", "300", "--format", "json"],
+    ["bloch-trace", "--field", "1/4", "--spinor", "1,1j", "--x0=-3", "--tmax", "300"],
+    ["bloch-trace", "--field", "1/2", "--spinor", "1,-1", "--x0=-5", "--tmax", "300"],
     ["evolve", "--field", "1/2", "--spinor", "1,1", "--tmax", "60"],
 ])
 def test_cli_bytes_do_not_depend_on_the_balanced_path(monkeypatch, capsys, argv):
-    """Walks with exact zeros (field 0; field 1/2, where every other step is degenerate
-    and the Hadamard step from spinor (1, 1) cancels exactly) print the same bytes,
-    -0.0 and 0.0 included, with the balanced steps and with the general path only."""
+    """Walks with exact zeros (field 0; field 1/2, where the Hadamard step from spinor
+    (1, 1) cancels exactly; a start left of the origin, which the right edge, with
+    its zero down amplitude, reaches) print the same bytes, -0.0 and 0.0 included,
+    with the balanced steps and with the general path only."""
     assert cli.main(argv) == 0
     fast = capsys.readouterr().out
     _general_only(monkeypatch)
@@ -759,44 +764,31 @@ def test_cli_bytes_do_not_depend_on_the_balanced_path(monkeypatch, capsys, argv)
 
 
 def test_balanced_flags_cover_the_hadamard_walks():
-    """Every step of the golden Hadamard walk and of a noisy 1/100 ensemble block is
-    flagged; 1/7 loses the steps at t = 0 mod 7; other coins are never flagged."""
+    """Every step of the golden and 1/7 Hadamard walks and of a noisy 1/100 ensemble
+    block is flagged; coin (0.6, 0.8i) and the electric walk's coin, whose m11 is
+    m01 with the imaginary zero's sign flipped, are never flagged."""
     golden = hadamard_params(Field.golden())
     assert all(_flags(golden.step_matrices(1, 6000)))
     fields = NoiseConfig(epsilon=1e-3, seed=1).draw_fields(0.01 * 2 * np.pi, 32 * 50, 0)
     block = hadamard_params(Field.rational(1, 100)).step_matrices(
         1, 32, field_values=fields.reshape(32, 50))
     assert all(_flags(np.ascontiguousarray(np.moveaxis(block, 1, -1)), walks=50))
-    assert sum(_flags(hadamard_params(Field.rational(1, 7)).step_matrices(1, 6000))) == 5143
+    assert all(_flags(hadamard_params(Field.rational(1, 7)).step_matrices(1, 6000)))
     assert not any(_flags(WalkParams(Field.golden(), 0.6, 0.8j).step_matrices(1, 6000)))
     electric_coin = np.broadcast_to(make_coin(2 ** -0.5, 2 ** -0.5), (100, 2, 2))
     assert not any(_flags(electric_coin))
 
 
 def test_an_ensemble_step_is_balanced_only_in_every_walk(rng):
-    """One unbalanced walk at a step clears that step's flag."""
+    """One walk whose m11 is not m01 at a step, by value or by a zero's sign, clears
+    that step's flag; m00 and m10 do not enter it."""
     block = _hadamard_stack(rng, TimeRule.RX_FIELD, 40, walks=3)
     block[7, :, :, 2] = _su2_entries(rng).reshape(2, 2)
-    block[20, 1, 0, 0] *= -1
-    assert _flags(block, walks=3) == [t not in (7, 20) for t in range(40)]
-
-
-def test_the_scalar_and_the_vectorized_checks_agree(rng):
-    """One walk's short blocks are checked as Python scalars, longer ones and ensembles
-    in numpy: all flag the same matrices, among parts that are zero, -0.0, tiny, huge,
-    infinite or NaN, and entries one ulp from the mirror."""
-    values = [0.5, -0.5, 0.0, -0.0, 5e-324, 1e300, np.inf, -np.inf, np.nan,
-              np.nextafter(0.5, 1.0), np.nextafter(-0.5, -1.0)]
-    entries = np.empty((4000, 4), dtype=complex)
-    for m in entries:
-        m00, m01 = (complex(*rng.choice(values, 2)) for _ in range(2))
-        m10 = -m00 if rng.random() < 0.8 else complex(*rng.choice(values, 2))
-        m11 = m01 if rng.random() < 0.8 else complex(*rng.choice(values, 2))
-        m[:] = m00, m01, m10, m11
-    assert _kernels.SCALAR_CHECK_STEPS < 4000
-    scalar = [flag for block in np.split(entries, 1000) for flag in _kernels._balanced(block)]
-    assert scalar == _kernels._balanced(entries) == _kernels._balanced(entries[..., None])
-    assert 0 < sum(scalar) < len(scalar)
+    block[20, 1, 1, 0] *= -1
+    block[30, :, 1, 1] = 0.5
+    block[30, 1, 1, 1] = complex(0.5, -0.0)
+    block[33, 0, 0, 1] = block[33, 1, 0, 2] = np.nan
+    assert _flags(block, walks=3) == [t not in (7, 20, 30) for t in range(40)]
 
 
 def test_one_walk_single_steps_are_not_checked(rng):
@@ -805,25 +797,30 @@ def test_one_walk_single_steps_are_not_checked(rng):
     assert _flags(step) == [False] and _flags(step[..., None].repeat(3, -1), walks=3) == [True]
 
 
-def test_balanced_steps_differ_only_in_the_sign_of_zeros(monkeypatch):
-    """Where a site's down amplitude is exactly zero, the balanced step's Q - P can give
-    -0.0 where the general path's m10 u + m11 d gives +0.0. A window whose every
-    other site is zero, at stride 1, shows it in the Hadamard steps with cos(theta) < 0:
-    the values are equal, and only zeros differ in sign."""
+def test_balanced_steps_keep_the_signs_of_zeros(monkeypatch):
+    """Where a site's down amplitude is exactly zero, m01 d and m11 d hold -0.0 parts
+    wherever m01's do not, and m10 u is +0.0 where m00 u cancels. A window whose every
+    other site is zero, at stride 1, meets both in the Hadamard steps with
+    cos(theta) < 0: d = Q - P, with Q = m01 d and P = m00 u, would give -0.0 there
+    where m10 u + m11 d gives +0.0. The balanced steps keep every bit."""
     r = 2 ** -0.5
     psi = np.array([[0.6, 0.8j], [0, 0], [0.8, 0.6j], [0, 0]], dtype=complex)
     for theta in (0.5, 2.0, 3.5, 5.0):
         m00, m01 = r * np.exp(-1j * theta), r * np.exp(1j * theta)
         mats = np.array([[[m00, m01], [-m00, m01]]] * 2)
         assert _flags(mats) == [True, True]
-        _, _, fast = _kernels.steps_matrix_then_shift(psi, 0, 3, mats)
-        with monkeypatch.context() as m:
-            _general_only(m)
-            _, _, slow = _kernels.steps_matrix_then_shift(psi, 0, 3, mats)
-        assert np.array_equal(fast, slow)
-        differ = fast.view(float).view(np.uint64) != slow.view(float).view(np.uint64)
-        assert (fast.view(float)[differ] == 0).all()
-        assert differ.any() == (np.cos(theta) < 0)
+        u, d = np.ascontiguousarray(psi.T)
+        P, Q, N = m00 * u, m01 * d, -m00 * u
+        four = (Q - P).view(np.uint64) != (N + Q).view(np.uint64)
+        assert four.any() == (np.cos(theta) < 0)
+        _assert_both_paths_match(
+            monkeypatch, lambda: _kernels.steps_matrix_then_shift(psi, 0, 3, mats))
+        ref = np.zeros((8, 2), dtype=complex)
+        ref[2:6] = psi
+        bounds, window = _matrix_then_shift(ref.copy(), 2, 5, mats)
+        assert bounds == reference_matrix_then_shift(ref, 2, 5, mats)
+        _assert_window_bits(bounds, window, ref, np.ones(8, dtype=bool))
+
 
 def _permuting_matrix(rng):
     """A diagonal or antidiagonal unitary with entries in {1, -1, i, -i}.

@@ -254,6 +254,11 @@ def steps_shift_then_matrix(psi, lo, hi, mats, site_phase=None):
     return _window(up, dn, lo, hi, first, stride)
 
 
+# Steps of a block checked at a time, so that the check's temporaries stay
+# small for a long one-walk block (bloch-trace passes its whole run as one).
+CHECK_ROWS = 4096
+
+
 def _balanced(entries):
     """One flag per step of one walk's (n, 4) or E walks' (n, 4, E) entries m00, m01, m10,
     m11, as a bool array: whether m11 has the bits of m01 in every walk.
@@ -276,7 +281,8 @@ def _step_entries(blocks, walks):
     an ensemble. One walk's (1,) entries would take another numpy loop for
     a one-site product and round differently. A block that repeats one
     matrix (stride 0 on the step axis) is checked once and gives the same
-    tuple for all its steps.
+    tuple for all its steps; other blocks are checked ``CHECK_ROWS`` steps
+    at a time.
     """
     for block in blocks:
         n = block.shape[0]
@@ -287,9 +293,11 @@ def _step_entries(blocks, walks):
                 (bool(_balanced(entries[:1])[0]), row[0, ...], row[1, ...], row[2, ...],
                  row[3, ...]), n)
         else:
-            flags = (False,) if n == 1 and walks == 1 else _balanced(entries)
-            for flag, row in zip(flags, entries):
-                yield flag, row[0, ...], row[1, ...], row[2, ...], row[3, ...]
+            for start in range(0, n, CHECK_ROWS):
+                rows = entries[start:start + CHECK_ROWS]
+                flags = (False,) if n == 1 and walks == 1 else _balanced(rows)
+                for flag, row in zip(flags, rows):
+                    yield flag, row[0, ...], row[1, ...], row[2, ...], row[3, ...]
 
 
 def probe_ensemble(psi, origin, steps, walks, blocks):

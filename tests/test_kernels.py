@@ -791,6 +791,18 @@ def test_an_ensemble_step_is_balanced_only_in_every_walk(rng):
     assert _flags(block, walks=3) == [t not in (7, 20, 30) for t in range(40)]
 
 
+def test_long_blocks_are_checked_in_chunks(rng, monkeypatch):
+    """A block longer than ``CHECK_ROWS`` steps is checked a chunk at a time, and
+    every step keeps its own flag, for one walk and for an ensemble."""
+    monkeypatch.setattr(_kernels, "CHECK_ROWS", 3)
+    unbalanced = (2, 3, 7, 9)
+    for walks in (1, 3):
+        block = _hadamard_stack(rng, TimeRule.RX_FIELD, 10, walks=None if walks == 1 else walks)
+        for t in unbalanced:
+            block[t, 1, 1] = -block[t, 1, 1]
+        assert _flags(block, walks) == [t not in unbalanced for t in range(10)]
+
+
 def test_one_walk_single_steps_are_not_checked(rng):
     """A one-step block of one walk takes the general path unchecked; of E walks it is checked."""
     step = _hadamard_stack(rng, TimeRule.RX_FIELD, 1)

@@ -36,13 +36,12 @@ the reference loops in ``tests/conftest.py`` do (BLAS ``matmul`` would
 round differently).
 
 A balanced step (``_balanced``: m11 has the bits of m01 in every walk), as
-every step of the Hadamard walk is, takes
-five calls: m11*d would repeat m01*d bit for bit, so d' = m10*u + m11*d
-adds m10*u to the m01*d already computed for u'. The operands and their
-order are the six calls', so every bit is theirs, zeros of either sign
-and NaN included. The flags come from the entries, once per block; one
-walk's single step (``walk.step``) is not checked, as the check would cost
-about what it saves.
+every step of the Hadamard walk is, takes five calls: m11*d would repeat
+m01*d bit for bit, so d' = m10*u + m11*d adds m10*u to the m01*d already
+computed for u'. The operands and their order are the six calls', so
+every bit is theirs, zeros of either sign and NaN included. The flags come
+from the entries, once per block; one walk's single step (``walk.step``)
+is not checked, as the check would cost about what it saves.
 
 One walk's matrix entries go in as 0-d array views
 (``_step_entries``): a numpy scalar operand rounds the same but is

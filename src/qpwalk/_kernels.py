@@ -27,21 +27,30 @@ amplitude at its index and moves no data. A call first copies ``psi`` into
 the arrays; after the last step both offsets are zero and the live part of
 the arrays is copied into the returned window. Each loop computes a step's
 matrix product inline, as six ufunc calls on contiguous slices in the
-operand order of ``m00*u + m01*d``; each product goes to scratch memory,
-because numpy rounds a complex product differently when its output is
-strided or, for one element, its own input. The electric walk's per-site
-phases are read per parity from contiguous copies and applied in place.
-All of it is bit-identical to shifting a zero-padded buffer in place, as
-the reference loops in ``tests/conftest.py`` do (BLAS ``matmul`` would
-round differently).
+operand order of ``m00*u + m01*d``: m10*u to scratch, then m00*u into u,
+m01*d to scratch, their sum into u, m11*d into d and m10*u + m11*d into d.
+Every sum writes into one of its operands, which numpy (2.4, x86-64) does
+in about half the time of a sum into a third array. A product into its own
+input rounds as one into other memory, except for one element: a
+matrix-before-shift step whose arrays hold one element (one walk's
+one-site window: the first step of every single-site walk, or a window
+trimmed to one site) takes the six calls that write no product into its
+input (m00*u, m10*u and m11*d to scratch, m01*d into u). Shift-before-matrix
+grows the window before the product, so it never meets one. No product is
+written to strided memory, where numpy rounds differently too. The electric
+walk's per-site phases are read per parity from contiguous copies and
+applied in place. All of it is bit-identical to shifting a zero-padded
+buffer in place, as the reference loops in ``tests/conftest.py`` do (BLAS
+``matmul`` would round differently).
 
 A balanced step (``_balanced``: m11 has the bits of m01 in every walk), as
-every step of the Hadamard walk is, takes five calls: m11*d would repeat
-m01*d bit for bit, so d' = m10*u + m11*d adds m10*u to the m01*d already
-computed for u'. The operands and their order are the six calls', so
-every bit is theirs, zeros of either sign and NaN included. The flags come
-from the entries, once per block; one walk's single step (``walk.step``)
-is not checked, as the check would cost about what it saves.
+every step of the Hadamard walk is, takes five calls and no second scratch
+array: m11*d would repeat m01*d bit for bit, so m01*d goes into d, u' =
+m00*u + m01*d into u and d' = m10*u + m01*d into d. The operands and their
+order are the six calls', so every bit is theirs, zeros of either sign and
+NaN payloads included. The flags come from the entries, once per block;
+one walk's single step (``walk.step``) is not checked, as the check would
+cost about what it saves.
 
 One walk's matrix entries go in as 0-d array views
 (``_step_entries``): a numpy scalar operand rounds the same but is
@@ -190,17 +199,29 @@ def steps_matrix_then_shift(psi, lo, hi, mats):
         n = hi - lo + 1
         u = up[lo + ui:hi + ui + 1]
         d = dn[lo + di:hi + di + 1]
-        xs, ys = x[:n], y[:n]
-        mul(m00, u, xs)
-        mul(m10, u, ys)
-        mul(m01, d, u)
-        if balanced:  # m11 d has the bits of m01 d, now in u
-            add(ys, u, d)
-            add(xs, u, u)
-        else:
+        ys = y[:n]
+        if n == 1:  # one element: see the module docstring
+            xs = x[:n]
+            mul(m00, u, xs)
+            mul(m10, u, ys)
+            mul(m01, d, u)
             add(xs, u, u)
             mul(m11, d, xs)
             add(ys, xs, d)
+        elif balanced:  # m11 d would repeat m01 d bit for bit
+            mul(m10, u, ys)
+            mul(m00, u, u)
+            mul(m01, d, d)
+            add(u, d, u)
+            add(ys, d, d)
+        else:
+            xs = x[:n]
+            mul(m10, u, ys)
+            mul(m00, u, u)
+            mul(m01, d, xs)
+            add(u, xs, u)
+            mul(m11, d, d)
+            add(ys, d, d)
         ui -= 1
         di += dn_rate
         lo, hi = _trim(up, dn, lo - dn_rate, hi + 1, ui, di)
@@ -233,17 +254,22 @@ def steps_shift_then_matrix(psi, lo, hi, mats, site_phase=None):
         n = hi - lo + 1
         u = up[lo + ui:hi + ui + 1]
         d = dn[lo + di:hi + di + 1]
-        xs, ys = x[:n], y[:n]
-        mul(m00, u, xs)
-        mul(m10, u, ys)
-        mul(m01, d, u)
-        if balanced:  # m11 d has the bits of m01 d, now in u
-            add(ys, u, d)
-            add(xs, u, u)
+        ys = y[:n]
+        # the window grew by a site before the product, so no array holds one element
+        if balanced:  # m11 d would repeat m01 d bit for bit
+            mul(m10, u, ys)
+            mul(m00, u, u)
+            mul(m01, d, d)
+            add(u, d, u)
+            add(ys, d, d)
         else:
-            add(xs, u, u)
-            mul(m11, d, xs)
-            add(ys, xs, d)
+            xs = x[:n]
+            mul(m10, u, ys)
+            mul(m00, u, u)
+            mul(m01, d, xs)
+            add(u, xs, u)
+            mul(m11, d, d)
+            add(ys, d, d)
         if site_phase is not None:
             k, p = divmod(first + stride * lo - phase_site, stride)
             phase = phases[p][k:k + n]
@@ -370,17 +396,29 @@ def probe_ensemble(psi, origin, steps, walks, blocks):
         n = hi - lo + 1
         u = up[lo + ui:hi + ui + 1]
         d = dn[lo + di:hi + di + 1]
-        xs, ys = x[:n], y[:n]
-        mul(m00, u, xs)
-        mul(m10, u, ys)
-        mul(m01, d, u)
-        if balanced:  # m11 d has the bits of m01 d, now in u
-            add(ys, u, d)
-            add(xs, u, u)
-        else:
+        ys = y[:n]
+        if n == 1 and walks == 1:  # one element: see the module docstring
+            xs = x[:n]
+            mul(m00, u, xs)
+            mul(m10, u, ys)
+            mul(m01, d, u)
             add(xs, u, u)
             mul(m11, d, xs)
             add(ys, xs, d)
+        elif balanced:  # m11 d would repeat m01 d bit for bit
+            mul(m10, u, ys)
+            mul(m00, u, u)
+            mul(m01, d, d)
+            add(u, d, u)
+            add(ys, d, d)
+        else:
+            xs = x[:n]
+            mul(m10, u, ys)
+            mul(m00, u, u)
+            mul(m01, d, xs)
+            add(u, xs, u)
+            mul(m11, d, d)
+            add(ys, d, d)
         ui -= 1
         di += dn_rate
         # grow by one site, clip to the cone of half-width T - t, trim

@@ -457,9 +457,11 @@ def run_noise_series(opts: Options) -> Record:
             check_step_angles(params, noise, t_max)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    # the x_t do not depend on epsilon: every epsilon > 0 takes its fields from one draw
+    draws = noises[0].draw_ensemble(t_max) if any(epsilons) else None
     rows = []
     for eps, noise in zip(epsilons, noises):
-        series = return_series(params, noise, t_max)
+        series = return_series(params, noise, t_max, draws=draws)
         for t, mean, mini, maxi in series.tolist():
             rows.append((eps, int(t), mean, mini, maxi))
     meta = {"field": field.label, "coin": coin_label, "tmax": t_max, "seed": seed,

@@ -9,7 +9,10 @@ walk as sum_t t*epsilon = t(t+1)/2 * epsilon after t steps.
 
 Reproducibility: trajectory i of a config with seed s draws from
 numpy's PCG64 seeded with SeedSequence((s, i)). All draws happen before the
-trajectory is evolved, outside the evolution kernels.
+trajectory is evolved, outside the evolution kernels. The x_t do not depend
+on epsilon, so a ``noise-series`` call draws every trajectory's once, as one
+(E, t_max) array, and each epsilon's fields are phi + epsilon*x from it, with
+the bits of drawing them again per epsilon.
 
 ``return_series`` advances all trajectories of one epsilon together through
 one origin-probe call (``walk.ensemble_tracking_origin``), which keeps only
@@ -53,13 +56,22 @@ class NoiseConfig:
         return np.random.Generator(np.random.PCG64(
             np.random.SeedSequence((self.seed, index))))
 
+    def draw_steps(self, steps: int, trajectory: int) -> np.ndarray:
+        """The x_t of steps 1..steps of one trajectory; they do not depend on epsilon."""
+        lo, hi = (-1.0, 1.0) if self.support == "pm1" else (0.0, 1.0)
+        return self.trajectory_rng(trajectory).uniform(lo, hi, size=steps)
+
+    def draw_ensemble(self, steps: int) -> np.ndarray:
+        """Every trajectory's ``draw_steps`` as one (E, steps) array, row i for trajectory i."""
+        x = np.empty((self.ensemble_size, steps))
+        for i in range(self.ensemble_size):
+            x[i] = self.draw_steps(steps, i)
+        return x
+
     def draw_fields(self, base_field_value: float, steps: int,
                     trajectory: int) -> np.ndarray:
         """Per-step field values phi + epsilon*x_t for one trajectory."""
-        rng = self.trajectory_rng(trajectory)
-        lo, hi = (-1.0, 1.0) if self.support == "pm1" else (0.0, 1.0)
-        x = rng.uniform(lo, hi, size=steps)
-        return base_field_value + self.epsilon * x
+        return base_field_value + self.epsilon * self.draw_steps(steps, trajectory)
 
 
 def noisy_evolve(state: WalkState, t: int, params: WalkParams,
@@ -125,11 +137,14 @@ def check_step_angles(params: WalkParams, noise: NoiseConfig, t_max: int) -> Non
 
 
 def return_series(params: WalkParams, noise: NoiseConfig, t_max: int,
-                  initial: WalkState | None = None) -> np.ndarray:
+                  initial: WalkState | None = None, draws: np.ndarray | None = None) -> np.ndarray:
     """Ensemble return-probability series as an array of rows (t, mean, min, max).
 
     Rows cover t = 0..t_max. Trajectory i uses the stream documented on
     NoiseConfig, so the series is reproducible for a fixed config.
+    ``draws`` is ``noise.draw_ensemble(t_max)``, drawn here when None: a
+    caller that runs several epsilons of one seed, ensemble and support
+    draws once and passes it to each.
     """
     if t_max < 1:
         raise ValueError("t_max must be positive")
@@ -138,8 +153,9 @@ def return_series(params: WalkParams, noise: NoiseConfig, t_max: int,
         # every trajectory is the clean walk, which is run once
         tracks = np.repeat(ensemble_tracking_origin(start, t_max, params), noise.ensemble_size, 0)
     else:
-        fields = [noise.draw_fields(params.field.value, t_max, i)
-                  for i in range(noise.ensemble_size)]
+        if draws is None:
+            draws = noise.draw_ensemble(t_max)
+        fields = params.field.value + noise.epsilon * draws
         tracks = ensemble_tracking_origin(start, t_max, params, fields)
     ts = np.arange(t_max + 1, dtype=float)
     return np.column_stack([ts, tracks.mean(axis=0), tracks.min(axis=0),

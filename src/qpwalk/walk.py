@@ -299,15 +299,15 @@ def _origin_reads(state: WalkState, t_max: int, params: WalkParams, field_values
     if field_values is None:  # one walk on the exact field: one call, as evolve makes
         walks, blocks = 1, [params.step_matrices(1, t_max)[..., None]]
     else:
-        walks = len(field_values)
+        field_values = np.asarray(field_values, dtype=float)
+        walks = field_values.shape[0]
 
         def matrix_blocks():
             # a block of steps at a time keeps the matrices' memory independent of t_max
             for t0 in range(0, t_max, ENSEMBLE_MATRIX_BLOCK):
                 t1 = min(t0 + ENSEMBLE_MATRIX_BLOCK, t_max)
-                fields = np.array([values[t0:t1] for values in field_values], dtype=float)
-                yield np.ascontiguousarray(np.moveaxis(
-                    params.step_matrices(t0 + 1, t1, field_values=fields.T), 1, -1))
+                yield np.ascontiguousarray(np.moveaxis(params.step_matrices(
+                    t0 + 1, t1, field_values=field_values[:, t0:t1].T), 1, -1))
 
         blocks = matrix_blocks()
     return _kernels.probe_ensemble(state.amplitudes, -state.x_min, t_max, walks, blocks)
@@ -335,10 +335,11 @@ def ensemble_tracking_origin(state: WalkState, t_max: int, params: WalkParams,
     """Return probabilities at x = 0 after steps 0..t_max, shape (E, t_max+1).
 
     ``field_values`` is None for one walk (E = 1) on the exact field, or
-    holds t_max per-step field values for each of E walks. All walks advance
-    together through one origin probe, which keeps only the sites that can
-    still reach the origin and so hands back no final state. Row e is bit
-    for bit the p0 of walk e's own full run. RX_FIELD rule only.
+    holds t_max per-step field values for each of E walks, as an (E, t_max)
+    array or E rows. All walks advance together through one origin probe,
+    which keeps only the sites that can still reach the origin and so hands
+    back no final state. Row e is bit for bit the p0 of walk e's own full
+    run. RX_FIELD rule only.
     """
     reads = _origin_reads(state, t_max, params, field_values)
     p0 = np.zeros((1 if field_values is None else len(field_values), t_max + 1))

@@ -660,6 +660,27 @@ def _assert_both_paths_match(monkeypatch, run):
     return fast
 
 
+def _step_stacks(rng, steps):
+    """A Hadamard stack, every step balanced, and random unitaries, none balanced."""
+    balanced, general = _hadamard_stack(rng, TimeRule.RX_FIELD, steps), _random_unitaries(rng, steps)
+    assert all(_flags(balanced)) and not any(_flags(general))
+    return balanced, general
+
+
+def _assert_loops_match_the_references(monkeypatch, buf, lo, hi, mats, phase):
+    """Both step-order kernels (shift-then-matrix with and without ``phase``) on [lo, hi],
+    bit for bit against the interleaved reference loops and the general path."""
+    occupied = _occupied(buf, lo, hi, mats.shape[0])
+    for run, reference, args in ((_matrix_then_shift, reference_matrix_then_shift, ()),
+                                 (_shift_then_matrix, reference_shift_then_matrix, ()),
+                                 (_shift_then_matrix, reference_shift_then_matrix, (phase,))):
+        bounds, window = _assert_both_paths_match(
+            monkeypatch, lambda: run(buf, lo, hi, mats, *args))
+        ref = buf.copy()
+        assert bounds == reference(ref, lo, hi, mats, *args)
+        _assert_window_bits(bounds, window, ref, occupied)
+
+
 @pytest.mark.parametrize("rule", list(TimeRule))
 def test_balanced_steps_keep_the_bits_of_the_general_path(rng, monkeypatch, rule):
     """Hadamard stacks at random angles, every step balanced, against the general path
@@ -673,16 +694,8 @@ def test_balanced_steps_keep_the_bits_of_the_general_path(rng, monkeypatch, rule
             buf[lo + 1:hi:2] = 0.0
         mats = _hadamard_stack(rng, rule, steps)
         assert all(_flags(mats))
-        occupied = _occupied(buf, lo, hi, steps)
         phase = np.exp(1j * rng.uniform(-np.pi, np.pi, buf.shape[0]))
-        for run, reference, args in ((_matrix_then_shift, reference_matrix_then_shift, ()),
-                                     (_shift_then_matrix, reference_shift_then_matrix, ()),
-                                     (_shift_then_matrix, reference_shift_then_matrix, (phase,))):
-            bounds, window = _assert_both_paths_match(
-                monkeypatch, lambda: run(buf, lo, hi, mats, *args))
-            ref = buf.copy()
-            assert bounds == reference(ref, lo, hi, mats, *args)
-            _assert_window_bits(bounds, window, ref, occupied)
+        _assert_loops_match_the_references(monkeypatch, buf, lo, hi, mats, phase)
         origin = int(rng.integers(-2, width + 2))
         for walks in (1, 4):
             block = _hadamard_stack(rng, rule, steps, walks)
@@ -832,6 +845,103 @@ def test_balanced_steps_keep_the_signs_of_zeros(monkeypatch):
         bounds, window = _matrix_then_shift(ref.copy(), 2, 5, mats)
         assert bounds == reference_matrix_then_shift(ref, 2, 5, mats)
         _assert_window_bits(bounds, window, ref, np.ones(8, dtype=bool))
+
+
+def _nan(payload, sign=0):
+    """A quiet NaN with the given payload bits (and sign bit)."""
+    return np.array([0x7FF8000000000000 | payload | sign << 63], dtype=np.uint64).view(float)[0]
+
+
+def _with_nans(rng, psi, payloads, sites):
+    """``psi`` with NaNs of distinct payloads (and random signs) in the up and down
+    amplitudes of ``sites``: in the real or the imaginary part, or both."""
+    psi = psi.copy()
+    for site, spin in itertools.product(sites, (0, 1)):
+        parts = psi[site, spin].real, psi[site, spin].imag
+        keep = int(rng.integers(0, 3))  # 2 makes both parts NaN
+        psi[site, spin] = complex(*(parts[k] if k == keep else
+                                    _nan(next(payloads), int(rng.integers(0, 2))) for k in (0, 1)))
+    return psi
+
+
+def test_nan_payloads_keep_the_operand_order(rng, monkeypatch):
+    """Sites whose u and d hold NaNs with different payloads. A numpy sum of two NaNs
+    returns one operand's NaN (on x86 the first's, the second's in a loop's last
+    n mod 4 elements),
+    so the bits pin every sum's operand order, on the balanced and the general path:
+    both kernels against the interleaved reference loops, and the probe's first step,
+    with one walk and with three, against ``reference_spin_product`` on the same window.
+    The probe's later steps cover other windows than a full run's, so their NaNs need
+    not match the reference loops'."""
+    payloads = iter(range(1, 10 ** 6))
+    for case in range(12):
+        steps, width = int(rng.integers(3, 20)), (2, 4, 5)[case % 3]
+        buf, lo, hi, _ = _random_case(rng, steps, width)
+        sites = lo + rng.choice(width, size=2, replace=False)
+        buf = _with_nans(rng, buf, payloads, sites)
+        phase = np.exp(1j * rng.uniform(-np.pi, np.pi, buf.shape[0]))
+        for mats in _step_stacks(rng, steps):
+            _assert_loops_match_the_references(monkeypatch, buf, lo, hi, mats, phase)
+
+        # two steps put every site of the window in the first step's light cone
+        psi = buf[lo:hi + 1]
+        for origin in range(max(0, width - 3), min(width, 3)):
+            psi = _with_nans(rng, psi, payloads,
+                             [x for x in (origin - 1, origin + 1) if 0 <= x < width])
+            for walks in (1, 3):
+                for block in (_hadamard_stack(rng, TimeRule.RX_FIELD, 2, walks=3)[..., :walks],
+                              np.stack([_random_unitaries(rng, 2) for _ in range(walks)], -1)):
+                    block = np.ascontiguousarray(block)
+                    _, spinors = _assert_both_paths_match(
+                        monkeypatch, lambda: _probe(psi, origin, block))
+                    m = block[0].reshape(4, walks)
+                    u, d = (np.ascontiguousarray(psi[:, k:k + 1].repeat(walks, 1)) for k in (0, 1))
+                    if walks == 1:
+                        m, u, d = m[:, 0], u[:, 0], d[:, 0]
+                    u, d = _unpacked_product(m, u, d)
+                    want = np.zeros((walks, 2), dtype=complex)
+                    if origin > 0:
+                        want[:, 0] = u[origin - 1]
+                    if origin + 1 < width:
+                        want[:, 1] = d[origin + 1]
+                    assert _same_bits(spinors[:, 0], want) and np.isnan(want).any()
+
+
+def test_smallest_windows_keep_their_bits(rng, monkeypatch):
+    """Two-site windows, the smallest that multiply in place, and calls that a diagonal
+    step trims to one site mid-call (the next matrix-then-shift step takes the
+    one-element calls) match the reference loops bit for bit on the balanced and the
+    general path; so does the probe on one-site windows, with one walk (one element)
+    and with three."""
+    for case in range(16):
+        steps = int(rng.integers(2, 25))
+        balanced, general = _step_stacks(rng, steps)
+        for mats in (balanced, general):
+            buf, lo, hi, _ = _random_case(rng, steps, 2, tiny_edges=False)
+            phase = np.exp(1j * rng.uniform(-np.pi, np.pi, buf.shape[0]))
+            _assert_loops_match_the_references(monkeypatch, buf, lo, hi, mats, phase)
+
+            # one O(1) site among sub-threshold ones: a diagonal step moves its up part
+            # right and the trims leave that one site, at stride 1
+            buf, lo, hi, _ = _random_case(rng, steps, 4)
+            buf[lo:hi + 1] *= 1e-230
+            site = lo + int(rng.integers(0, 4))
+            buf[site] = (0.6 * np.exp(1j * rng.uniform(0, 2 * np.pi)), 0.0)
+            trimmed = mats.copy()
+            trimmed[0] = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, 2)))
+            for reference in (reference_matrix_then_shift, reference_shift_then_matrix):
+                ref = buf.copy()
+                assert reference(ref, lo, hi, trimmed[:1]) == (site + 1, site + 1)
+            _assert_loops_match_the_references(monkeypatch, buf, lo, hi, trimmed, phase)
+
+        psi = np.array([[0.6, 0.8j]]) if case % 2 else np.exp(1j * rng.uniform(0, 6, (1, 2))) / 2 ** 0.5
+        origin = int(rng.integers(-3, 4))
+        for walks in (1, 3):
+            for block in (_hadamard_stack(rng, TimeRule.RX_FIELD, steps, walks=3)[..., :walks],
+                          np.stack([_random_unitaries(rng, steps) for _ in range(walks)], axis=-1)):
+                block = np.ascontiguousarray(block)
+                _assert_both_paths_match(monkeypatch, lambda: _probe(psi, origin, block))
+                _assert_probe_matches(psi, origin, block)
 
 
 def _permuting_matrix(rng):

@@ -8,7 +8,8 @@ from qpwalk.momentum import alpha_tilde_sup
 from qpwalk.noise import (NoiseConfig, check_step_angles, noise_bound, noise_bound_for,
                          noisy_evolve, return_series)
 from qpwalk.revivals import expected_sign, revival_time
-from qpwalk.walk import Field, WalkState, evolve, hadamard_params
+from qpwalk import cli
+from qpwalk.walk import Field, WalkState, ensemble_tracking_origin, evolve, hadamard_params
 
 HALF = 1.0 / math.sqrt(2.0)
 
@@ -170,3 +171,54 @@ def test_check_step_angles_refuses_what_return_series_refuses():
         outcomes.append(refused is None)
     # t_max*(|phi| + epsilon) overflows at 1e306 and 181 steps, yet some ensembles run
     assert any(outcomes[:6]) and not all(outcomes[:6])
+
+
+def test_one_draw_serves_every_epsilon():
+    """``draw_ensemble`` holds each trajectory's ``draw_steps`` in its row, and
+    phi + epsilon*x from it has the bits of ``draw_fields`` for any epsilon."""
+    phi = Field.rational(1, 30).value
+    for support in ("pm1", "01"):
+        x = NoiseConfig(epsilon=0.0, seed=8, ensemble_size=5, support=support).draw_ensemble(40)
+        assert x.shape == (5, 40)
+        for epsilon in (1e-4, 3e-3, 0.7):
+            noise = NoiseConfig(epsilon=epsilon, seed=8, ensemble_size=5, support=support)
+            for i in range(5):
+                assert (phi + epsilon * x)[i].tobytes() == noise.draw_fields(phi, 40, i).tobytes()
+            params = hadamard_params(Field.rational(1, 30))
+            assert (return_series(params, noise, 40, draws=x).tobytes()
+                    == return_series(params, noise, 40).tobytes())
+
+
+def _series_drawn_per_epsilon(params, noise, t_max, draws):
+    """``return_series`` with every trajectory's fields drawn again by ``draw_fields``."""
+    if noise.epsilon == 0.0:
+        return return_series(params, noise, t_max)
+    fields = [noise.draw_fields(params.field.value, t_max, i) for i in range(noise.ensemble_size)]
+    tracks = ensemble_tracking_origin(WalkState.single_site(), t_max, params, fields)
+    return np.column_stack([np.arange(t_max + 1.0), tracks.mean(axis=0), tracks.min(axis=0),
+                            tracks.max(axis=0)])
+
+
+@pytest.mark.parametrize("support", ["pm1", "01"])
+def test_noise_series_draws_each_trajectory_once(monkeypatch, capsys, support):
+    """A ``noise-series`` call starts each trajectory's stream once, not once per
+    epsilon > 0, keeps none for the next call, and prints the bytes of every epsilon
+    drawing its own fields, epsilon = 0 included."""
+    argv = ["noise-series", "--field", "1/50", "--tmax", "80", "--ensemble", "6", "--seed", "4",
+            "--noise-support", support, "--epsilon"]
+    streams = []
+    stream = NoiseConfig.trajectory_rng
+    monkeypatch.setattr(NoiseConfig, "trajectory_rng",
+                        lambda self, i: streams.append(i) or stream(self, i))
+    assert cli.main(argv + ["0.002,0,0.0005,0.01"]) == 0
+    once = capsys.readouterr().out
+    assert streams == list(range(6))
+    assert cli.main(argv + ["0.002,0,0.0005,0.01"]) == 0
+    assert streams == list(range(6)) * 2 and capsys.readouterr().out == once
+    streams.clear()
+    assert cli.main(argv + ["0,0"]) == 0 and streams == []
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "return_series", _series_drawn_per_epsilon)
+    assert cli.main(argv + ["0.002,0,0.0005,0.01"]) == 0
+    # the call's own draw, which the replacement ignores, then one per epsilon > 0
+    assert streams == list(range(6)) * 4 and capsys.readouterr().out == once

@@ -17,8 +17,8 @@ from .gauge import (GaugePhase, apply_gauge, electric_evolve, electric_step,
 from .momentum import (TildePair, alpha_tilde, alpha_tilde_sup, dispersion,
                        regrouped_block, regrouped_trace, shift_momentum,
                        step_block, tilde_pair, trace_formula)
-from .noise import (NoiseConfig, noise_bound, noise_bound_for, noisy_evolve,
-                    return_series)
+from .noise import (NoiseConfig, ensemble_series, noise_bound, noise_bound_for,
+                    noisy_evolve, return_series)
 from .revivals import (RevivalReport, appendix_expected, appendix_table,
                        detect_sign, expected_sign, irrational_revival_bound,
                        revival_deviation, revival_report, revival_reports,
@@ -58,7 +58,7 @@ __all__ = [
     "classify_field",
     # noise
     "NoiseConfig", "noisy_evolve", "noise_bound", "noise_bound_for",
-    "return_series",
+    "ensemble_series", "return_series",
     # gauge
     "GaugePhase", "apply_gauge", "electric_step", "electric_evolve",
     "gauged_step", "verify_gauge_equivalence",

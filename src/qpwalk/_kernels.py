@@ -328,6 +328,36 @@ def _step_entries(blocks, walks):
                     yield flag, row[0, ...], row[1, ...], row[2, ...], row[3, ...]
 
 
+def _probe_frame(psi, origin, steps):
+    """``probe_ensemble``'s layout: stride, cone, start window and its arrays' heights.
+
+    Returns (stride, cone_lo, cone_hi, lo, hi, up_rows, down_rows), all in
+    compressed sites; the origin is out of reach when lo > hi. The up rows
+    span compressed sites max(cone_lo + T, lo - (2 - stride) T) .. hi + T,
+    the down rows lo - (2 - stride) T .. min(cone_hi - (2 - stride) T, hi +
+    T): every index the cone and the window growth can reach.
+    """
+    stride = _stride(psi)
+    dn_rate = 2 - stride
+    cone_lo, cone_hi = -((steps - origin) // stride), (origin + steps) // stride
+    lo, hi = max(0, cone_lo), min((psi.shape[0] - 1) // stride, cone_hi)
+    up_base = max(cone_lo + steps, lo - dn_rate * steps)
+    down_top = min(cone_hi - dn_rate * steps, hi + steps)
+    return (stride, cone_lo, cone_hi, lo, hi,
+            hi + steps - up_base + 1, down_top - (lo - dn_rate * steps) + 1)
+
+
+def probe_rows(psi, origin, steps):
+    """Rows of the taller of ``probe_ensemble``'s arrays for this start and horizon.
+
+    Each of the probe's four arrays holds this many rows or fewer per walk
+    (0 when the origin is out of reach), so E walks take about
+    4 * E * rows complex values.
+    """
+    _, _, _, lo, hi, up_rows, down_rows = _probe_frame(psi, origin, steps)
+    return 0 if lo > hi else max(up_rows, down_rows)
+
+
 def probe_ensemble(psi, origin, steps, walks, blocks):
     """Yield the spinors at row ``origin`` of ``psi`` of E walks that share a start.
 
@@ -363,19 +393,16 @@ def probe_ensemble(psi, origin, steps, walks, blocks):
     about 1e-178, and there |u|^2 underflows to zero, so every return
     probability |u|^2 + |d|^2 keeps its bits.
     """
-    stride = _stride(psi)
-    dn_rate = 2 - stride  # compressed sites a down amplitude moves left per step
-    cone_lo, cone_hi = -((steps - origin) // stride), (origin + steps) // stride
-    lo, hi = max(0, cone_lo), min((psi.shape[0] - 1) // stride, cone_hi)
+    stride, cone_lo, cone_hi, lo, hi, up_rows, down_rows = _probe_frame(psi, origin, steps)
     if lo > hi:
         return
+    dn_rate = 2 - stride  # compressed sites a down amplitude moves left per step
     # Compressed site i's up amplitude is at up[i + ui] and its down amplitude
-    # at dn[i + di]; the rows span every index the cone and the window growth
-    # can reach. ui drops by one per step and di grows by dn_rate.
-    ub, db = max(cone_lo + steps, lo - dn_rate * steps), lo - dn_rate * steps
-    ups = np.zeros((hi + steps - ub + 1, walks), dtype=complex)
-    downs = np.zeros((min(cone_hi - dn_rate * steps, hi + steps) - db + 1, walks), dtype=complex)
-    ui, di = steps - ub, -dn_rate * steps - db
+    # at dn[i + di]: the window starts in the top rows of ups and the bottom
+    # rows of downs. ui drops by one per step and di grows by dn_rate.
+    ups = np.zeros((up_rows, walks), dtype=complex)
+    downs = np.zeros((down_rows, walks), dtype=complex)
+    ui, di = up_rows - 1 - hi, -lo
     rows = slice(stride * lo, stride * hi + 1, stride)
     ups[lo + ui:hi + ui + 1] = psi[rows, 0:1]
     downs[lo + di:hi + di + 1] = psi[rows, 1:2]

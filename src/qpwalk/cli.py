@@ -40,7 +40,7 @@ from . import __version__
 from .cfrac import approximation_check, cf_expand, classify_field, golden_ratio_fraction
 from .gauge import verify_gauge_equivalence
 from .momentum import _closed_trace, _rotation_frame
-from .noise import NoiseConfig, check_step_angles, return_series
+from .noise import NoiseConfig, check_step_angles, ensemble_series
 from .revivals import appendix_table, irrational_revival_bound, revival_reports
 from .spinops import rotation_x
 from .walk import (Field, WalkParams, WalkState, bloch_vector, evolve,
@@ -457,11 +457,8 @@ def run_noise_series(opts: Options) -> Record:
             check_step_angles(params, noise, t_max)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    # the x_t do not depend on epsilon: every epsilon > 0 takes its fields from one draw
-    draws = noises[0].draw_ensemble(t_max) if any(epsilons) else None
     rows = []
-    for eps, noise in zip(epsilons, noises):
-        series = return_series(params, noise, t_max, draws=draws)
+    for eps, series in zip(epsilons, ensemble_series(params, noises, t_max)):
         for t, mean, mini, maxi in series.tolist():
             rows.append((eps, int(t), mean, mini, maxi))
     meta = {"field": field.label, "coin": coin_label, "tmax": t_max, "seed": seed,

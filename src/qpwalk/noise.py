@@ -14,12 +14,23 @@ on epsilon, so a ``noise-series`` call draws every trajectory's once, as one
 (E, t_max) array, and each epsilon's fields are phi + epsilon*x from it, with
 the bits of drawing them again per epsilon.
 
-``return_series`` advances all trajectories of one epsilon together through
-one origin-probe call (``walk.ensemble_tracking_origin``), which keeps only
-the sites that can still reach the origin by t_max. Every trajectory's p0 is
-bit for bit the return probability of its own full run, so the series does
-not depend on how the ensemble is evolved. At epsilon = 0 every trajectory
-is the clean walk, which the same probe runs once, on the exact field.
+``ensemble_series`` runs the configs of one call (one seed, ensemble size and
+support; ``noise-series`` passes one per epsilon) through origin probes
+(``walk.ensemble_tracking_origin``), which keep only the sites that can still
+reach the origin by t_max. Every trajectory's p0 is bit for bit the return
+probability of its own full run, so the series does not depend on which
+trajectories share a probe. At epsilon = 0 every trajectory is the clean
+walk, which one probe runs once, on the exact field. The trajectories of
+every epsilon > 0 are laid end to end, epsilon by epsilon, and cut into the
+fewest near-equal runs of consecutive walks that keep each probe within
+``PROBE_CELLS`` cells (its rows, ``_kernels.probe_rows``, times its walks):
+one probe per step advances many walks, so the per-step Python overhead is
+paid once per probe instead of once per epsilon, while a wider probe, whose
+arrays outgrow the cache, would be slower. A run may span two epsilons; each
+builds the fields of its own walks only, so beyond the draws and the p0 rows
+of every walk, memory stays within one probe's for any ensemble size. Each
+epsilon's statistics reduce its own E contiguous rows, as a run of that
+epsilon alone would.
 """
 
 from __future__ import annotations
@@ -30,9 +41,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .momentum import alpha_tilde_sup
+from ._kernels import probe_rows
 from .walk import WalkParams, WalkState, ensemble_tracking_origin, evolve
 
 SUPPORTS = ("pm1", "01")
+
+# Cells (rows x walks) of the widest origin probe ``ensemble_series`` runs.
+# With numpy 2.4.6 on 2 x86-64 cores the fastest walks per probe were 200
+# at T = 300 (151 rows), 100 at T = 600 (301 rows) and 50-150 at T = 1000
+# (501 rows); wider probes were slower (300 walks at T = 600: 220 ms in one
+# probe against 171 ms in three of 100). These are in-process timings only:
+# the benchmark's noise workload (100 noisy walks at T = 300) fits in one
+# probe, so no benchmark run covers a call that splits its walks.
+PROBE_CELLS = 2**15
 
 
 @dataclass(frozen=True)
@@ -136,27 +157,69 @@ def check_step_angles(params: WalkParams, noise: NoiseConfig, t_max: int) -> Non
             raise ValueError("step angles t*phi_t must be finite")
 
 
-def return_series(params: WalkParams, noise: NoiseConfig, t_max: int,
-                  initial: WalkState | None = None, draws: np.ndarray | None = None) -> np.ndarray:
-    """Ensemble return-probability series as an array of rows (t, mean, min, max).
+def _row_stats(tracks):
+    """Mean, min and max over the trajectories (rows) of an (E, t_max + 1) array."""
+    return tracks.mean(axis=0), tracks.min(axis=0), tracks.max(axis=0)
 
-    Rows cover t = 0..t_max. Trajectory i uses the stream documented on
-    NoiseConfig, so the series is reproducible for a fixed config.
-    ``draws`` is ``noise.draw_ensemble(t_max)``, drawn here when None: a
-    caller that runs several epsilons of one seed, ensemble and support
-    draws once and passes it to each.
+
+def ensemble_series(params: WalkParams, noises, t_max: int,
+                    initial: WalkState | None = None) -> list[np.ndarray]:
+    """``return_series`` of each config in ``noises``, in order, from one draw.
+
+    The configs must share seed, ensemble size and support. The x_t are
+    drawn once and a repeated epsilon runs once. The N trajectories of the
+    epsilons > 0 (epsilon by epsilon, in order of first appearance) are cut
+    into ceil(N / cap) near-equal runs of consecutive walks, cap =
+    max(1, ``PROBE_CELLS`` // rows) with rows the probe's height for this
+    start and horizon, and each run is one origin probe over its own fields
+    phi + epsilon*x (see the module docstring).
     """
     if t_max < 1:
         raise ValueError("t_max must be positive")
+    noises = list(noises)
+    if len({(n.seed, n.ensemble_size, n.support) for n in noises}) > 1:
+        raise ValueError("the configs must share seed, ensemble size and support")
+    if not noises:
+        return []
     start = initial if initial is not None else WalkState.single_site()
-    if noise.epsilon == 0.0:
-        # every trajectory is the clean walk, which is run once
-        tracks = np.repeat(ensemble_tracking_origin(start, t_max, params), noise.ensemble_size, 0)
-    else:
-        if draws is None:
-            draws = noise.draw_ensemble(t_max)
-        fields = params.field.value + noise.epsilon * draws
-        tracks = ensemble_tracking_origin(start, t_max, params, fields)
+    size = noises[0].ensemble_size
+    epsilons = list(dict.fromkeys(n.epsilon for n in noises))
+    noisy = [eps for eps in epsilons if eps != 0.0]
+    stats = {}
+    if 0.0 in epsilons:  # every trajectory is the clean walk, which is run once
+        stats[0.0] = _row_stats(np.repeat(ensemble_tracking_origin(start, t_max, params), size, 0))
+    if noisy:
+        draws = noises[0].draw_ensemble(t_max)
+        walks = len(noisy) * size
+        cap = max(1, PROBE_CELLS // max(1, probe_rows(start.amplitudes, -start.x_min, t_max)))
+        count = -(-walks // cap)
+        bounds = [r * walks // count for r in range(count + 1)]
+        # walk r of the concatenation is trajectory r % E of the (r // E)-th epsilon
+        epsilon_of_walk = np.repeat(noisy, size)[:, None]
+        # one run's p0 array serves as it is, with no second copy of its rows;
+        # more runs copy theirs into their own rows of one array
+        p0 = np.empty((walks, t_max + 1)) if count > 1 else None
+        for a, b in zip(bounds, bounds[1:]):
+            fields = epsilon_of_walk[a:b] * draws[np.arange(a, b) % size]
+            fields += params.field.value
+            tracks = ensemble_tracking_origin(start, t_max, params, fields)
+            if p0 is None:
+                p0 = tracks
+            else:
+                p0[a:b] = tracks
+        for k, eps in enumerate(noisy):
+            stats[eps] = _row_stats(p0[k * size:(k + 1) * size])
     ts = np.arange(t_max + 1, dtype=float)
-    return np.column_stack([ts, tracks.mean(axis=0), tracks.min(axis=0),
-                            tracks.max(axis=0)])
+    return [np.column_stack([ts, *stats[n.epsilon]]) for n in noises]
+
+
+def return_series(params: WalkParams, noise: NoiseConfig, t_max: int,
+                  initial: WalkState | None = None) -> np.ndarray:
+    """Ensemble return-probability series as an array of rows (t, mean, min, max).
+
+    Rows cover t = 0..t_max. Trajectory i uses the stream documented on
+    NoiseConfig, so the series is reproducible for a fixed config. Several
+    epsilons of one seed, ensemble and support run together in
+    ``ensemble_series``.
+    """
+    return ensemble_series(params, [noise], t_max, initial)[0]

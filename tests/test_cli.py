@@ -329,9 +329,9 @@ def test_noise_series_checks_every_epsilon_before_any_series(epsilons, message, 
                                                              capsys):
     """A bad epsilon late in the list exits 2 before the first ensemble is computed."""
     def never(*args, **kwargs):
-        raise AssertionError("return_series ran before every epsilon was checked")
+        raise AssertionError("ensemble_series ran before every epsilon was checked")
 
-    monkeypatch.setattr(cli, "return_series", never)
+    monkeypatch.setattr(cli, "ensemble_series", never)
     code, out, err = run_cli(["noise-series", "--epsilon", epsilons], capsys)
     assert (code, out) == (2, "")
     assert err.startswith(message)

@@ -1,15 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import reference_track_origin
 from qpwalk.momentum import alpha_tilde_sup
-from qpwalk.noise import (NoiseConfig, check_step_angles, noise_bound, noise_bound_for,
-                         noisy_evolve, return_series)
+from qpwalk import noise as noise_module
+from qpwalk._kernels import probe_rows
+from qpwalk.noise import (NoiseConfig, check_step_angles, ensemble_series, noise_bound,
+                         noise_bound_for, noisy_evolve, return_series)
 from qpwalk.revivals import expected_sign, revival_time
 from qpwalk import cli
-from qpwalk.walk import Field, WalkState, ensemble_tracking_origin, evolve, hadamard_params
+from qpwalk.walk import (Field, WalkParams, WalkState, ensemble_tracking_origin, evolve,
+                         hadamard_params)
 
 HALF = 1.0 / math.sqrt(2.0)
 
@@ -177,26 +181,38 @@ def test_one_draw_serves_every_epsilon():
     """``draw_ensemble`` holds each trajectory's ``draw_steps`` in its row, and
     phi + epsilon*x from it has the bits of ``draw_fields`` for any epsilon."""
     phi = Field.rational(1, 30).value
+    params = hadamard_params(Field.rational(1, 30))
     for support in ("pm1", "01"):
         x = NoiseConfig(epsilon=0.0, seed=8, ensemble_size=5, support=support).draw_ensemble(40)
         assert x.shape == (5, 40)
-        for epsilon in (1e-4, 3e-3, 0.7):
-            noise = NoiseConfig(epsilon=epsilon, seed=8, ensemble_size=5, support=support)
+        noises = [NoiseConfig(epsilon=epsilon, seed=8, ensemble_size=5, support=support)
+                  for epsilon in (1e-4, 3e-3, 0.7)]
+        for noise in noises:
             for i in range(5):
-                assert (phi + epsilon * x)[i].tobytes() == noise.draw_fields(phi, 40, i).tobytes()
-            params = hadamard_params(Field.rational(1, 30))
-            assert (return_series(params, noise, 40, draws=x).tobytes()
-                    == return_series(params, noise, 40).tobytes())
+                fields = noise.draw_fields(phi, 40, i)
+                assert (phi + noise.epsilon * x)[i].tobytes() == fields.tobytes()
+        # one call's single draw serves all three epsilons
+        for noise, series in zip(noises, ensemble_series(params, noises, 40)):
+            assert series.tobytes() == _series_drawn_per_epsilon(params, noise, 40).tobytes()
 
 
-def _series_drawn_per_epsilon(params, noise, t_max, draws):
-    """``return_series`` with every trajectory's fields drawn again by ``draw_fields``."""
+def _series_drawn_per_epsilon(params, noise, t_max, start=None):
+    """``return_series`` from every trajectory's fields drawn again by ``draw_fields`` and one
+    ``ensemble_tracking_origin`` call per epsilon, or the clean walk repeated at epsilon = 0."""
+    start = start if start is not None else WalkState.single_site()
     if noise.epsilon == 0.0:
-        return return_series(params, noise, t_max)
-    fields = [noise.draw_fields(params.field.value, t_max, i) for i in range(noise.ensemble_size)]
-    tracks = ensemble_tracking_origin(WalkState.single_site(), t_max, params, fields)
+        tracks = np.repeat(ensemble_tracking_origin(start, t_max, params), noise.ensemble_size, 0)
+    else:
+        fields = [noise.draw_fields(params.field.value, t_max, i)
+                  for i in range(noise.ensemble_size)]
+        tracks = ensemble_tracking_origin(start, t_max, params, fields)
     return np.column_stack([np.arange(t_max + 1.0), tracks.mean(axis=0), tracks.min(axis=0),
                             tracks.max(axis=0)])
+
+
+def _series_per_epsilon(params, noises, t_max, initial=None):
+    """``ensemble_series`` as one ``_series_drawn_per_epsilon`` per config."""
+    return [_series_drawn_per_epsilon(params, noise, t_max, initial) for noise in noises]
 
 
 @pytest.mark.parametrize("support", ["pm1", "01"])
@@ -218,7 +234,133 @@ def test_noise_series_draws_each_trajectory_once(monkeypatch, capsys, support):
     streams.clear()
     assert cli.main(argv + ["0,0"]) == 0 and streams == []
     capsys.readouterr()
-    monkeypatch.setattr(cli, "return_series", _series_drawn_per_epsilon)
+    monkeypatch.setattr(cli, "ensemble_series", _series_per_epsilon)
     assert cli.main(argv + ["0.002,0,0.0005,0.01"]) == 0
-    # the call's own draw, which the replacement ignores, then one per epsilon > 0
-    assert streams == list(range(6)) * 4 and capsys.readouterr().out == once
+    # the replacement draws once per epsilon > 0
+    assert streams == list(range(6)) * 3 and capsys.readouterr().out == once
+
+
+EPSILON_LISTS = [(0.002, 0.0, 0.0005, 0.01), (0.001, 0.001), (0.0, 0.0), (0.003,)]
+COINS = {"hadamard": (1 / math.sqrt(2.0), 1 / math.sqrt(2.0)), "0.6,0.8j": (0.6, 0.8j)}
+
+
+@pytest.mark.parametrize("cells", [None, 100, 1], ids=["default", "cells100", "cells1"])
+@pytest.mark.parametrize("coin", sorted(COINS))
+@pytest.mark.parametrize("support", ["pm1", "01"])
+def test_ensemble_series_matches_a_probe_per_epsilon(support, coin, cells, monkeypatch):
+    """Every config's series, bit for bit, from fields drawn per trajectory and one probe per
+    epsilon. Hadamard steps take the balanced path and (0.6, 0.8i) the general one. At 100
+    cells (3 walks of 31 rows) runs straddle two epsilons; at 1 cell every run is one walk,
+    on the one-walk path."""
+    if cells is not None:
+        monkeypatch.setattr(noise_module, "PROBE_CELLS", cells)
+    params = WalkParams(Field.rational(1, 50), *COINS[coin])
+    t_max = 60
+    for size in (5, 1):
+        for epsilons in EPSILON_LISTS:
+            noises = [NoiseConfig(epsilon=eps, seed=3, ensemble_size=size, support=support)
+                      for eps in epsilons]
+            got = ensemble_series(params, noises, t_max)
+            assert len(got) == len(noises)
+            for noise, series in zip(noises, got):
+                expected = _series_drawn_per_epsilon(params, noise, t_max)
+                assert series.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("cells", [None, 7], ids=["default", "cells7"])
+@pytest.mark.parametrize("x_min", [2, -3])
+def test_ensemble_series_from_a_wide_start(x_min, cells, monkeypatch):
+    """A two-site start off the origin (stride 1): the probe's up array is the taller one
+    when the origin lies left of the start, its down array when it lies right."""
+    if cells is not None:
+        monkeypatch.setattr(noise_module, "PROBE_CELLS", cells)
+    params = WalkParams(Field.golden(), 0.6, 0.8j)
+    start = WalkState(x_min=x_min, amplitudes=np.array([[0.6, 0.0], [0.0, 0.8j]]))
+    assert probe_rows(start.amplitudes, -x_min, 30) == 34
+    noises = [NoiseConfig(epsilon=eps, seed=5, ensemble_size=4) for eps in (0.01, 0.0, 0.002)]
+    for noise, series in zip(noises, ensemble_series(params, noises, 30, start)):
+        assert series.tobytes() == _series_drawn_per_epsilon(params, noise, 30, start).tobytes()
+
+
+def test_ensemble_series_refuses_configs_it_cannot_share():
+    params = hadamard_params(Field.rational(1, 10))
+    base = NoiseConfig(epsilon=1e-3, seed=1, ensemble_size=4)
+    for other in (NoiseConfig(epsilon=2e-3, seed=2, ensemble_size=4),
+                  NoiseConfig(epsilon=2e-3, seed=1, ensemble_size=5),
+                  NoiseConfig(epsilon=2e-3, seed=1, ensemble_size=4, support="01")):
+        with pytest.raises(ValueError, match="share seed, ensemble size and support"):
+            ensemble_series(params, [base, other], 10)
+    with pytest.raises(ValueError, match="t_max"):
+        ensemble_series(params, [base], 0)
+    assert ensemble_series(params, [], 10) == []
+
+
+def _probe_spy(monkeypatch):
+    """Record the walks of every probe ``ensemble_series`` runs (None for the clean walk);
+    each returns zeros, so that the shapes of large configs are cheap to check."""
+    calls = []
+
+    def spy(state, t_max, params, field_values=None):
+        calls.append(None if field_values is None else field_values.shape)
+        return np.zeros((1 if field_values is None else len(field_values), t_max + 1))
+
+    monkeypatch.setattr(noise_module, "ensemble_tracking_origin", spy)
+    return calls
+
+
+@pytest.mark.parametrize("t_max, size, epsilons, walks", [
+    # the benchmark's noise-series: one probe for the clean walk and one for 100 walks
+    (300, 50, (0.0, 0.0005, 0.001), [100]),
+    # the default: 151 and 501 rows give caps of 217 and 65 walks
+    (1000, 100, (0.0001, 0.0005, 0.001), [60] * 5),
+    (300, 400, (0.0005, 0.001), [200] * 4),
+    # at the cap of 217 walks, and one walk above it
+    (300, 217, (0.001,), [217]),
+    (300, 109, (0.0005, 0.001), [109, 109]),
+    (300, 1, (0.0, 0.001, 0.001), [1]),
+])
+def test_ensemble_series_probes_stay_within_the_cap(monkeypatch, t_max, size, epsilons, walks):
+    calls = _probe_spy(monkeypatch)
+    params = hadamard_params(Field.rational(1, 100))
+    cap = noise_module.PROBE_CELLS // probe_rows(WalkState.single_site().amplitudes, 0, t_max)
+    noises = [NoiseConfig(epsilon=eps, seed=1, ensemble_size=size) for eps in epsilons]
+    ensemble_series(params, noises, t_max)
+    clean = [None] if 0.0 in epsilons else []
+    assert calls == clean + [(w, t_max) for w in walks]
+    assert all(w <= cap for w in walks)
+
+
+def _series_peak_traced_bytes(params, noises, t_max):
+    tracemalloc.start()
+    try:
+        ensemble_series(params, noises, t_max)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ensemble_series_memory_is_bounded_by_the_cell_budget():
+    """T = 300, two epsilons: E = 200 runs its 400 walks in two probes of 200,
+    E = 400 its 800 in four (the cap is 217 walks).
+
+    Beyond the arrays every call holds whole (the draws, E x T, and every
+    walk's p0, 2E x (T + 1), in floats), the peak is one probe's, so it does
+    not grow with E: the same probes allocate the same temporaries, whatever
+    the numpy version. A probe holds its four complex arrays of at most
+    ``PROBE_CELLS`` cells (64 bytes a cell), its fields and its own p0 rows
+    (8 bytes a step of a walk each, about 16 a cell each) and its step-matrix
+    blocks (64 bytes a walk per step of a block, two or three blocks alive,
+    about 40 a cell) with their temporaries. 192 bytes a cell bounds it: 0.74
+    of the bound with numpy 2.4.6 on x86-64, not measured with other numpy
+    versions. Probes of 400 walks, one per epsilon, peaked at twice the E =
+    200 excess and 1.47 times the bound."""
+    params = hadamard_params(Field.rational(1, 100))
+    t_max = 300
+    ensemble_series(params, [NoiseConfig(epsilon=5e-4, seed=1, ensemble_size=400)], 20)
+    excess = {}
+    for size in (200, 400):  # after a first call, whose allocations stay outside the bound
+        noises = [NoiseConfig(epsilon=eps, seed=1, ensemble_size=size) for eps in (5e-4, 1e-3)]
+        whole = 8 * (size * t_max + 2 * size * (t_max + 1))
+        excess[size] = _series_peak_traced_bytes(params, noises, t_max) - whole
+    assert excess[400] <= 1.05 * excess[200]
+    assert excess[400] <= 192 * noise_module.PROBE_CELLS

@@ -1,5 +1,6 @@
-"""Position-space evolution kernels: one vectorized numpy loop per step order,
-and an origin probe that runs one walk or many in one loop.
+"""Position-space evolution kernels: one step loop (``_steps``) behind three
+entry points, one per step order and an origin probe that runs one walk or
+many.
 
 Both step-order kernels take a state's window ``psi`` of shape
 ``(hi - lo + 1, 2)``, whose row i holds site ``lo + i`` (column 0 is the
@@ -25,44 +26,54 @@ drops by ``stride - 1`` per step. Index j's up amplitude is at
 stride 1 and at ``dn[j]`` at stride 2. Either way a shift leaves every
 amplitude at its index and moves no data. A call first copies ``psi`` into
 the arrays; after the last step both offsets are zero and the live part of
-the arrays is copied into the returned window. Each loop computes a step's
-matrix product inline, as six ufunc calls on contiguous slices in the
-operand order of ``m00*u + m01*d``: m10*u to scratch, then m00*u into u,
-m01*d to scratch, their sum into u, m11*d into d and m10*u + m11*d into d.
-Every sum writes into one of its operands, which numpy (2.4, x86-64) does
-in about half the time of a sum into a third array. A product into its own
-input rounds as one into other memory, except for one element: a
-matrix-before-shift step whose arrays hold one element (one walk's
-one-site window: the first step of every single-site walk, or a window
-trimmed to one site) takes the six calls that write no product into its
-input (m00*u, m10*u and m11*d to scratch, m01*d into u). Shift-before-matrix
-grows the window before the product, so it never meets one. No product is
-written to strided memory, where numpy rounds differently too. The electric
-walk's per-site phases are read per parity from contiguous copies and
-applied in place. All of it is bit-identical to shifting a zero-padded
-buffer in place, as the reference loops in ``tests/conftest.py`` do (BLAS
-``matmul`` would round differently).
+the arrays is copied into the returned window.
 
-A balanced step (``_balanced``: m11 has the bits of m01 in every walk), as
-every step of the Hadamard walk is, takes five calls and no second scratch
-array: m11*d would repeat m01*d bit for bit, so m01*d goes into d, u' =
-m00*u + m01*d into u and d' = m10*u + m01*d into d. The operands and their
-order are the six calls', so every bit is theirs, zeros of either sign and
-NaN payloads included. The flags come from the entries, once per block;
-one walk's single step (``walk.step``) is not checked, as the check would
-cost about what it saves.
+``_steps`` runs every step of all three kernels: the shift's bookkeeping
+(before the product in shift-before-matrix, after it otherwise), the
+product, the electric walk's phase or the probe's cone, and the trim. It
+computes each product inline as numpy ufunc calls on contiguous slices,
+under three rules:
+
+- Operand order. A step takes six calls in the operand order of
+  ``m00*u + m01*d``: m10*u to scratch, then m00*u into u, m01*d to
+  scratch, their sum into u, m11*d into d and m10*u + m11*d into d. Every
+  sum writes into one of its operands, which numpy (2.4, x86-64) does in
+  about half the time of a sum into a third array, and a product into its
+  own input rounds as one into other memory.
+- One element. That last holds except for one element: one walk's step
+  on a one-site window (the first matrix-before-shift step of every
+  single-site walk, or a window trimmed to one site) takes the six calls
+  that write no product into its input (m00*u, m10*u and m11*d to
+  scratch, m01*d into u). Shift-before-matrix grows the window before the
+  product, so it never meets one.
+- Balanced. A balanced step (``_balanced``: m11 has the bits of m01 in
+  every walk), as every step of the Hadamard walk is, takes five calls and
+  no second scratch array: m11*d would repeat m01*d bit for bit, so m01*d
+  goes into d, u' = m00*u + m01*d into u and d' = m10*u + m01*d into d.
+  The operands and their order are the six calls', so every bit is
+  theirs, zeros of either sign and NaN payloads included. The flags come
+  from the entries, once per block; one walk's single step (``walk.step``)
+  is not checked, as the check would cost about what it saves.
+
+No product is written to strided memory, where numpy rounds differently
+too. The electric walk's per-site phases are read per parity from
+contiguous copies and applied in place. All of it is bit-identical to
+shifting a zero-padded buffer in place, as the reference loops in
+``tests/conftest.py`` do (BLAS ``matmul`` would round differently).
 
 One walk's matrix entries go in as 0-d array views
 (``_step_entries``): a numpy scalar operand rounds the same but is
 converted to an array on every call, about half a microsecond of each ufunc
-call at small windows. A ``mats`` that repeats one matrix (stride 0 on the
-step axis, as the electric walk's coin) gives one set of views per call. At
-stride 2 the empty sublattice is never computed: where those loops leave
-zeros of either sign, the returned window holds +0.0. Occupied amplitudes,
-bounds and trims are bit-identical.
+call at small windows. The views are made once per call, of a buffer that
+takes a copy of each step's matrix, which is cheaper than four new views
+a step; a ``mats`` that repeats one matrix (stride 0 on the step axis, as
+the electric walk's coin) is copied once. At stride 2 the empty sublattice
+is never computed: where the reference loops leave zeros of either sign,
+the returned window holds +0.0. Occupied amplitudes, bounds and trims are
+bit-identical.
 
-After every step the kernels zero boundary sites whose four real components
-are all below ``TRIM_THRESHOLD`` (1e-200) and shrink the bounds accordingly
+After every step the loop zeroes boundary sites whose four real components
+are all below ``TRIM_THRESHOLD`` (1e-200) and shrinks the bounds accordingly
 (``_trim``; one walk's edges are read as Python scalars, with no call per
 site). The trim changes the state by less than ~1e-196 per step — far
 below every tolerance in use — and keeps the live window proportional to the
@@ -186,21 +197,37 @@ def _window(up, dn, lo, hi, first, stride):
     return first + stride * lo, first + stride * hi, window
 
 
-def steps_matrix_then_shift(psi, lo, hi, mats):
-    """Apply ``mats[t]`` then the shift for each t."""
-    steps = mats.shape[0]
-    stride, first, lo, hi, (up, dn, x, y) = _layout(psi, lo, hi, steps)
-    dn_rate = 2 - stride  # compressed sites a down amplitude moves left per step
-    ui, di = steps, -dn_rate * steps
+def _steps(up, dn, x, y, lo, hi, ui, di, dn_rate, entries, shift_first=False, phase=None,
+           cone=None):
+    """Run one step per ``_step_entries`` tuple of ``entries``; after step t, yield
+    ``(t, lo, hi, ui, di)``.
+
+    Compressed site j's up amplitude is at ``up[j + ui]`` and its down
+    amplitude at ``dn[j + di]``; ``x`` and ``y`` are scratch arrays as long
+    as ``up``. A shift moves no data: it grows [lo, hi] by ``dn_rate``
+    sites on the left and one on the right, drops ui by one and adds
+    ``dn_rate`` to di. It follows the product, or precedes it when
+    ``shift_first``; then ``phase(t, lo, n)``, if given, returns the phases
+    of the n sites from lo, applied after the product. ``cone`` = (c_lo,
+    c_hi), if given, clips the window after step t's shift to [c_lo + t,
+    c_hi - dn_rate * t]. ``_trim`` ends every step.
+    """
     mul, add = np.multiply, np.add
-    for balanced, m00, m01, m10, m11 in _step_entries([mats[..., None]], 1):
-        # compressed site j's new up (down) amplitude belongs to j + 1
-        # (j - dn_rate), whose index after this step is the one j's had before it
+    one_walk = up.ndim == 1
+    clip = cone is not None
+    if clip:
+        cone_lo, cone_hi = cone
+    for t, (balanced, m00, m01, m10, m11) in enumerate(entries, 1):
+        if shift_first:
+            lo -= dn_rate
+            hi += 1
+            ui -= 1
+            di += dn_rate
         n = hi - lo + 1
         u = up[lo + ui:hi + ui + 1]
         d = dn[lo + di:hi + di + 1]
         ys = y[:n]
-        if n == 1:  # one element: see the module docstring
+        if n == 1 and one_walk:  # one element: see the module docstring
             xs = x[:n]
             mul(m00, u, xs)
             mul(m10, u, ys)
@@ -222,9 +249,34 @@ def steps_matrix_then_shift(psi, lo, hi, mats):
             add(u, xs, u)
             mul(m11, d, d)
             add(ys, d, d)
-        ui -= 1
-        di += dn_rate
-        lo, hi = _trim(up, dn, lo - dn_rate, hi + 1, ui, di)
+        if shift_first:
+            if phase is not None:
+                site_phase = phase(t, lo, n)
+                mul(u, site_phase, u)
+                mul(d, site_phase, d)
+        else:
+            lo -= dn_rate
+            hi += 1
+            ui -= 1
+            di += dn_rate
+            if clip:
+                if lo < cone_lo + t:
+                    lo = cone_lo + t
+                if hi > cone_hi - dn_rate * t:
+                    hi = cone_hi - dn_rate * t
+        lo, hi = _trim(up, dn, lo, hi, ui, di)
+        yield t, lo, hi, ui, di
+
+
+def steps_matrix_then_shift(psi, lo, hi, mats):
+    """Apply ``mats[t]`` then the shift for each t."""
+    steps = mats.shape[0]
+    stride, first, lo, hi, (up, dn, x, y) = _layout(psi, lo, hi, steps)
+    dn_rate = 2 - stride  # compressed sites a down amplitude moves left per step
+    entries = _step_entries([mats[..., None]], 1)
+    for _, lo, hi, _, _ in _steps(up, dn, x, y, lo, hi, steps, -dn_rate * steps, dn_rate,
+                                  entries):
+        pass
     return _window(up, dn, lo, hi, first - (stride - 1) * steps, stride)
 
 
@@ -240,43 +292,19 @@ def steps_shift_then_matrix(psi, lo, hi, mats, site_phase=None):
     # the copy into the comoving arrays is the first shift
     stride, first, lo, hi, (up, dn, x, y) = _layout(psi, lo, hi, steps)
     dn_rate = 2 - stride  # compressed sites a down amplitude moves left per step
-    ui, di = steps, -dn_rate * steps
+    phase = None
     if site_phase is not None:
         # phase index stride * k + p is at phases[p][k], in contiguous memory
         phases = [np.ascontiguousarray(site_phase[p::stride]) for p in range(stride)]
-    mul, add = np.multiply, np.add
-    for balanced, m00, m01, m10, m11 in _step_entries([mats[..., None]], 1):
-        first -= stride - 1
-        lo -= dn_rate
-        hi += 1
-        ui -= 1
-        di += dn_rate
-        n = hi - lo + 1
-        u = up[lo + ui:hi + ui + 1]
-        d = dn[lo + di:hi + di + 1]
-        ys = y[:n]
-        # the window grew by a site before the product, so no array holds one element
-        if balanced:  # m11 d would repeat m01 d bit for bit
-            mul(m10, u, ys)
-            mul(m00, u, u)
-            mul(m01, d, d)
-            add(u, d, u)
-            add(ys, d, d)
-        else:
-            xs = x[:n]
-            mul(m10, u, ys)
-            mul(m00, u, u)
-            mul(m01, d, xs)
-            add(u, xs, u)
-            mul(m11, d, d)
-            add(ys, d, d)
-        if site_phase is not None:
-            k, p = divmod(first + stride * lo - phase_site, stride)
-            phase = phases[p][k:k + n]
-            mul(u, phase, u)
-            mul(d, phase, d)
-        lo, hi = _trim(up, dn, lo, hi, ui, di)
-    return _window(up, dn, lo, hi, first, stride)
+
+        def phase(t, lo, n):
+            k, p = divmod(first - (stride - 1) * t + stride * lo - phase_site, stride)
+            return phases[p][k:k + n]
+    entries = _step_entries([mats[..., None]], 1)
+    for _, lo, hi, _, _ in _steps(up, dn, x, y, lo, hi, steps, -dn_rate * steps, dn_rate,
+                                  entries, shift_first=True, phase=phase):
+        pass
+    return _window(up, dn, lo, hi, first - (stride - 1) * steps, stride)
 
 
 # Steps of a block checked at a time, so that the check's temporaries stay
@@ -305,27 +333,32 @@ def _step_entries(blocks, walks):
 
     ``balanced`` is the step's ``_balanced`` flag. One walk's block of one
     step (``walk.step``) is not checked and takes the general path: there
-    the check costs about what the saved product does. Each entry is a view
-    of its block: 0-d for one walk and one entry per walk, shape (E,), for
-    an ensemble. One walk's (1,) entries would take another numpy loop for
-    a one-site product and round differently. A block that repeats one
-    matrix (stride 0 on the step axis) is checked once and gives the same
-    tuple for all its steps; other blocks are checked ``CHECK_ROWS`` steps
-    at a time.
+    the check costs about what the saved product does. The entries are
+    views of one buffer that holds the current step's matrix: 0-d for one
+    walk and one entry per walk, shape (E,), for an ensemble. One walk's
+    (1,) entries would take another numpy loop for a one-site product and
+    round differently. The views are made once per call and the buffer is
+    refilled for each step, one copy instead of four views a step, so an
+    entry holds its step's value only until the next step is drawn. A
+    block that repeats one matrix (stride 0 on the step axis) is checked
+    and copied once and gives the same tuple for all its steps; other
+    blocks are checked ``CHECK_ROWS`` steps at a time.
     """
+    buf = np.empty((4,) if walks == 1 else (4, walks), dtype=complex)
+    m00, m01, m10, m11 = buf[0, ...], buf[1, ...], buf[2, ...], buf[3, ...]
     for block in blocks:
         n = block.shape[0]
         entries = block.reshape(n, 4) if walks == 1 else block.reshape(n, 4, walks)
         if n > 1 and entries.strides[0] == 0:
-            row = entries[0]
-            yield from itertools.repeat(
-                (_balanced(entries[:1])[0], row[0, ...], row[1, ...], row[2, ...], row[3, ...]), n)
+            buf[...] = entries[0]
+            yield from itertools.repeat((_balanced(entries[:1])[0], m00, m01, m10, m11), n)
         else:
             for start in range(0, n, CHECK_ROWS):
                 rows = entries[start:start + CHECK_ROWS]
                 flags = (False,) if n == 1 and walks == 1 else _balanced(rows)
                 for flag, row in zip(flags, rows):
-                    yield flag, row[0, ...], row[1, ...], row[2, ...], row[3, ...]
+                    buf[...] = row
+                    yield flag, m00, m01, m10, m11
 
 
 def _probe_frame(psi, origin, steps):
@@ -409,56 +442,14 @@ def probe_ensemble(psi, origin, steps, walks, blocks):
     # one walk steps 1-D views, as the step-order kernels do: a site is an
     # element, which the trim zeroes several times faster than a row
     up, dn = (ups[:, 0], downs[:, 0]) if walks == 1 else (ups, downs)
-    x, y = np.empty_like(up), np.empty_like(up)
     # The origin's compressed index after t steps is (origin + (stride - 1) * t)
     # / stride, at the steps where that is whole: every step at stride 1, every
-    # other one at stride 2. From one such step to the next, its up index drops
-    # by one and its down index grows by one. Its slots hold zeros while the
-    # window misses it.
+    # other one at stride 2. Its slots hold zeros while the window misses it.
     t_read = 1 + (stride == 2 and origin % 2 == 0)
-    j = (origin + (stride - 1) * t_read) // stride
-    ou, od = j + ui - t_read, j + di + dn_rate * t_read
-    mul, add = np.multiply, np.add
-    for t, (balanced, m00, m01, m10, m11) in enumerate(_step_entries(blocks, walks), 1):
-        n = hi - lo + 1
-        u = up[lo + ui:hi + ui + 1]
-        d = dn[lo + di:hi + di + 1]
-        ys = y[:n]
-        if n == 1 and walks == 1:  # one element: see the module docstring
-            xs = x[:n]
-            mul(m00, u, xs)
-            mul(m10, u, ys)
-            mul(m01, d, u)
-            add(xs, u, u)
-            mul(m11, d, xs)
-            add(ys, xs, d)
-        elif balanced:  # m11 d would repeat m01 d bit for bit
-            mul(m10, u, ys)
-            mul(m00, u, u)
-            mul(m01, d, d)
-            add(u, d, u)
-            add(ys, d, d)
-        else:
-            xs = x[:n]
-            mul(m10, u, ys)
-            mul(m00, u, u)
-            mul(m01, d, xs)
-            add(u, xs, u)
-            mul(m11, d, d)
-            add(ys, d, d)
-        ui -= 1
-        di += dn_rate
-        # grow by one site, clip to the cone of half-width T - t, trim
-        lo -= dn_rate
-        hi += 1
-        if lo < cone_lo + t:
-            lo = cone_lo + t
-        if hi > cone_hi - dn_rate * t:
-            hi = cone_hi - dn_rate * t
-        lo, hi = _trim(up, dn, lo, hi, ui, di)
+    for t, _, _, ui, di in _steps(up, dn, np.empty_like(up), np.empty_like(up), lo, hi, ui, di,
+                                  dn_rate, _step_entries(blocks, walks), cone=(cone_lo, cone_hi)):
         if t == t_read:
-            if 0 <= ou < up.shape[0] and 0 <= od < dn.shape[0]:
-                yield t, ups[ou].tolist(), downs[od].tolist()
+            j = (origin + (stride - 1) * t) // stride
+            if 0 <= j + ui < up.shape[0] and 0 <= j + di < dn.shape[0]:
+                yield t, ups[j + ui].tolist(), downs[j + di].tolist()
             t_read += stride
-            ou -= 1
-            od += 1

@@ -630,6 +630,41 @@ def test_a_repeated_matrix_gives_the_bits_of_its_copy(rng):
             assert [m.shape for m in views] == [(walks,) if walks > 1 else ()] * 4
 
 
+@pytest.mark.parametrize("width", [1, 5])
+def test_every_step_runs_through_the_one_step_loop(rng, monkeypatch, width):
+    """Each public kernel runs all of its steps through one ``_kernels._steps`` generator.
+
+    The spied runs of both step-order kernels (shift-then-matrix with and
+    without a site phase) and of the probe (E = 1 and E = 3) give the bits of
+    the unspied ones, and each makes one ``_steps`` call that yields steps
+    1..T in order.
+    """
+    loop, runs = _kernels._steps, []
+
+    def spy(*args, **kwargs):
+        runs.append([])
+        for item in loop(*args, **kwargs):
+            runs[-1].append(item[0])
+            yield item
+
+    steps = 12
+    buf, lo, hi, mats = _random_case(rng, steps=steps, width=width)
+    phase = np.exp(1j * rng.uniform(-np.pi, np.pi, buf.shape[0]))
+    ensemble = np.stack([mats] + [_random_unitaries(rng, steps) for _ in range(2)], axis=-1)
+    for run in (lambda: _matrix_then_shift(buf, lo, hi, mats),
+                lambda: _shift_then_matrix(buf, lo, hi, mats),
+                lambda: _shift_then_matrix(buf, lo, hi, mats, phase),
+                lambda: _probe(buf[lo:hi + 1], width // 2, mats[..., None]),
+                lambda: _probe(buf[lo:hi + 1], width // 2, ensemble)):
+        want = run()
+        with monkeypatch.context() as m:
+            m.setattr(_kernels, "_steps", spy)
+            got = run()
+        assert runs == [list(range(1, steps + 1))]
+        assert all(_same_bits(np.asarray(a), np.asarray(b)) for a, b in zip(want, got))
+        runs.clear()
+
+
 def _general_only(monkeypatch):
     """Make every step take the general six-call product."""
     monkeypatch.setattr(_kernels, "_balanced", lambda entries: [False] * entries.shape[0])

@@ -6,10 +6,12 @@ metadata comments, then a header row) or as a single JSON document. Output is
 byte-reproducible for a fixed config and seed: records carry no timestamps and
 all randomness is seeded.
 
-Each handler checks its inputs and returns metadata, columns and rows whose
-cells are Python int, float, bool or str; ``write_record`` then streams the
-rows, so a run that fails its checks writes nothing. ``evolve`` hands over a
-generator of one time slice at a time, so its memory stays bounded at stride 1.
+Each handler checks its inputs and returns metadata, columns and column
+blocks: each block holds one sequence per column, of Python int, float, bool
+or str cells. ``write_record`` then streams the blocks, so a run that fails its
+checks writes nothing. ``evolve`` hands over a generator of one block per
+time slice and ``bloch-trace`` one of ``SPINOR_BLOCK`` rows a block, so their
+memory stays bounded in --tmax; the other experiments hand over one block.
 
 Field strings give phi as a fraction of a full turn: ``n/m`` (exact integers),
 ``golden`` for (sqrt(5)-1)/2, or a float literal. Coins are ``hadamard``,
@@ -26,7 +28,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import itertools
 import json
 import math
 import sys
@@ -43,13 +44,13 @@ from .momentum import _closed_trace, _rotation_frame
 from .noise import NoiseConfig, check_step_angles, ensemble_series
 from .revivals import appendix_table, irrational_revival_bound, revival_reports
 from .spinops import rotation_x
-from .walk import (Field, WalkParams, WalkState, bloch_vector, evolve,
-                   position_distribution, spinor_bloch_vector, track_origin)
+from .walk import (Field, WalkParams, WalkState, bloch_vector, evolve, occupied_sites,
+                   spinor_bloch_vector, track_origin)
 
 TRACE_CHECK_TOL = 1e-9
 GAUGE_CHECK_TOL = 1e-10
-ROWS_PER_WRITE = 4096  # rows formatted per write
-SPINOR_BLOCK = 512  # bloch-trace spinors turned into Python values at a time
+ROWS_PER_WRITE = 4096  # rows gathered from blocks into one write
+SPINOR_BLOCK = 512  # bloch-trace rows a block: spinors turned into Python values at a time
 
 NAMED_COINS = {
     "hadamard": (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)),
@@ -92,8 +93,8 @@ EXPERIMENT_FLAGS = {
 }
 
 
-# what a handler returns: metadata, columns, rows of native cells, exit code
-Record = tuple[dict, list[str], Iterable[tuple], int]
+# what a handler returns: metadata, columns, column blocks of native cells, exit code
+Record = tuple[dict, list[str], Iterable[list], int]
 
 
 class ConfigError(Exception):
@@ -219,21 +220,43 @@ class Options:
         return default
 
 
-def _csv_rows(rows: list) -> str:
-    # str(float) is repr(float); bools are written as 1/0
-    return "".join([",".join([("1" if c else "0") if type(c) is bool else str(c) for c in row])
-                    + "\n" for row in rows])
+def _csv_rows(block) -> str:
+    """The CSV lines of a column block, from one ``%`` over a template of its rows.
+
+    A column of floats is written with ``%r`` (which is ``str``), of ints and
+    bools with ``%d`` (bools as 1/0) and of strs with ``%s``; any other
+    column goes through ``str`` cell by cell, with bools as 1/0.
+    """
+    width = len(block)
+    cells = [None] * (width * len(block[0]))
+    formats = []
+    for i, column in enumerate(block):
+        kinds = set(map(type, column))
+        if kinds == {float}:
+            formats.append("%r")
+        elif kinds <= {int, bool}:
+            formats.append("%d")
+        else:
+            formats.append("%s")
+            if kinds != {str}:
+                column = [("1" if c else "0") if type(c) is bool else str(c) for c in column]
+        cells[i::width] = column
+    return (",".join(formats) + "\n") * len(block[0]) % tuple(cells)
 
 
-def _json_rows(rows: list) -> str:
-    return json.dumps(rows)[1:-1]
+def _json_rows(block) -> str:
+    return json.dumps(list(zip(*block)))[1:-1]
 
 
-def write_record(experiment: str, metadata: dict, columns: list[str], rows: Iterable[tuple],
+def write_record(experiment: str, metadata: dict, columns: list[str], blocks: Iterable[list],
                  out_path: str, fmt: str) -> None:
-    """Stream one record to ``out_path`` ('-' for stdout), ROWS_PER_WRITE rows a write.
+    """Stream one record to ``out_path`` ('-' for stdout), blocks gathered into writes.
 
-    Cells are Python int, float, bool or str. JSON gives the bytes of
+    A block holds one sequence per column, all of one length (a block of no
+    columns has no rows), of Python int, float, bool or str cells. Each
+    block is formatted as it arrives (``_csv_rows``, ``_json_rows``), and
+    the texts are gathered into writes of at most ROWS_PER_WRITE rows, or of
+    one block that alone holds more. JSON gives the bytes of
     ``json.dumps(document, sort_keys=True)``, which puts "rows" between
     "metadata" and "schema": a fixed head, the rows and a fixed tail. The
     format is checked before anything is written.
@@ -250,7 +273,6 @@ def write_record(experiment: str, metadata: dict, columns: list[str], rows: Iter
         body, sep, tail = _json_rows, ", ", '], "schema": "qpwalk-json/1"}\n'
     else:
         raise ConfigError(f"unknown format {fmt!r}")
-    rows = iter(rows)
     try:
         output = (open(out_path, "w", encoding="utf-8", newline="") if out_path != "-"
                   else contextlib.nullcontext(sys.stdout))
@@ -258,10 +280,17 @@ def write_record(experiment: str, metadata: dict, columns: list[str], rows: Iter
         raise ConfigError(f"cannot write {out_path!r}: {exc.strerror}") from exc
     with output as handle:
         handle.write(head)
-        lead = ""
-        while batch := list(itertools.islice(rows, ROWS_PER_WRITE)):
-            handle.write(lead + body(batch))
-            lead = sep
+        lead, texts, rows = "", [], 0
+        for block in blocks:
+            count = len(block[0]) if block else 0
+            if rows and rows + count > ROWS_PER_WRITE:
+                handle.write(lead + sep.join(texts))
+                lead, texts, rows = sep, [], 0
+            if count:
+                texts.append(body(block))
+                rows += count
+        if texts:
+            handle.write(lead + sep.join(texts))
         handle.write(tail)
 
 
@@ -282,20 +311,22 @@ def run_evolve(opts: Options) -> Record:
     field.angle(t_max)  # if t*phi overflows, it does at t_max: raise before any row is written
     start = WalkState.single_site(x=x0, spinor=spinor)
 
-    def rows():
+    def time_slice(t, state):
+        sites, probs = occupied_sites(state)
+        return [[t] * len(sites), sites, probs]
+
+    def blocks():
         # one time slice at a time: memory is one window plus one slice
         state = start
-        for x, p in position_distribution(state).items():
-            yield 0, x, p
+        yield time_slice(0, state)
         for t_from in range(1, t_max + 1, stride):
             t = min(t_from + stride - 1, t_max)
             state = evolve(state, t_from, t, params)
-            for x, p in position_distribution(state).items():
-                yield t, x, p
+            yield time_slice(t, state)
 
     meta = {"field": field.label, "coin": coin_label, "tmax": t_max, "stride": stride,
             "x0": x0, "spinor": opts.get("spinor", "1,0", str)}
-    return meta, ["t", "x", "probability"], rows(), 0
+    return meta, ["t", "x", "probability"], blocks(), 0
 
 
 def run_revival_scan(opts: Options) -> Record:
@@ -335,7 +366,7 @@ def run_revival_scan(opts: Options) -> Record:
                 for (k_index, d_k, time, bound), report in zip(cases, reports)]
         meta = {"field": field.label, "coin": coin_label, "tmax": t_max, "depth": depth}
         return meta, ["k_index", "d_k", "revival_time", "sign", "measured_deviation",
-                      "bound_leading"], rows, 0
+                      "bound_leading"], [list(zip(*rows))], 0
 
     m_list = parse_int_list(opts.get("m_list", "3,4,5,6,7,8,9,10,11,12", str))
     if any(m < 1 for m in m_list):
@@ -346,7 +377,7 @@ def run_revival_scan(opts: Options) -> Record:
              report.measured_deviation, report.predicted_scale) for report in reports]
     meta = {"coin": coin_label, "m_list": ",".join(str(m) for m in m_list)}
     return meta, ["m", "parity", "revival_time", "sign", "measured_deviation",
-                  "predicted_scale"], rows, 0
+                  "predicted_scale"], [list(zip(*rows))], 0
 
 
 def run_trace_check(opts: Options) -> Record:
@@ -392,7 +423,7 @@ def run_trace_check(opts: Options) -> Record:
     meta = {"trials": trials, "seed": seed, "tolerance": TRACE_CHECK_TOL,
             "worst_residual": worst}
     code = 0 if all(row[4] for row in rows) else 3
-    return meta, ["trial", "m", "n", "residual", "pass"], rows, code
+    return meta, ["trial", "m", "n", "residual", "pass"], [list(zip(*rows))], code
 
 
 def _direct_cyclic_traces(mats: np.ndarray, rot: np.ndarray, m: int) -> np.ndarray:
@@ -436,7 +467,8 @@ def run_cf(opts: Options) -> Record:
                      checks[i - 1] if i - 1 < len(checks) else True))
     meta = {"field": label, "depth": depth, "finite": cf.finite,
             "truncated": cf.truncated, "classification": classification.kind}
-    return meta, ["k", "c_k", "n_k", "d_k", "abs_error", "bound", "within_bound"], rows, 0
+    columns = ["k", "c_k", "n_k", "d_k", "abs_error", "bound", "within_bound"]
+    return meta, columns, [list(zip(*rows))], 0
 
 
 def run_noise_series(opts: Options) -> Record:
@@ -457,14 +489,12 @@ def run_noise_series(opts: Options) -> Record:
             check_step_angles(params, noise, t_max)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    rows = []
-    for eps, series in zip(epsilons, ensemble_series(params, noises, t_max)):
-        for t, mean, mini, maxi in series.tolist():
-            rows.append((eps, int(t), mean, mini, maxi))
+    blocks = [[[eps] * len(series), series[:, 0].astype(int).tolist(), *series[:, 1:].T.tolist()]
+              for eps, series in zip(epsilons, ensemble_series(params, noises, t_max))]
     meta = {"field": field.label, "coin": coin_label, "tmax": t_max, "seed": seed,
             "ensemble": ensemble, "noise_support": support,
             "epsilon": ",".join(repr(e) for e in epsilons)}
-    return meta, ["epsilon", "t", "p_mean", "p_min", "p_max"], rows, 0
+    return meta, ["epsilon", "t", "p_mean", "p_min", "p_max"], blocks, 0
 
 
 def run_gauge_check(opts: Options) -> Record:
@@ -488,7 +518,7 @@ def run_gauge_check(opts: Options) -> Record:
     meta = {"coin": coin_label, "tmax": t_steps, "trials": trials, "seed": seed,
             "tolerance": GAUGE_CHECK_TOL, "worst_deviation": worst}
     code = 0 if worst <= GAUGE_CHECK_TOL else 3
-    return meta, ["field", "t", "trials", "max_deviation", "pass"], rows, code
+    return meta, ["field", "t", "trials", "max_deviation", "pass"], [list(zip(*rows))], code
 
 
 def run_appendix_table(opts: Options) -> Record:
@@ -502,7 +532,7 @@ def run_appendix_table(opts: Options) -> Record:
                      abs(report.measured_deviation - expected) <= 1e-9))
     meta = {"m_list": ",".join(str(m) for m in m_list)}
     return meta, ["coin", "m", "parity", "revival_time", "sign", "measured_deviation",
-                  "expected_deviation", "match"], rows, 0
+                  "expected_deviation", "match"], [list(zip(*rows))], 0
 
 
 def run_bloch_trace(opts: Options) -> Record:
@@ -517,31 +547,34 @@ def run_bloch_trace(opts: Options) -> Record:
     state = WalkState.single_site(x=x0, spinor=spinor)
     sx0, sy0, sz0 = bloch_vector(state, 0)
     spinors = track_origin(state, t_max, params)
-    # The metadata, written first, names the nearest return: a first pass
-    # finds it, and the rows stream from a second one. Each pass turns the
-    # (T, 2) spinors into Python values SPINOR_BLOCK rows at a time.
-    blocks = range(0, t_max, SPINOR_BLOCK)
+    # The metadata, written first, names the nearest return. One pass over
+    # the (T, 2) spinors, SPINOR_BLOCK rows at a time, finds it and overwrites
+    # each spinor's 32 bytes with its row's four floats (sx, sy, sz, r); the
+    # blocks then stream from that (T, 4) array.
+    vectors = spinors.view(float)
     nearest_t = None
     nearest_dist = math.inf
-    for t0 in blocks:
+    for t0 in range(0, t_max, SPINOR_BLOCK):
+        values = []
         for t, (u, d) in enumerate(spinors[t0:t0 + SPINOR_BLOCK].tolist(), t0 + 1):
             sx, sy, sz = spinor_bloch_vector(u, d)
             dist = math.sqrt((sx - sx0) ** 2 + (sy - sy0) ** 2 + (sz - sz0) ** 2)
             if dist < nearest_dist:
                 nearest_dist = dist
                 nearest_t = t
+            values += sx, sy, sz, math.sqrt(sx ** 2 + sy ** 2 + sz ** 2)
+        vectors[t0:t0 + SPINOR_BLOCK].reshape(-1)[:] = values  # a view: writes the rows
 
-    def rows():
-        yield 0, sx0, sy0, sz0, math.sqrt(sx0 ** 2 + sy0 ** 2 + sz0 ** 2)
-        for t0 in blocks:
-            for t, (u, d) in enumerate(spinors[t0:t0 + SPINOR_BLOCK].tolist(), t0 + 1):
-                sx, sy, sz = spinor_bloch_vector(u, d)
-                yield t, sx, sy, sz, math.sqrt(sx ** 2 + sy ** 2 + sz ** 2)
+    def blocks():
+        yield [[0], [sx0], [sy0], [sz0], [math.sqrt(sx0 ** 2 + sy0 ** 2 + sz0 ** 2)]]
+        for t0 in range(0, t_max, SPINOR_BLOCK):
+            rows = vectors[t0:t0 + SPINOR_BLOCK]
+            yield [list(range(t0 + 1, t0 + 1 + len(rows))), *rows.T.tolist()]
 
     meta = {"field": field.label, "coin": coin_label, "tmax": t_max, "x0": x0,
             "spinor": opts.get("spinor", "1,0", str), "nearest_return_t": nearest_t,
             "nearest_return_dist": nearest_dist}
-    return meta, ["t", "sx", "sy", "sz", "r"], rows(), 0
+    return meta, ["t", "sx", "sy", "sz", "r"], blocks(), 0
 
 
 HANDLERS = {

@@ -46,6 +46,11 @@ ENSEMBLE_MATRIX_BLOCK = 32
 # than one thread and leaves its workers spinning beside the kernels.
 STEP_GEMM_ROWS = 8192
 
+# stacks shorter than this take Field.angle step by step in Field.angles:
+# the array path's fixed cost of a few microseconds buys back its per-step
+# saving only from about this many steps on
+ANGLE_ARRAY_STEPS = 16
+
 
 class TimeRule(enum.Enum):
     """Which time-dependent spin operation the walk uses (see module docstring)."""
@@ -115,7 +120,7 @@ class Field:
 
     def angle(self, multiple: int) -> float:
         """multiple*phi reduced mod 2*pi; exact (integer-reduced) in the rational case."""
-        if self.is_rational:
+        if self.numerator is not None:  # rational, without the property's call per step
             residue = (multiple * self.numerator) % self.denominator
             return TWO_PI * residue / self.denominator
         try:
@@ -124,6 +129,26 @@ class Field:
             label = self.label or repr(self.value)
             raise ValueError(f"field {label}: the step angle {multiple}*phi overflows a float"
                              ) from None
+
+    def angles(self, first: int, last: int) -> np.ndarray:
+        """``angle(t)`` for t = first..last as a float array, with the bits of ``angle``.
+
+        Stacks of ``ANGLE_ARRAY_STEPS`` or more take array arithmetic while
+        int64 holds it: residues t*n mod m while every |t*n| < 2**62 for a
+        rational field, and fmod(t*phi, 2*pi) for a float field. Every other
+        stack takes ``angle`` step by step, which also raises its overflow
+        error at the first step whose t*phi overflows.
+        """
+        steps = range(first, last + 1)
+        # reach, the largest |t| of the stack, bounds every int64 value below
+        if len(steps) >= ANGLE_ARRAY_STEPS and (reach := max(-first, last)) < 2 ** 62:
+            ts = np.arange(first, last + 1, dtype=np.int64)
+            if self.is_rational:
+                if reach * abs(self.numerator) < 2 ** 62 and self.denominator < 2 ** 62:
+                    return TWO_PI * (ts * self.numerator % self.denominator) / self.denominator
+            elif math.isfinite(reach * self.value):  # so is every t*phi of the stack
+                return np.fmod(ts * self.value, TWO_PI)
+        return np.fromiter(map(self.angle, steps), float, len(steps))
 
 
 @dataclass(frozen=True)
@@ -158,6 +183,7 @@ class WalkParams:
                       field_values=None) -> np.ndarray:
         """Stacked step matrices for t = t_from..t_to inclusive, shape (T, 2, 2).
 
+        The exact field's angles come from ``Field.angles``.
         ``field_values`` overrides the exact field (noisy evolution): one
         angle per step, or an array of shape (T, E) for E walks at once,
         which gives shape (T, E, 2, 2) with the bits of E separate calls.
@@ -173,12 +199,10 @@ class WalkParams:
         """
         before = self.matrix_before_shift
         lag = 0 if before else 1
-        multiples = range(t_from - lag, t_to + 1 - lag)
         if field_values is None:
-            # per-step Python ints: exact where int64 t*numerator could wrap,
-            # and cheaper than array arithmetic for single-step evolution
-            angles = np.fromiter(map(self.field.angle, multiples), float, len(multiples))
+            angles = self.field.angles(t_from - lag, t_to - lag)
         else:
+            multiples = range(t_from - lag, t_to + 1 - lag)
             field_values = np.asarray(field_values, dtype=float)
             if field_values.ndim not in (1, 2) or field_values.shape[0] != len(multiples):
                 raise ValueError("field_values must supply one angle per step")
@@ -187,14 +211,15 @@ class WalkParams:
                 angles = np.fmod(times * field_values, TWO_PI)
             if not np.isfinite(angles).all():
                 raise ValueError("step angles t*phi_t must be finite")
-        spin = np.zeros(angles.shape + (2, 2), dtype=complex)
         if before:
+            spin = np.empty(angles.shape + (2, 2), dtype=complex)  # every entry is written
             spin[..., 0, 0] = spin[..., 1, 1] = np.cos(angles)
             spin[..., 0, 1] = spin[..., 1, 0] = 1j * np.sin(angles)
             rows = spin.reshape(-1, 2)
             for i in range(0, rows.shape[0], STEP_GEMM_ROWS):
                 rows[i:i + STEP_GEMM_ROWS] = rows[i:i + STEP_GEMM_ROWS] @ self._coin
             return spin
+        spin = np.zeros(angles.shape + (2, 2), dtype=complex)
         spin[..., 0, 0] = np.exp(-1j * angles)
         spin[..., 1, 1] = np.exp(1j * angles)
         return self._coin @ spin
@@ -268,7 +293,6 @@ def evolve(state: WalkState, t_from: int, t_to: int, params: WalkParams,
     """
     if t_from > t_to:
         return state.copy()
-    steps = t_to - t_from + 1
     mats = params.step_matrices(t_from, t_to, field_values=field_values)
     kernel = (_kernels.steps_matrix_then_shift if params.matrix_before_shift
               else _kernels.steps_shift_then_matrix)
@@ -357,10 +381,20 @@ def evolve_tracking_origin(state: WalkState, t_max: int, params: WalkParams,
     return evolve(state, 1, t_max, params, field_values=field_values), p0
 
 
+def occupied_sites(state: WalkState) -> tuple[list[int], list[float]]:
+    """The sites x of nonzero total probability, in order, and those probabilities."""
+    probs = np.abs(state.amplitudes[:, 0]) ** 2 + np.abs(state.amplitudes[:, 1]) ** 2
+    nonzero = np.flatnonzero(probs > 0.0)
+    if abs(state.x_min) < 2 ** 62:  # the sites fit int64
+        sites = (nonzero + state.x_min).tolist()
+    else:
+        sites = [i + state.x_min for i in nonzero.tolist()]
+    return sites, probs[nonzero].tolist()
+
+
 def position_distribution(state: WalkState) -> dict[int, float]:
     """Map x -> total probability at x, omitting exactly-zero sites."""
-    probs = np.abs(state.amplitudes[:, 0]) ** 2 + np.abs(state.amplitudes[:, 1]) ** 2
-    return {x: p for x, p in enumerate(probs.tolist(), start=state.x_min) if p > 0.0}
+    return dict(zip(*occupied_sites(state)))
 
 
 def return_probability(state: WalkState) -> float:

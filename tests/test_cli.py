@@ -337,6 +337,11 @@ def test_noise_series_checks_every_epsilon_before_any_series(epsilons, message, 
     assert err.startswith(message)
 
 
+def flatten_blocks(blocks):
+    """The rows of a handler's column blocks, in order."""
+    return [row for block in blocks for row in zip(*block)]
+
+
 @pytest.mark.parametrize("rows_per_write", [3, cli.ROWS_PER_WRITE])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("name", ALL_EXPERIMENTS)
@@ -349,8 +354,8 @@ def test_streamed_record_matches_reference_writer(name, fmt, rows_per_write, tmp
     out_file = tmp_path / "streamed"
     assert run_cli(argv + ["--out", str(out_file)], capsys)[0] == code == 0
     opts = cli.Options(cli.build_parser().parse_args(argv), {})
-    metadata, columns, rows, _ = cli.HANDLERS[name](opts)
-    rows = list(rows)
+    metadata, columns, blocks, _ = cli.HANDLERS[name](opts)
+    rows = flatten_blocks(blocks)
     native = (int, float, bool, str)
     assert all(type(cell) in native for row in rows for cell in row)
     assert all(type(value) in native for value in metadata.values())
@@ -360,6 +365,44 @@ def test_streamed_record_matches_reference_writer(name, fmt, rows_per_write, tmp
     reference = tmp_path / "reference"
     reference_write_record(record, str(reference), fmt)
     assert streamed.encode() == out_file.read_bytes() == reference.read_bytes()
+
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-300, 0.1, -2.5]
+BLOCK_COLUMNS = ["flag", "count", "label", "value", "mixed"]
+
+
+def _column_block(start, rows):
+    """Rows start..start+rows-1 as one column block: bool, int, str, float and mixed cells."""
+    index = range(start, start + rows)
+    return [[i % 3 == 0 for i in index],
+            [(-1) ** i * i * 10 ** (i % 25) for i in index],
+            [f"s{i}" for i in index],
+            [SPECIAL_FLOATS[i % len(SPECIAL_FLOATS)] for i in index],
+            [i if i % 3 else SPECIAL_FLOATS[i % len(SPECIAL_FLOATS)] if i % 2 else i % 4 == 0
+             for i in index]]
+
+
+@pytest.mark.parametrize("sizes", [[0], [1], [cli.ROWS_PER_WRITE + 5], [3, 0, 2, 1],
+                                   [0, 1, cli.ROWS_PER_WRITE - 1, 1, 0, cli.ROWS_PER_WRITE + 1]],
+                         ids=str)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_block_writer_matches_reference_writer(sizes, fmt, tmp_path):
+    """``write_record`` over blocks (``_csv_rows``, ``_json_rows``) writes the reference bytes."""
+    starts = [sum(sizes[:k]) for k in range(len(sizes))]
+    blocks = [_column_block(start, rows) for start, rows in zip(starts, sizes)]
+    blocks.insert(1, [])  # a block of no columns has no rows
+    rows = flatten_blocks(blocks)
+    assert len(rows) == sum(sizes)
+    streamed, reference = tmp_path / "streamed", tmp_path / "reference"
+    cli.write_record("blocks", {"k": 1}, BLOCK_COLUMNS, iter(blocks), str(streamed), fmt)
+    record = {"experiment": "blocks", "columns": BLOCK_COLUMNS, "rows": rows,
+              "metadata": {"experiment": "blocks", "version": __version__, "backend": "numpy",
+                           "k": 1}}
+    reference_write_record(record, str(reference), fmt)
+    assert streamed.read_bytes() == reference.read_bytes()
+    if fmt == "csv" and rows:  # one block alone: its lines are the reference's after the header
+        body = reference.read_text().split(",".join(BLOCK_COLUMNS) + "\n", 1)[1]
+        assert cli._csv_rows([list(column) for column in zip(*rows)]) == body
 
 
 def _evolve_peak_traced_bytes(t_max, out_file):
@@ -408,8 +451,8 @@ def test_gauge_check_fails_on_a_nan_deviation(monkeypatch, capsys):
 def _trace_check(trials, seed):
     args = cli.build_parser().parse_args(["trace-check", "--trials", str(trials),
                                           "--seed", str(seed)])
-    meta, _, rows, code = cli.run_trace_check(cli.Options(args, {}))
-    return rows, meta["worst_residual"], code
+    meta, _, blocks, code = cli.run_trace_check(cli.Options(args, {}))
+    return flatten_blocks(blocks), meta["worst_residual"], code
 
 
 def _row_bits(rows):

@@ -8,10 +8,10 @@ from conftest import (bits, max_diff, reference_evolve, reference_rx_step_matric
                       state_to_dict, random_su2)
 from qpwalk.noise import NoiseConfig
 from qpwalk.spinops import is_unitary, rotation_x
-from qpwalk.walk import (ENSEMBLE_MATRIX_BLOCK, STEP_GEMM_ROWS, Field, TimeRule, WalkParams,
-                         WalkState, bloch_vector, evolve, evolve_tracking_origin, fidelity,
-                         hadamard_params, position_distribution,
-                         return_probability, step, support_radius)
+from qpwalk.walk import (ANGLE_ARRAY_STEPS, ENSEMBLE_MATRIX_BLOCK, STEP_GEMM_ROWS, Field,
+                         TimeRule, WalkParams, WalkState, bloch_vector, evolve,
+                         evolve_tracking_origin, fidelity, hadamard_params, occupied_sites,
+                         position_distribution, return_probability, step, support_radius)
 
 HALF = 1.0 / math.sqrt(2.0)
 
@@ -178,6 +178,41 @@ def test_overflowing_field_angle_names_field_and_step():
     assert Field.from_turns(1e307).angle(0) == 0.0
 
 
+ANGLE_RANGES = [(1, 5000), (-40, -1), (-20, 20), (0, 0), (7, 7), (-3, -3), (5, 4), (0, -1),
+                (1, ANGLE_ARRAY_STEPS - 1), (1, ANGLE_ARRAY_STEPS), (-ANGLE_ARRAY_STEPS, -1),
+                (4000, 6000), (2 ** 40, 2 ** 40 + 99)]
+
+
+@pytest.mark.parametrize("field", [
+    Field.rational(1, 7), Field.rational(3, 155), Field.golden(), Field.from_turns(0.3),
+    # numerator * t passes 2**62 at t = 4612, inside (1, 5000) and (4000, 6000)
+    Field.rational(10 ** 15 + 1, 10 ** 15 + 7),
+    Field.rational(-5, 2 ** 61 + 1), Field.rational(0, 1),
+], ids=lambda field: field.label)
+def test_field_angles_match_the_per_step_angle(field):
+    """``Field.angles`` has the bits of ``Field.angle`` at every step, on both of its paths."""
+    for first, last in ANGLE_RANGES:
+        expected = np.array([field.angle(t) for t in range(first, last + 1)], dtype=float)
+        got = field.angles(first, last)
+        assert got.dtype == np.float64 and got.shape == expected.shape, (first, last)
+        assert np.array_equal(bits(got), bits(expected)), (first, last)
+
+
+@pytest.mark.parametrize("first, last", [(1, 100), (-100, -1), (2, 30), (-2, 5)])
+def test_field_angles_raise_the_per_step_overflow_error(first, last):
+    """An overflowing float field raises ``angle``'s error text, at the same step."""
+    field = Field.from_turns(1e307)  # t*phi overflows from |t| = 3 on
+    for t in range(first, last + 1):
+        try:
+            field.angle(t)
+        except ValueError as exc:
+            expected = str(exc)
+            break
+    with pytest.raises(ValueError) as excinfo:
+        field.angles(first, last)
+    assert str(excinfo.value) == expected
+
+
 @pytest.mark.parametrize("rule", [TimeRule.RX_FIELD, TimeRule.GAUGED_SZ])
 @pytest.mark.parametrize("value", [1e308, -1e308, math.inf, math.nan])
 def test_step_matrices_reject_nonfinite_angles(rule, value):
@@ -188,6 +223,18 @@ def test_step_matrices_reject_nonfinite_angles(rule, value):
     phis[-1] = value
     with pytest.raises(ValueError, match="finite"):
         params.step_matrices(1, 12, field_values=phis)
+
+
+@pytest.mark.parametrize("x_min", [-7, 0, 2 ** 62 - 10, -2 ** 62, 2 ** 70, -10 ** 30])
+def test_occupied_sites_keep_python_int_sites(x_min):
+    """Sites are exact Python ints, within int64 or beyond it; zero probabilities are left out."""
+    # the last site's probability underflows to zero
+    amps = np.array([[0.6, 0.0], [0.0, 0.0], [0.0, 0.8j], [1e-170, 0.0]], dtype=complex)
+    state = WalkState(x_min=x_min, amplitudes=amps)
+    sites, probs = occupied_sites(state)
+    assert sites == [x_min, x_min + 2] and all(type(x) is int for x in sites)
+    assert probs == [0.6 ** 2, 0.8 ** 2]
+    assert position_distribution(state) == dict(zip(sites, probs))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ path reads as ``<tree>``). Prints how many argvs were compared, how many
 differ and the first difference; exits 1 on any difference and 0 when every
 argv is identical. The grid covers every experiment and every kernel path:
 both step orders at both strides, the electric walk, the origin probe of one
-walk and of noisy ensembles, and refused configurations (exit 2).
+walk and of noisy ensembles, and refused configurations (exit 2). It also
+covers both paths of ``Field.angles`` (int64 residues and per-step angles,
+float fields) and record blocks below, across and above the write size.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ FIELDS = ("0", "1/2", "1/4", "1/7", "golden")
 STARTS = ("-6", "-3", "-1", "0", "2")
 SPINORS = ("1,0", "0,1", "1,1", "1,1j", "0.6,0.8j")
 COINS = ("hadamard", "0.6,0.8j")
+BIG_RATIONAL = "1000000000000000001/1000000000000000007"
 EPSILONS = ("0.002,0,0.0005,0.01", "0.001,0.001", "0,0", "0.003", "0.0001,0.0005,0.001")
 
 
@@ -42,6 +45,7 @@ def grid() -> list[list[str]]:
         ["bloch-trace"],
         ["bloch-trace", "--tmax", "20", "--x0=-1", "--spinor", "1,1"],
         ["bloch-trace", "--coin", "0.6,0.8j", "--tmax", "500", "--format", "json"],
+        ["bloch-trace", "--tmax", "1100"],  # blocks that straddle SPINOR_BLOCK rows
         ["evolve"],
         ["evolve", "--tmax", "1"],
         ["evolve", "--tmax", "1000", "--stride", "100"],
@@ -51,6 +55,14 @@ def grid() -> list[list[str]]:
         ["evolve", "--field", "golden", "--coin", "0.6,0.8j", "--tmax", "200", "--stride", "1",
          "--format", "json"],
         ["evolve", "--field", "1/7", "--coin", "i-sigma-y", "--tmax", "90", "--stride", "2"],
+        # one record block per time slice, gathered into writes; float-field step angles
+        ["evolve", "--stride", "1", "--tmax", "300"],
+        ["evolve", "--stride", "1", "--tmax", "300", "--format", "json"],
+        ["evolve", "--field", "0.3", "--tmax", "200", "--stride", "7"],
+        # numerator * t passes 2**62 (per-step angles) or stays below it (int64 residues)
+        ["evolve", "--field", BIG_RATIONAL, "--tmax", "300", "--stride", "50"],
+        ["bloch-trace", "--field", BIG_RATIONAL, "--tmax", "300"],
+        ["bloch-trace", "--field", "1000000000000001/1000000000000007", "--tmax", "300"],
         # the electric walk and the GAUGED_SZ rule
         ["gauge-check"],
         ["gauge-check", "--field", "golden", "--tmax", "120", "--trials", "5", "--seed", "3"],
@@ -69,6 +81,7 @@ def grid() -> list[list[str]]:
         ["noise-series", "--tmax", "700", "--ensemble", "130", "--epsilon", "0.001"],
         ["noise-series", "--tmax", "1"],
         ["noise-series", "--tmax", "200", "--ensemble", "5", "--format", "json"],
+        ["noise-series", "--tmax", "5000", "--ensemble", "2"],  # a block above ROWS_PER_WRITE
         ["revival-scan"],
         ["revival-scan", "--m-list", "2,3,4,5,6,7", "--coin", "0.6,0.8j"],
         ["revival-scan", "--m-list", "3,5,8", "--coin", "0.6,0.8j", "--format", "json"],

@@ -14,9 +14,8 @@ from .cfrac import (ContinuedFraction, Convergent, FieldClassification,
                     evaluate, golden_ratio_fraction)
 from .gauge import (GaugePhase, apply_gauge, electric_evolve, electric_step,
                     gauged_step, verify_gauge_equivalence)
-from .momentum import (TildePair, alpha_tilde, alpha_tilde_sup, dispersion,
-                       regrouped_block, regrouped_trace, shift_momentum,
-                       step_block, tilde_pair, trace_formula)
+from .momentum import (alpha_tilde, alpha_tilde_sup, dispersion, regrouped_block,
+                       regrouped_trace, step_block, trace_formula)
 from .noise import (NoiseConfig, ensemble_series, noise_bound, noise_bound_for,
                     noisy_evolve, return_series)
 from .revivals import (RevivalReport, appendix_expected, appendix_table,
@@ -44,9 +43,8 @@ __all__ = [
     "evolve_tracking_origin", "position_distribution", "return_probability",
     "fidelity", "bloch_vector", "support_radius",
     # momentum analysis
-    "shift_momentum", "step_block", "regrouped_block", "TildePair",
-    "tilde_pair", "alpha_tilde", "alpha_tilde_sup", "trace_formula",
-    "regrouped_trace", "dispersion",
+    "step_block", "regrouped_block", "alpha_tilde", "alpha_tilde_sup",
+    "trace_formula", "regrouped_trace", "dispersion",
     # revivals
     "RevivalReport", "revival_deviation", "detect_sign", "expected_sign",
     "revival_time", "revival_report", "revival_reports", "appendix_expected",

@@ -35,13 +35,19 @@ The primitivity requirement is essential: R = I with m = 3, or any R whose
 order is a proper divisor of m, satisfies R^m = I yet breaks the closed form,
 so ``trace_formula`` validates it and raises otherwise. The degenerate orders
 m = 1 (R = I) and m = 2 (R = -I) are valid and basis-independent.
+
+For the walk's own M = C S(k), with coin C = [[a, b], [-conj(b), conj(a)]],
+det(M) = 1 and d~ = conj(a~), where (``alpha_tilde``, for scalar or array k)
+
+    RX_FIELD (Hadamard basis):  a~ = u e^(ik) + v e^(-ik),
+                                u = (a - conj(b))/2,  v = (conj(a) + b)/2;
+    GAUGED_SZ (standard basis): a~ = a e^(ik).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
@@ -50,12 +56,6 @@ from .spinops import eigenbasis_unitary2, is_unitary
 from .walk import TimeRule, WalkParams
 
 TWO_PI = 2.0 * math.pi
-
-
-def shift_momentum(k: float) -> np.ndarray:
-    """The shift block S(k) = diag(exp(ik), exp(-ik))."""
-    ph = cmath.exp(1j * k)
-    return np.array([[ph, 0], [0, np.conj(ph)]])
 
 
 def step_block(k: float, t: int, params: WalkParams) -> np.ndarray:
@@ -120,53 +120,26 @@ def _compose(k: np.ndarray, mats, before: bool) -> np.ndarray:
     return np.moveaxis(out, (0, 1), (-2, -1))
 
 
-@dataclass(frozen=True)
-class TildePair:
-    """Diagonal entries of M in the x-rotation eigenbasis (see tilde_pair)."""
+def alpha_tilde(params: WalkParams, k):
+    """a~(k), the first diagonal entry of C S(k) in the kick's eigenbasis.
 
-    alpha_tilde: complex
-    delta_tilde: complex
-
-
-def tilde_pair(coin_times_shift: np.ndarray) -> TildePair:
-    """Diagonal entries of B M B^dagger for B = HADAMARD_BASIS.
-
-    With M = [[alpha, beta], [gamma, delta]] this is
-    a~ = (alpha+beta+gamma+delta)/2 and d~ = (alpha-beta-gamma+delta)/2.
-    For M = C * S(k) with a special-unitary coin, d~ = conj(a~) and in polar
-    coin entries a = |a| e^(i k_a), b = |b| e^(i k_b):
-
-        a~ = |a| cos(k_a + k) + i |b| sin(k_b - k).
+    ``k`` is a scalar or an array of momenta; the result has its shape. Under
+    RX_FIELD, a~ = u e^(ik) + v e^(-ik) with u = (a - conj(b))/2 and
+    v = (conj(a) + b)/2; under GAUGED_SZ, a~ = a e^(ik). Both give d~ = conj(a~).
     """
-    m = np.asarray(coin_times_shift, dtype=complex)
-    alpha, beta, gamma, delta = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
-    return TildePair(alpha_tilde=(alpha + beta + gamma + delta) / 2.0,
-                     delta_tilde=(alpha - beta - gamma + delta) / 2.0)
-
-
-def coin_shift_matrix(params: WalkParams, k: float) -> np.ndarray:
-    """M = C * S(k), the matrix whose tilde entries drive the dispersion."""
-    return params.coin @ shift_momentum(k)
-
-
-def alpha_tilde(params: WalkParams, k: float) -> complex:
-    """a~(k) for the walk's step content, by time rule.
-
-    RX_FIELD diagonalizes the x-rotation (Hadamard basis); GAUGED_SZ
-    diagonalizes a z-rotation, which is already diagonal, so there
-    a~ = (C S(k))_11 = a e^(ik).
-    """
-    m = coin_shift_matrix(params, k)
+    phase = np.exp(1j * np.asarray(k, dtype=float))
+    a, b = complex(params.coin_a), complex(params.coin_b)
     if params.time_rule is TimeRule.RX_FIELD:
-        return tilde_pair(m).alpha_tilde
-    return complex(m[0, 0])
+        return (a - b.conjugate()) / 2.0 * phase + (a.conjugate() + b) / 2.0 * phase.conj()
+    return a * phase
 
 
 def alpha_tilde_sup(a: complex, b: complex) -> float:
     """sup over k of |a~(k)| for the x-rotation rule, in closed form.
 
-    |a~(k)|^2 = 1/2 + Re((a^2 - conj(b)^2) e^(2ik))/2, so the supremum is
-    sqrt(1/2 + |a^2 - conj(b)^2|/2). Balanced coins (|a|=|b|=1/sqrt 2 with
+    It is |u| + |v| in the (u, v) form of ``alpha_tilde``, computed as
+    sqrt(1/2 + |a^2 - conj(b)^2|/2) since |u|^2 + |v|^2 = 1/2 and
+    |u v| = |a^2 - conj(b)^2|/4. Balanced coins (|a|=|b|=1/sqrt 2 with
     a^2 = conj(b)^2) give 1/sqrt(2); a = i/sqrt(2), b = 1/sqrt(2) gives 1.
     """
     a, b = complex(a), complex(b)
@@ -238,19 +211,25 @@ def _closed_trace(at, dt, det, m: int):
     return -(at ** m + dt ** m) + 2.0 * (-1) ** half * ((at * dt) ** half - det ** half)
 
 
-def regrouped_trace(k: float, params: WalkParams, m: int) -> complex:
-    """tr W^{[m,1]}(k) via the closed trace formula (no m-fold product)."""
+def regrouped_trace(k, params: WalkParams, m: int):
+    """tr W^{[m,1]}(k) via the closed trace formula (no m-fold product).
+
+    ``k`` is a scalar or an array of momenta. Raises ValueError unless the
+    field is rational with denominator m, the only fields the form holds for.
+    """
+    if not params.field.is_rational or params.field.denominator != m:
+        raise ValueError("the regrouped trace requires a rational field with denominator m")
     at = alpha_tilde(params, k)
     # det = 1: special-unitary coin and unit-determinant shift block
-    return complex(_closed_trace(at, np.conj(at), 1.0, m))
+    return _closed_trace(at, np.conj(at), 1.0, m)
 
 
-def dispersion(k: float, params: WalkParams, m: int) -> tuple[float, float]:
+def dispersion(k, params: WalkParams, m: int):
     """Eigenphases (omega_plus, omega_minus) of the regrouped block W^{[m,1]}(k).
 
     The block is special-unitary, so its eigenvalues are exp(+/- i*omega) with
-    2*cos(omega) = tr W^{[m,1]}(k), taken from ``regrouped_trace``. In terms
-    of a~ = |a~| e^(i*theta):
+    2*cos(omega) = tr W^{[m,1]}(k), taken from ``regrouped_trace``; ``k`` is a
+    scalar or an array of momenta. In terms of a~ = |a~| e^(i*theta):
 
         m odd:  cos(omega) = |a~|^m cos(m*theta)
         m even: cos(omega) = -|a~|^m cos(m*theta) + (-1)^(m/2+1) (1 - |a~|^m)
@@ -261,16 +240,13 @@ def dispersion(k: float, params: WalkParams, m: int) -> tuple[float, float]:
     Raises
     ------
     ValueError
-        If the field is not rational with denominator m, or the cosine leaves
-        [-1, 1] by more than 1e-9 (implementation inconsistency, since the
-        exact trace of a special-unitary matrix cannot).
+        If the field is not rational with denominator m (``regrouped_trace``),
+        or a cosine leaves [-1, 1] by more than 1e-9 (implementation
+        inconsistency: the trace of a special-unitary matrix cannot).
     """
-    field = params.field
-    if not field.is_rational or field.denominator != m:
-        raise ValueError("dispersion requires a rational field with denominator m")
     c = regrouped_trace(k, params, m).real / 2.0
-    if abs(c) > 1.0 + 1e-9:
-        raise ValueError(f"dispersion cosine {c!r} leaves [-1, 1]: inconsistent inputs")
-    c = min(1.0, max(-1.0, c))
-    omega = math.acos(c)
+    worst = float(np.max(np.abs(c)))
+    if worst > 1.0 + 1e-9:
+        raise ValueError(f"dispersion cosine modulus {worst!r} exceeds 1: inconsistent inputs")
+    omega = np.arccos(np.clip(c, -1.0, 1.0))
     return (omega, -omega)

@@ -7,11 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import bits, random_su2, reference_cyclic_trace, reference_regrouped_block
-from qpwalk.momentum import (_compose, alpha_tilde, alpha_tilde_sup, coin_shift_matrix,
-                             dispersion, regrouped_block, regrouped_trace,
-                             shift_momentum, step_block, tilde_pair,
-                             trace_formula)
-from qpwalk.spinops import is_unitary, rotation_x
+from qpwalk.momentum import (_compose, alpha_tilde, alpha_tilde_sup, dispersion,
+                             regrouped_block, regrouped_trace, step_block, trace_formula)
+from qpwalk.spinops import HADAMARD_BASIS, is_unitary, rotation_x
 from qpwalk.walk import (Field, TimeRule, WalkParams, WalkState, evolve,
                          hadamard_params)
 
@@ -23,14 +21,6 @@ def fourier_component(state: WalkState, k: float) -> np.ndarray:
     xs = np.arange(state.x_min, state.x_max + 1)
     phases = np.exp(1j * k * xs)
     return phases @ state.amplitudes
-
-
-def test_shift_momentum_values():
-    assert np.allclose(shift_momentum(0.0), np.eye(2))
-    k = 0.7
-    assert np.allclose(shift_momentum(k),
-                       np.diag([cmath.exp(1j * k), cmath.exp(-1j * k)]))
-    assert is_unitary(shift_momentum(1.3))
 
 
 @pytest.mark.parametrize("rule", [TimeRule.RX_FIELD, TimeRule.GAUGED_SZ])
@@ -126,13 +116,21 @@ def test_compose_gives_each_problem_its_own_block(rng, rule):
         assert np.array_equal(bits(got[p]), bits(reference_regrouped_block(k[p], par, steps)))
 
 
-def test_tilde_pair_is_hadamard_basis_transform(rng):
-    mat = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    pair = tilde_pair(mat)
-    assert pair.alpha_tilde == pytest.approx(
-        (mat[0, 0] + mat[0, 1] + mat[1, 0] + mat[1, 1]) / 2.0)
-    assert pair.delta_tilde == pytest.approx(
-        (mat[0, 0] - mat[0, 1] - mat[1, 0] + mat[1, 1]) / 2.0)
+@pytest.mark.parametrize("rule, basis", [(TimeRule.RX_FIELD, HADAMARD_BASIS),
+                                         (TimeRule.GAUGED_SZ, np.eye(2))])
+def test_alpha_tilde_is_the_diagonal_of_coin_times_shift(rng, rule, basis):
+    """a~ and d~ = conj(a~) are the diagonal of C S(k) in the kick's eigenbasis."""
+    for _ in range(6):
+        a, b = random_su2(rng)
+        params = WalkParams(field=Field.rational(1, 3), coin_a=a, coin_b=b, time_rule=rule)
+        ks = rng.uniform(-math.pi, math.pi, 5)
+        for k, from_array in zip(ks, alpha_tilde(params, ks)):
+            shift = np.diag([cmath.exp(1j * k), cmath.exp(-1j * k)])
+            diag = np.diag(basis @ params.coin @ shift @ basis.conj().T)
+            at = alpha_tilde(params, k)
+            assert at == pytest.approx(diag[0], abs=1e-14)
+            assert np.conj(at) == pytest.approx(diag[1], abs=1e-14)
+            assert abs(from_array - at) <= 1e-15
 
 
 coin_angles = st.floats(min_value=-math.pi, max_value=math.pi,
@@ -150,8 +148,6 @@ def test_alpha_tilde_polar_identity(theta, ka, kb, k):
     params = WalkParams(field=Field.rational(1, 3), coin_a=a, coin_b=b)
     expected = (abs(a) * math.cos(ka + k) + 1j * abs(b) * math.sin(kb - k))
     assert alpha_tilde(params, k) == pytest.approx(expected, abs=1e-12)
-    assert tilde_pair(coin_shift_matrix(params, k)).alpha_tilde == pytest.approx(
-        expected, abs=1e-12)
 
 
 def test_alpha_tilde_sup_closed_form_matches_grid(rng):
@@ -159,8 +155,10 @@ def test_alpha_tilde_sup_closed_form_matches_grid(rng):
     for _ in range(8):
         a, b = random_su2(rng)
         params = WalkParams(field=Field.rational(1, 3), coin_a=a, coin_b=b)
-        grid_max = max(abs(alpha_tilde(params, k)) for k in ks)
+        grid_max = np.abs(alpha_tilde(params, ks)).max()
         assert alpha_tilde_sup(a, b) == pytest.approx(grid_max, abs=1e-6)
+        u, v = (a - b.conjugate()) / 2.0, (a.conjugate() + b) / 2.0
+        assert abs(alpha_tilde_sup(a, b) - (abs(u) + abs(v))) <= 1e-15
 
 
 def test_alpha_tilde_sup_known_values():
@@ -239,32 +237,59 @@ def test_trace_formula_rejects_an_eigenphase_off_the_mth_roots():
 def test_regrouped_trace_matches_block(rng):
     for m in (3, 4, 5, 10):
         params = hadamard_params(Field.rational(1, m))
-        for k in rng.uniform(-math.pi, math.pi, 6):
+        ks = rng.uniform(-math.pi, math.pi, 6)
+        traces = regrouped_trace(ks, params, m)
+        for k, trace in zip(ks, traces):
             block_trace = complex(np.trace(regrouped_block(k, params, m)))
             assert regrouped_trace(k, params, m) == pytest.approx(
                 block_trace, abs=1e-10)
+            assert abs(trace - regrouped_trace(k, params, m)) <= 1e-15
 
 
 def test_regrouped_trace_gauged_rule(rng):
     for m in (3, 4, 7):
         params = WalkParams(field=Field.rational(1, m), coin_a=HALF,
                             coin_b=HALF, time_rule=TimeRule.GAUGED_SZ)
-        for k in rng.uniform(-math.pi, math.pi, 4):
+        ks = rng.uniform(-math.pi, math.pi, 4)
+        traces = regrouped_trace(ks, params, m)
+        for k, trace in zip(ks, traces):
             block_trace = complex(np.trace(regrouped_block(k, params, m)))
             assert regrouped_trace(k, params, m) == pytest.approx(
                 block_trace, abs=1e-10)
+            assert abs(trace - regrouped_trace(k, params, m)) <= 1e-15
+
+
+@pytest.mark.parametrize("rule", [TimeRule.RX_FIELD, TimeRule.GAUGED_SZ])
+@pytest.mark.parametrize("field, m", [(Field.rational(1, 5), 4), (Field.rational(2, 6), 6),
+                                      (Field.golden(), 5)])
+def test_regrouped_trace_requires_a_rational_field_with_denominator_m(rule, field, m):
+    """Off its domain the closed form gives a wrong trace (1/5 at m = 4: -1.681
+    against the block's -0.465), so it must raise rather than return it."""
+    params = WalkParams(field=field, coin_a=HALF, coin_b=HALF, time_rule=rule)
+    match = r"^the regrouped trace requires a rational field with denominator m$"
+    with pytest.raises(ValueError, match=match):
+        regrouped_trace(0.3, params, m)
+    with pytest.raises(ValueError, match=match):
+        regrouped_trace(np.array([0.3, 1.1]), params, m)
+    with pytest.raises(ValueError, match=match):
+        dispersion(0.3, params, m)
 
 
 def test_dispersion_matches_block_eigenphases(rng):
     for m in (3, 4, 5, 10):
         params = hadamard_params(Field.rational(1, m))
-        for k in rng.uniform(-math.pi, math.pi, 6):
+        ks = rng.uniform(-math.pi, math.pi, 6)
+        omegas_plus, omegas_minus = dispersion(ks, params, m)
+        assert omegas_plus.shape == omegas_minus.shape == ks.shape
+        for k, omega in zip(ks, omegas_plus):
             omega_plus, omega_minus = dispersion(k, params, m)
             assert omega_minus == pytest.approx(-omega_plus)
             eigphases = sorted(np.angle(np.linalg.eigvals(
                 regrouped_block(k, params, m))))
             assert sorted([omega_plus, omega_minus]) == pytest.approx(
                 eigphases, abs=1e-9)
+            # compared as cosines: arccos amplifies a last-bit trace difference near +-1
+            assert abs(math.cos(omega) - math.cos(omega_plus)) <= 1e-15
 
 
 def test_dispersion_requires_matching_denominator():

@@ -385,9 +385,10 @@ def run_trace_check(opts: Options) -> Record:
 
     Each trial draws m in 1..12, an n coprime to m and a random complex M, and
     compares the closed form for R = rotation_x(2 pi n / m) with the direct
-    product tr(M R^0 M R^1 ... M R^(m-1)). Trials are grouped by rotation:
-    each (n, m) is validated and diagonalized once, and its trials' eigenbasis
-    conjugations and direct products run as stacked matmuls in the operation
+    product tr(M R^0 M R^1 ... M R^(m-1)). Each rotation (n, m) is validated
+    and diagonalized once. The trials are grouped by m: each group's
+    eigenbasis conjugations and direct products run as stacked matmuls over
+    its trials, each with its own rotation and eigenbasis, in the operation
     order of the one-trial product, so every residual keeps that product's
     bits. The closed form itself runs per trial on numpy scalars. Exit 3 if
     any row fails, a NaN residual included.
@@ -397,26 +398,32 @@ def run_trace_check(opts: Options) -> Record:
     if trials < 1:
         raise ConfigError("trials must be positive")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    groups: dict[tuple[int, int], tuple[list[int], list[np.ndarray]]] = {}
+    coprimes = {m: [n for n in range(1, m + 1) if gcd(n, m) == 1] for m in range(1, 13)}
+    # m -> (trial, n, real and imaginary parts of M) of its trials
+    groups: dict[int, list[tuple[int, int, np.ndarray, np.ndarray]]] = {}
     for trial in range(trials):
         m = int(rng.integers(1, 13))
-        coprime = [n for n in range(1, m + 1) if gcd(n, m) == 1]
+        coprime = coprimes[m]
         n = int(coprime[rng.integers(0, len(coprime))])
-        mat = (rng.uniform(-1.0, 1.0, (2, 2))
-               + 1j * rng.uniform(-1.0, 1.0, (2, 2))) / math.sqrt(2.0)
-        group_trials, group_mats = groups.setdefault((n, m), ([], []))
-        group_trials.append(trial)
-        group_mats.append(mat)
+        real = rng.uniform(-1.0, 1.0, (2, 2))
+        groups.setdefault(m, []).append((trial, n, real, rng.uniform(-1.0, 1.0, (2, 2))))
+    frames = {}  # (n, m) -> (R, its eigenbasis)
     rows = []
-    for (n, m), (group_trials, group_mats) in groups.items():
-        rot = rotation_x(2.0 * math.pi * n / m)
-        basis = _rotation_frame(rot, m)
-        mats = np.array(group_mats)
-        tilde = basis @ mats @ basis.conj().T
-        for trial, mat, mt, direct in zip(group_trials, mats, tilde,
-                                           _direct_cyclic_traces(mats, rot, m)):
+    for m, group in groups.items():
+        group_trials, group_ns, real, imag = zip(*group)
+        for n in group_ns:
+            if (n, m) not in frames:
+                rot = rotation_x(2.0 * math.pi * n / m)
+                frames[n, m] = rot, _rotation_frame(rot, m)
+        rots, bases = (np.array(stack) for stack in zip(*(frames[n, m] for n in group_ns)))
+        mats = (np.array(real) + 1j * np.array(imag)) / math.sqrt(2.0)
+        tilde = bases @ mats @ bases.conj().swapaxes(-1, -2)
+        for trial, n, mat, at, dt, direct in zip(group_trials, group_ns, mats, tilde[:, 0, 0],
+                                                 tilde[:, 1, 1],
+                                                 _direct_cyclic_traces(mats, rots, m)):
+            # numpy scalar arithmetic, as in trace_formula: the array ufuncs may round otherwise
             det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-            residual = float(abs(_closed_trace(mt[0, 0], mt[1, 1], det, m) - direct))
+            residual = float(abs(_closed_trace(at, dt, det, m) - direct))
             rows.append((trial, m, n, residual, residual <= TRACE_CHECK_TOL))
     rows.sort()  # back to trial order
     worst = float(np.max([row[3] for row in rows]))  # NaN if any residual is NaN
@@ -426,13 +433,17 @@ def run_trace_check(opts: Options) -> Record:
     return meta, ["trial", "m", "n", "residual", "pass"], [list(zip(*rows))], code
 
 
-def _direct_cyclic_traces(mats: np.ndarray, rot: np.ndarray, m: int) -> np.ndarray:
-    """tr(M R^0 M R^1 ... M R^(m-1)) for each M of the stack ``mats``, (N, 2, 2)."""
+def _direct_cyclic_traces(mats: np.ndarray, rots: np.ndarray, m: int) -> np.ndarray:
+    """tr(M R^0 M R^1 ... M R^(m-1)) for each M of the stack ``mats``, (N, 2, 2).
+
+    ``rots`` is one rotation R, (2, 2), or one per trial, (N, 2, 2); either
+    way each trace has the bits of the one-trial loop of 2x2 matmuls.
+    """
     prod = np.broadcast_to(np.eye(2, dtype=complex), mats.shape)
     power = np.eye(2, dtype=complex)
     for _ in range(m):
         prod = prod @ (mats @ power)
-        power = power @ rot
+        power = power @ rots
     return prod[:, 0, 0] + prod[:, 1, 1]
 
 

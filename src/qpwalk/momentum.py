@@ -9,14 +9,15 @@ W(t, k) = S(k) * M(t) (matrix-before-shift rules) or M(t) * S(k)
 (shift-before-matrix rules), and the regrouped product over one field period
 m is time-independent for rational fields.
 
-Blocks over many momenta are composed with the momentum axis last: the
-entries are held as (2, 2) + k.shape, so each of a step's products runs over
-contiguous momenta instead of broadcasting over inner axes of length 2
-(``_compose``). Callers see the usual k.shape + (2, 2) stack. ``_compose``
-takes several problems at once, each with its own momenta and step matrices
-(entries (2, 2, P) + k.shape), and ``regrouped_block`` is its one-problem
-case: a revival search composes the zoom brackets of all of a call's
-reports in one pass, each report's block keeping the bits it has alone.
+Blocks over many momenta are composed entry by entry (``_compose``): each
+block entry is a contiguous (P, K) array over P problems of K momenta each,
+held in buffers allocated once per call, and each step writes its products
+and sums into them, so no step allocates a temporary or broadcasts over an
+axis of length 2. Callers see the usual k.shape + (2, 2) stack.
+``_compose`` takes several problems at once, each with its own momenta and
+step matrices, and ``regrouped_block`` is its one-problem case: a revival
+search composes the zoom brackets of all of a call's reports in one pass,
+each report's block keeping the bits it has alone.
 
 Trace formula
 -------------
@@ -67,9 +68,9 @@ def regrouped_block(k, params: WalkParams, m: int, t_from: int = 1) -> np.ndarra
     """Momentum block of W(t_from+m-1) ... W(t_from): m steps composed in time order.
 
     ``k`` is a scalar, giving one (2, 2) block, or an array of momenta, giving
-    a stack of shape k.shape + (2, 2) composed in one pass over the steps,
-    with the momentum axis last (``_compose``, one problem); the stack is a
-    view of that layout.
+    a stack of shape k.shape + (2, 2) composed in one pass over the steps
+    (``_compose``, one problem); the stack is a view of its entry-major
+    buffer.
     """
     if m < 1:
         raise ValueError("m must be positive")
@@ -88,36 +89,86 @@ def _compose(k: np.ndarray, mats, before: bool) -> np.ndarray:
     n_t drops to p or below. ``before`` is ``WalkParams.matrix_before_shift``
     for every problem: W = S(k) M if true, else M S(k).
 
-    The entries are held as (2, 2, P) + s, momentum axis last, so every
-    product runs over contiguous momenta; a problem's matrix broadcasts over
-    that problem's momenta only. The result is a view of shape
-    (P,) + s + (2, 2). Operand order is part of the bits: the shift is the
-    first factor of each entry and the block the first of each product.
+    Each problem's momenta are flattened to one axis of length K. One
+    preallocated (5, 2, 2, P, K) buffer holds the shift stack, the block,
+    a scratch and two running products that swap roles each step. A step
+    writes the four block entries in one call, with the shift as the first
+    factor and each problem's matrix broadcast over its momenta. It then
+    forms block @ product entry by entry on contiguous (P, K) entry views,
+    made once per active-problem count (``_step_operands``):
+    block[i, 0] * product[0, j] into the next
+    product, block[i, 1] * product[1, j] into the scratch, then one sum of
+    the two. No step allocates or broadcasts over a 2-axis, and the operand
+    order is that of the 2x2-last composition ``tests/conftest.py`` keeps,
+    so the bits are too. When problems leave, their blocks are copied out
+    and the rest go on compacted to the front of the buffer, which keeps
+    every operand contiguous. The result is a view of shape
+    (P,) + s + (2, 2).
     """
     phase = np.exp(1j * k)
-    # a (2, 2, n) stack indexed by ``entry`` broadcasts against (2, 2, n) + s
-    entry = (slice(None),) * 3 + (None,) * (phase.ndim - 1)
-    # diag(S(k)) as a column scales rows (S(k) @ M), as a row columns (M @ S(k))
-    shift = np.stack([phase, phase.conj()])
-    shift = shift[:, None] if before else shift[None, :]
-    out = np.broadcast_to(np.eye(2, dtype=complex)[entry[:2] + (None,) * phase.ndim],
-                          (2, 2) + phase.shape)
+    flat = phase.reshape(phase.shape[0], -1)
+    # work[0] is the shift stack, [1] the block, [2] the scratch, and [3] and
+    # [4] the running products
+    store = np.empty(20 * flat.size, dtype=complex)
+    work = store.reshape((5, 2, 2) + flat.shape)
+    # diag(S(k)) scales the rows of M (S(k) M) or its columns (M S(k))
+    rows = work[0] if before else work[0].swapaxes(0, 1)
+    rows[0] = flat
+    np.conjugate(flat, out=rows[1])
+    work[3] = np.eye(2)[:, :, None, None]
+    multiply, add = np.multiply, np.add
     done = None
+    src = 3  # work[src] is the running product
+    shift, block, scratch, steps = _step_operands(work)
     for mat in mats:
         n = mat.shape[2]
-        if n < out.shape[2]:
-            # problems n, n+1, ... are complete: keep their blocks, drop them
+        if n < work.shape[3]:
+            # problems n, n+1, ... are complete: keep their blocks, then move the
+            # shift and product of the rest to the front of the store, compact
+            # (numpy copies a source that overlaps its destination first)
             if done is None:
-                done = np.empty((2, 2) + phase.shape, dtype=complex)
-            done[:, :, n:out.shape[2]] = out[:, :, n:]
-            out, shift = out[:, :, :n], shift[:, :, :n]
-        block = shift * mat[entry]
-        # block @ out as column-times-row products: faster than np.matmul on 2x2 stacks
-        out = block[:, :1] * out[None, 0] + block[:, 1:] * out[None, 1]
+                done = np.empty((2, 2) + flat.shape, dtype=complex)
+            done[:, :, n:work.shape[3]] = work[src, :, :, n:]
+            kept = work
+            work = store[:20 * n * flat.shape[1]].reshape((5, 2, 2, n) + flat.shape[1:])
+            work[0], work[src] = kept[0, :, :, :n], kept[src, :, :, :n]
+            shift, block, scratch, steps = _step_operands(work)
+        multiply(shift, mat[..., None], block)
+        products, out = steps[src]
+        for x, a, dst in products:
+            multiply(x, a, dst)
+        add(out, scratch, out)
+        src = 7 - src
+    out = work[src]
     if done is not None:
         done[:, :, :out.shape[2]] = out
         out = done
-    return np.moveaxis(out, (0, 1), (-2, -1))
+    out = out.reshape((2, 2) + phase.shape)
+    return out.transpose(tuple(range(2, out.ndim)) + (0, 1))
+
+
+# The (x, a, dst) of the eight products x * a of a step from the product
+# work[src], src = 3 or 4, as indices of work's 20 entries (entry (i, j) of
+# work[w] is 4 w + 2 i + j): block[i, l] * product[l, j] goes to entry (i, j)
+# of the next product work[7 - src] for l = 0 and of the scratch for l = 1.
+_PRODUCTS = {src: [(4 + 2 * i + l, 4 * src + 2 * l + j, 4 * (7 - src, 2)[l] + 2 * i + j)
+                   for i in (0, 1) for j in (0, 1) for l in (0, 1)]
+             for src in (3, 4)}
+
+
+def _step_operands(work: np.ndarray):
+    """(shift, block, scratch, steps) of ``_compose``'s steps on ``work``, (5, 2, 2, n, K).
+
+    The first three are work[0], [1] and [2]. steps[src] is (products, out)
+    for a step from the product work[src] to out = work[7 - src]: the
+    ``_PRODUCTS`` as contiguous (n, K) entry views, and the array that
+    out + scratch is summed into.
+    """
+    entries = list(work.reshape((20,) + work.shape[3:]))
+    steps = {src: ([(entries[x], entries[a], entries[d]) for x, a, d in products],
+                   work[7 - src])
+             for src, products in _PRODUCTS.items()}
+    return work[0], work[1], work[2], steps
 
 
 def alpha_tilde(params: WalkParams, k):

@@ -196,8 +196,8 @@ def reference_track_origin(start: WalkState, t_max: int, params: WalkParams,
 def reference_regrouped_block(k, params: WalkParams, m: int, t_from: int = 1) -> np.ndarray:
     """The block composition as it was with the 2x2 axes last, k.shape + (2, 2) throughout.
 
-    Each product broadcasts over inner axes of length 2; ``regrouped_block``
-    holds the momentum axis last instead and must give the same bits.
+    Each product broadcasts over inner axes of length 2; ``_compose`` works
+    entry by entry on contiguous arrays instead and must give the same bits.
     """
     phase = np.exp(1j * np.asarray(k, dtype=float))
     shift = np.stack([phase, phase.conj()], axis=-1)[..., None]
@@ -295,8 +295,8 @@ def reference_trace_check(trials: int, seed: int, tol: float):
     """``trace-check``'s rows, worst residual and exit code, one trial at a time.
 
     Each trial calls ``trace_formula`` and ``reference_cyclic_trace`` on its
-    own; ``cli.run_trace_check`` groups the trials by rotation and stacks
-    them, and must give the same bits.
+    own; ``cli.run_trace_check`` groups the trials by m and stacks them, each
+    with its own rotation, and must give the same bits.
     """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     rows = []

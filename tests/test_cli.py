@@ -5,15 +5,17 @@ import sys
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from conftest import (nan_in_electric_evolve, reference_closest_phase, reference_trace_check,
-                      reference_write_record)
+from conftest import (bits, nan_in_electric_evolve, reference_closest_phase,
+                      reference_cyclic_trace, reference_trace_check, reference_write_record)
 
 from qpwalk import __version__, cli
 from qpwalk.cli import (ConfigError, parse_coin, parse_field, parse_int_list,
                         parse_spinor)
 from qpwalk.cfrac import cf_expand, golden_ratio_fraction
 from qpwalk.revivals import irrational_revival_bound, revival_time
+from qpwalk.spinops import rotation_x
 from qpwalk.walk import (Field, WalkParams, WalkState, bloch_vector, evolve,
                          position_distribution)
 
@@ -477,6 +479,19 @@ def test_trace_check_bits_match_the_per_trial_loop(monkeypatch):
     # all 46 rotations: every m in 1..12 with every n coprime to it
     assert rotations == {(n, m) for m in range(1, 13) for n in range(1, m + 1)
                          if math.gcd(n, m) == 1}
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 12])
+def test_direct_cyclic_traces_take_a_rotation_per_trial(rng, m):
+    """One stacked pass over trials of one m, each with its own rotation (every
+    n coprime to m, mixed), gives each trace the bits of the one-trial loop."""
+    ns = [n for n in range(1, m + 1) if math.gcd(n, m) == 1] * 3
+    ns = [ns[i] for i in rng.permutation(len(ns))]
+    rots = np.array([rotation_x(2.0 * math.pi * n / m) for n in ns])
+    mats = rng.uniform(-1.0, 1.0, (len(ns), 2, 2)) + 1j * rng.uniform(-1.0, 1.0, (len(ns), 2, 2))
+    traces = cli._direct_cyclic_traces(mats, rots, m)
+    want = [reference_cyclic_trace(mat, rot, m) for mat, rot in zip(mats, rots)]
+    assert np.array_equal(bits(traces), bits(np.array(want)))
 
 
 def test_trace_check_fails_on_a_nan_residual(monkeypatch, capsys):

@@ -83,7 +83,7 @@ BIT_COINS = {"hadamard": (HALF, HALF), "0.6,0.8j": (0.6, 0.8j),
 @pytest.mark.parametrize("coin", list(BIT_COINS))
 @pytest.mark.parametrize("rule", [TimeRule.RX_FIELD, TimeRule.GAUGED_SZ])
 def test_regrouped_block_bits_match_broadcast_reference(rule, coin):
-    """The momentum-last composition gives the 2x2-last composition's bits, every k shape."""
+    """The entry-by-entry composition gives the 2x2-last composition's bits, every k shape."""
     a, b = BIT_COINS[coin]
     params = WalkParams(field=Field.golden(), coin_a=a, coin_b=b, time_rule=rule)
     momenta = [0.7, np.linspace(0.0, 2.0 * math.pi, 33, endpoint=False),
@@ -97,23 +97,40 @@ def test_regrouped_block_bits_match_broadcast_reference(rule, coin):
             assert np.array_equal(bits(got), bits(want)), (k, m, t_from)
 
 
+COMPOSE_SHAPES = {
+    # problems leaving early or running to the end, each over a 2-d grid of momenta
+    "ragged": ([9, 9, 6, 2, 1], (3, 4)),
+    # a grid pass: one problem over 1024 momenta
+    "grid": ([22], (1024,)),
+    # a zoom round: both signs' 17-point brackets, problems leaving one, two or more at a time
+    "zoom": ([22, 22, 20, 14, 14, 14, 9, 6, 2, 1], (2, 17)),
+    # one long product
+    "long": ([240, 201], (2, 17)),
+}
+
+
 @pytest.mark.parametrize("rule", [TimeRule.RX_FIELD, TimeRule.GAUGED_SZ])
-def test_compose_gives_each_problem_its_own_block(rng, rule):
-    """Ragged problems in one pass: problem p's block over its own momenta k[p],
-    bit for bit, whether it leaves the product early or runs to the end."""
-    lengths = [9, 9, 6, 2, 1]  # longest first
-    params = [WalkParams(field, *random_su2(rng), time_rule=rule)
-              for field in (Field.golden(), Field.rational(1, 7), Field.rational(2, 5),
-                            Field.rational(1, 4), Field.from_turns(0.3))]
-    mats = np.zeros((9, 2, 2, 5), dtype=complex)
+@pytest.mark.parametrize("shape", list(COMPOSE_SHAPES))
+def test_compose_gives_each_problem_its_own_block(rng, rule, shape):
+    """Ragged problems in one pass, as the deviation search passes them
+    (longest first): problem p's block over its own momenta k[p] has the bits
+    of the 2x2-last composition, whether it leaves the product early or runs
+    to the end."""
+    lengths, momenta = COMPOSE_SHAPES[shape]
+    fields = (Field.golden(), Field.rational(1, 7), Field.rational(2, 5),
+              Field.rational(1, 4), Field.from_turns(0.3))
+    params = [WalkParams(fields[p % len(fields)], *random_su2(rng), time_rule=rule)
+              for p in range(len(lengths))]
+    mats = np.zeros((lengths[0], 2, 2, len(lengths)), dtype=complex)
     for p, (par, steps) in enumerate(zip(params, lengths)):
         mats[:steps, :, :, p] = par.step_matrices(1, steps)
-    ragged = [mats[t, :, :, :sum(steps > t for steps in lengths)] for t in range(9)]
-    k = rng.uniform(0.0, 2.0 * math.pi, size=(5, 3, 4))
+    ragged = [mats[t, :, :, :sum(steps > t for steps in lengths)] for t in range(lengths[0])]
+    k = rng.uniform(0.0, 2.0 * math.pi, size=(len(lengths),) + momenta)
     got = _compose(k, ragged, params[0].matrix_before_shift)
-    assert got.shape == (5, 3, 4, 2, 2)
+    assert got.shape == k.shape + (2, 2)
     for p, (par, steps) in enumerate(zip(params, lengths)):
-        assert np.array_equal(bits(got[p]), bits(reference_regrouped_block(k[p], par, steps)))
+        want = reference_regrouped_block(k[p], par, steps)
+        assert np.array_equal(bits(got[p]), bits(want)), (shape, p)
 
 
 @pytest.mark.parametrize("rule, basis", [(TimeRule.RX_FIELD, HADAMARD_BASIS),
@@ -264,7 +281,8 @@ def test_regrouped_trace_gauged_rule(rng):
                                       (Field.golden(), 5)])
 def test_regrouped_trace_requires_a_rational_field_with_denominator_m(rule, field, m):
     """Off its domain the closed form gives a wrong trace (1/5 at m = 4: -1.681
-    against the block's -0.465), so it must raise rather than return it."""
+    against the block's -0.465), so it must raise rather than return it, and
+    ``dispersion`` with it (the Hadamard coin under both rules)."""
     params = WalkParams(field=field, coin_a=HALF, coin_b=HALF, time_rule=rule)
     match = r"^the regrouped trace requires a rational field with denominator m$"
     with pytest.raises(ValueError, match=match):
@@ -290,11 +308,3 @@ def test_dispersion_matches_block_eigenphases(rng):
                 eigphases, abs=1e-9)
             # compared as cosines: arccos amplifies a last-bit trace difference near +-1
             assert abs(math.cos(omega) - math.cos(omega_plus)) <= 1e-15
-
-
-def test_dispersion_requires_matching_denominator():
-    params = hadamard_params(Field.rational(1, 5))
-    with pytest.raises(ValueError):
-        dispersion(0.3, params, 4)
-    with pytest.raises(ValueError):
-        dispersion(0.3, hadamard_params(Field.golden()), 5)

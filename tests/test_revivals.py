@@ -45,7 +45,7 @@ def test_revival_deviation_refines_brute_force_grid():
     (Field.rational(1, 7), (0.0, 1.0), TimeRule.GAUGED_SZ, 14, 1024),
 ])
 def test_signed_deviations_bits_match_reference_zoom(field, coin, rule, steps, grid):
-    """Shared step matrices and the momentum-last composition keep every bit of the scan."""
+    """Shared step matrices and the entry-by-entry composition keep every bit of the scan."""
     params = WalkParams(field=field, coin_a=coin[0], coin_b=coin[1], time_rule=rule)
     got = _signed_deviations(params, steps, grid)
     want = reference_signed_deviations(params, steps, grid)

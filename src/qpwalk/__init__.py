@@ -12,52 +12,39 @@ a noisy-field ensemble model, the gauged/electric formulation, and a CLI.
 from .cfrac import (ContinuedFraction, Convergent, FieldClassification,
                     approximation_check, cf_expand, classify_field,
                     evaluate, golden_ratio_fraction)
-from .gauge import (GaugePhase, apply_gauge, electric_evolve, electric_step,
-                    gauged_step, verify_gauge_equivalence)
+from .gauge import GaugePhase, apply_gauge, electric_evolve, verify_gauge_equivalence
 from .momentum import (alpha_tilde, alpha_tilde_sup, dispersion, regrouped_block,
-                       regrouped_trace, step_block, trace_formula)
-from .noise import (NoiseConfig, ensemble_series, noise_bound, noise_bound_for,
-                    noisy_evolve, return_series)
-from .revivals import (RevivalReport, appendix_expected, appendix_table,
-                       detect_sign, expected_sign, irrational_revival_bound,
-                       revival_deviation, revival_report, revival_reports,
+                       regrouped_trace, trace_formula)
+from .noise import NoiseConfig, ensemble_series, noise_bound, noise_bound_for
+from .revivals import (RevivalReport, appendix_expected, appendix_table, expected_sign,
+                       irrational_revival_bound, revival_deviation, revival_reports,
                        revival_time)
-from .spinops import (HADAMARD_BASIS, IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z,
-                      eigenbasis_unitary2, is_unitary, make_coin,
-                      operator_norm_2x2, rotation_x, rotation_y)
-from .walk import (Field, TimeRule, WalkParams, WalkState, bloch_vector,
-                   evolve, evolve_tracking_origin, fidelity,
-                   position_distribution, return_probability, step,
-                   support_radius)
+from .spinops import eigenbasis_unitary2, is_unitary, make_coin, rotation_x
+from .walk import (Field, TimeRule, WalkParams, WalkState, bloch_vector, evolve,
+                   evolve_tracking_origin, support_radius)
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "__version__",
     # spin operators
-    "IDENTITY", "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "HADAMARD_BASIS",
-    "rotation_x", "rotation_y", "make_coin", "is_unitary",
-    "operator_norm_2x2", "eigenbasis_unitary2",
+    "rotation_x", "make_coin", "is_unitary", "eigenbasis_unitary2",
     # walk core
-    "Field", "TimeRule", "WalkParams", "WalkState", "step", "evolve",
-    "evolve_tracking_origin", "position_distribution", "return_probability",
-    "fidelity", "bloch_vector", "support_radius",
+    "Field", "TimeRule", "WalkParams", "WalkState", "evolve",
+    "evolve_tracking_origin", "bloch_vector", "support_radius",
     # momentum analysis
-    "step_block", "regrouped_block", "alpha_tilde", "alpha_tilde_sup",
-    "trace_formula", "regrouped_trace", "dispersion",
+    "regrouped_block", "alpha_tilde", "alpha_tilde_sup", "trace_formula",
+    "regrouped_trace", "dispersion",
     # revivals
-    "RevivalReport", "revival_deviation", "detect_sign", "expected_sign",
-    "revival_time", "revival_report", "revival_reports", "appendix_expected",
-    "appendix_table",
+    "RevivalReport", "revival_deviation", "expected_sign", "revival_time",
+    "revival_reports", "appendix_expected", "appendix_table",
     "irrational_revival_bound",
     # continued fractions
     "Convergent", "ContinuedFraction", "FieldClassification",
     "golden_ratio_fraction", "cf_expand", "evaluate", "approximation_check",
     "classify_field",
     # noise
-    "NoiseConfig", "noisy_evolve", "noise_bound", "noise_bound_for",
-    "ensemble_series", "return_series",
+    "NoiseConfig", "noise_bound", "noise_bound_for", "ensemble_series",
     # gauge
-    "GaugePhase", "apply_gauge", "electric_step", "electric_evolve",
-    "gauged_step", "verify_gauge_equivalence",
+    "GaugePhase", "apply_gauge", "electric_evolve", "verify_gauge_equivalence",
 ]

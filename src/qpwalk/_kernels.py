@@ -52,8 +52,9 @@ under three rules:
   goes into d, u' = m00*u + m01*d into u and d' = m10*u + m01*d into d.
   The operands and their order are the six calls', so every bit is
   theirs, zeros of either sign and NaN payloads included. The flags come
-  from the entries, once per block; one walk's single step (``walk.step``)
-  is not checked, as the check would cost about what it saves.
+  from the entries, once per block; one walk's single step
+  (``walk.evolve(state, t, t, params)``) is not checked, as the check
+  would cost about what it saves.
 
 No product is written to strided memory, where numpy rounds differently
 too. The electric walk's per-site phases are read per parity from
@@ -332,7 +333,7 @@ def _step_entries(blocks, walks):
     """Per step of consecutive (n, 2, 2, E) blocks: (balanced, m00, m01, m10, m11).
 
     ``balanced`` is the step's ``_balanced`` flag. One walk's block of one
-    step (``walk.step``) is not checked and takes the general path: there
+    step (a one-step ``walk.evolve``) is not checked and takes the general path: there
     the check costs about what the saved product does. The entries are
     views of one buffer that holds the current step's matrix: 0-d for one
     walk and one entry per walk, shape (E,), for an ensemble. One walk's

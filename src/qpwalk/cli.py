@@ -30,6 +30,7 @@ import contextlib
 import functools
 import json
 import math
+import os
 import sys
 from collections.abc import Iterable
 from fractions import Fraction
@@ -625,10 +626,19 @@ def main(argv=None) -> int:
         metadata, columns, rows, code = HANDLERS[args.experiment](opts)
         write_record(args.experiment, metadata, columns, rows,
                      opts.get("out", "-", str), opts.get("format", "csv", str))
+        sys.stdout.flush()  # a closed pipe raises here, not in the flush at exit
         return code
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout (``qpwalk ... | head``). Point the descriptor
+        # at devnull so the flush at exit finds no pipe, and exit 1 as Python
+        # does on EPIPE (the note on SIGPIPE in the docs of ``signal``).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

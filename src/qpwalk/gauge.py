@@ -18,7 +18,6 @@ is the GAUGED_SZ time rule of the walk module.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +36,6 @@ class GaugePhase:
     def __post_init__(self):
         if self.t < 0:
             raise ValueError("t must be nonnegative")
-
-    def site_phase(self, x: int) -> complex:
-        return cmath.exp(-1j * self.phi * self.t * x)
 
 
 def _site_phases(rate: complex, lo: int, hi: int, phi: float) -> np.ndarray:
@@ -67,11 +63,6 @@ def _electric_run(state: WalkState, phi: float, coin: np.ndarray,
     return WalkState(x_min=lo, amplitudes=window)
 
 
-def electric_step(state: WalkState, phi: float, coin: np.ndarray) -> WalkState:
-    """One electric-walk step: shift, coin, then the per-site phase exp(i*phi*x)."""
-    return _electric_run(state, phi, coin, 1)
-
-
 def electric_evolve(state: WalkState, steps: int, phi: float,
                     coin: np.ndarray) -> WalkState:
     """(W^E)^steps applied to the state."""
@@ -90,15 +81,6 @@ def _coin_entries(coin: np.ndarray) -> tuple[complex, complex]:
             or abs(coin[1, 1] - np.conj(a)) > 1e-10):
         raise ValueError("coin must have the form [[a, b], [-conj(b), conj(a)]]")
     return a, b
-
-
-def gauged_step(state: WalkState, t: int, phi: float,
-                coin: np.ndarray) -> WalkState:
-    """One gauged-walk step W(t) = C * exp(-i*phi*(t-1)*sigma_z) * S."""
-    a, b = _coin_entries(coin)
-    params = WalkParams(field=Field.from_radians(phi), coin_a=a, coin_b=b,
-                        time_rule=TimeRule.GAUGED_SZ)
-    return evolve(state, t, t, params)
 
 
 def verify_gauge_equivalence(phi: float, coin: np.ndarray,

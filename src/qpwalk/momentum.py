@@ -59,11 +59,6 @@ from .walk import TimeRule, WalkParams
 TWO_PI = 2.0 * math.pi
 
 
-def step_block(k: float, t: int, params: WalkParams) -> np.ndarray:
-    """The single-step momentum block W(t, k)."""
-    return regrouped_block(k, params, 1, t_from=t)
-
-
 def regrouped_block(k, params: WalkParams, m: int, t_from: int = 1) -> np.ndarray:
     """Momentum block of W(t_from+m-1) ... W(t_from): m steps composed in time order.
 

@@ -42,7 +42,7 @@ import numpy as np
 
 from .momentum import alpha_tilde_sup
 from ._kernels import probe_rows
-from .walk import WalkParams, WalkState, ensemble_tracking_origin, evolve
+from .walk import WalkParams, WalkState, ensemble_tracking_origin
 
 SUPPORTS = ("pm1", "01")
 
@@ -95,19 +95,6 @@ class NoiseConfig:
         return base_field_value + self.epsilon * self.draw_steps(steps, trajectory)
 
 
-def noisy_evolve(state: WalkState, t: int, params: WalkParams,
-                 noise: NoiseConfig, trajectory: int = 0) -> WalkState:
-    """Evolve through steps 1..t with fluctuated fields (one trajectory).
-
-    epsilon = 0 reproduces the clean ``evolve`` bit for bit, because the exact
-    field path is used instead of a float override.
-    """
-    if noise.epsilon == 0.0:
-        return evolve(state, 1, t, params)
-    fields = noise.draw_fields(params.field.value, t, trajectory)
-    return evolve(state, 1, t, params, field_values=fields)
-
-
 def noise_bound(m: int, epsilon: float, alpha_tilde_sup_value: float) -> float:
     """Worst-case deviation bound at the candidate revival time.
 
@@ -135,7 +122,7 @@ def noise_bound_for(params: WalkParams, m: int, epsilon: float) -> float:
 
 
 def check_step_angles(params: WalkParams, noise: NoiseConfig, t_max: int) -> None:
-    """Raise the ValueError ``return_series`` would raise for an overflowing step angle.
+    """Raise the ValueError ``ensemble_series`` would raise for an overflowing step angle.
 
     Every |phi_t| is at most |phi| + epsilon (|x_t| <= 1 on both supports), so
     when t_max*(|phi| + epsilon) is finite no angle t*phi_t can overflow and
@@ -164,15 +151,18 @@ def _row_stats(tracks):
 
 def ensemble_series(params: WalkParams, noises, t_max: int,
                     initial: WalkState | None = None) -> list[np.ndarray]:
-    """``return_series`` of each config in ``noises``, in order, from one draw.
+    """The ensemble return-probability series of each config in ``noises``, in order.
 
-    The configs must share seed, ensemble size and support. The x_t are
-    drawn once and a repeated epsilon runs once. The N trajectories of the
-    epsilons > 0 (epsilon by epsilon, in order of first appearance) are cut
-    into ceil(N / cap) near-equal runs of consecutive walks, cap =
-    max(1, ``PROBE_CELLS`` // rows) with rows the probe's height for this
-    start and horizon, and each run is one origin probe over its own fields
-    phi + epsilon*x (see the module docstring).
+    Each series is an array of rows (t, mean, min, max) over t = 0..t_max,
+    the statistics of the ensemble's p0 at time t; trajectory i draws from
+    the stream documented on ``NoiseConfig``, so a series is reproducible
+    for a fixed config. The configs must share seed, ensemble size and
+    support. The x_t are drawn once and a repeated epsilon runs once. The N
+    trajectories of the epsilons > 0 (epsilon by epsilon, in order of first
+    appearance) are cut into ceil(N / cap) near-equal runs of consecutive
+    walks, cap = max(1, ``PROBE_CELLS`` // rows) with rows the probe's
+    height for this start and horizon, and each run is one origin probe over
+    its own fields phi + epsilon*x (see the module docstring).
     """
     if t_max < 1:
         raise ValueError("t_max must be positive")
@@ -211,15 +201,3 @@ def ensemble_series(params: WalkParams, noises, t_max: int,
             stats[eps] = _row_stats(p0[k * size:(k + 1) * size])
     ts = np.arange(t_max + 1, dtype=float)
     return [np.column_stack([ts, *stats[n.epsilon]]) for n in noises]
-
-
-def return_series(params: WalkParams, noise: NoiseConfig, t_max: int,
-                  initial: WalkState | None = None) -> np.ndarray:
-    """Ensemble return-probability series as an array of rows (t, mean, min, max).
-
-    Rows cover t = 0..t_max. Trajectory i uses the stream documented on
-    NoiseConfig, so the series is reproducible for a fixed config. Several
-    epsilons of one seed, ensemble and support run together in
-    ``ensemble_series``.
-    """
-    return ensemble_series(params, [noise], t_max, initial)[0]

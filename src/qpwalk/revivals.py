@@ -169,11 +169,6 @@ def _closest_phase(deviations) -> tuple[int, float]:
     return (+1, dev_plus) if dev_plus <= dev_minus else (-1, dev_minus)
 
 
-def detect_sign(params: WalkParams, steps: int, grid: int = 256) -> int:
-    """The phase c in {+1, -1} minimizing the measured deviation at ``steps``."""
-    return _closest_phase(_signed_deviations(params, steps, grid))[0]
-
-
 def expected_sign(m: int) -> int:
     """Theoretical revival phase: -1 for odd m (at 2m), (-1)^(m/2+1) for even m (at m)."""
     if m % 2 == 1:
@@ -186,20 +181,13 @@ def revival_time(m: int) -> int:
     return 2 * m if m % 2 == 1 else m
 
 
-def revival_report(params: WalkParams, m: int, grid: int = 1024) -> RevivalReport:
-    """Measure the deviation at the candidate time for denominator m.
+def revival_reports(problems, grid: int = 1024) -> list[RevivalReport]:
+    """The ``RevivalReport`` at the candidate time of every (params, m) problem, in input order.
 
     The sign is auto-detected (deviation-minimizing) so a convention mismatch
     shows up as data; for clean revivals it coincides with ``expected_sign``.
-    """
-    return revival_reports([(params, m)], grid)[0]
-
-
-def revival_reports(problems, grid: int = 1024) -> list[RevivalReport]:
-    """``revival_report`` of every (params, m) problem, in input order.
-
     The deviations come from one ``_deviation_search``, so the problems share
-    their zoom rounds; each report's bits are those of its own call.
+    their zoom rounds; each report's bits are those of a call with it alone.
     """
     problems = list(problems)
     deviations = _deviation_search(

@@ -1,12 +1,10 @@
-"""Spin-1/2 operators: Pauli matrices, rotations, and coin construction.
+"""Spin-1/2 operators: the x-rotation, coin construction and 2x2 unitaries.
 
 Rotation convention
 -------------------
-``rotation_x(phi)`` returns exp(i*phi*sigma_x) = cos(phi)*I + i*sin(phi)*sigma_x,
-and ``rotation_y`` the same with sigma_y. Under this convention
-``rotation_x(2*pi*n/m)`` has exact period m in the angle multiple, which is what
-the revival analysis requires, and ``rotation_y(pi/4)`` is the balanced
-(Hadamard-class) coin with a = b = 1/sqrt(2).
+``rotation_x(phi)`` returns exp(i*phi*sigma_x) = cos(phi)*I + i*sin(phi)*sigma_x.
+Under this convention ``rotation_x(2*pi*n/m)`` has exact period m in the angle
+multiple, which is what the revival analysis requires.
 """
 
 from __future__ import annotations
@@ -15,14 +13,6 @@ import math
 
 import numpy as np
 
-IDENTITY = np.eye(2, dtype=complex)
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-# Eigenbasis of sigma_x, used to diagonalize every x-rotation at once.
-HADAMARD_BASIS = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-
 UNITARY_TOL = 1e-12
 
 
@@ -30,17 +20,6 @@ def rotation_x(angle: float) -> np.ndarray:
     """Return exp(i*angle*sigma_x) as a 2x2 complex array."""
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, 1j * s], [1j * s, c]])
-
-
-def rotation_y(angle: float) -> np.ndarray:
-    """Return exp(i*angle*sigma_y) as a 2x2 complex array.
-
-    The matrix is real: [[cos a, sin a], [-sin a, cos a]]. In particular
-    ``rotation_y(pi/4)`` has all entries of modulus 1/sqrt(2) and
-    ``rotation_y(pi/2)`` equals i*sigma_y = [[0, 1], [-1, 0]].
-    """
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, s], [-s, c]], dtype=complex)
 
 
 def make_coin(a: complex, b: complex) -> np.ndarray:
@@ -65,11 +44,6 @@ def is_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:
     """Check U @ U^dagger = I entrywise within tol."""
     u = np.asarray(u, dtype=complex)
     return bool(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) <= tol)
-
-
-def operator_norm_2x2(m: np.ndarray) -> float:
-    """Largest singular value of a 2x2 complex matrix."""
-    return float(np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)[0])
 
 
 def eigenbasis_unitary2(r: np.ndarray, degenerate_tol: float = 1e-9):

@@ -174,11 +174,6 @@ class WalkParams:
         """True when the step applies its spin matrix before the shift."""
         return self.time_rule is TimeRule.RX_FIELD
 
-    def step_matrix(self, t: int, field_value: float | None = None) -> np.ndarray:
-        """The 2x2 spin matrix of step t (shift excluded): the one-row ``step_matrices``."""
-        values = None if field_value is None else (field_value,)
-        return self.step_matrices(t, t, field_values=values)[0]
-
     def step_matrices(self, t_from: int, t_to: int,
                       field_values=None) -> np.ndarray:
         """Stacked step matrices for t = t_from..t_to inclusive, shape (T, 2, 2).
@@ -300,11 +295,6 @@ def evolve(state: WalkState, t_from: int, t_to: int, params: WalkParams,
     return WalkState(x_min=lo, amplitudes=window)
 
 
-def step(state: WalkState, t: int, params: WalkParams) -> WalkState:
-    """Apply the single step W(t)."""
-    return evolve(state, t, t, params)
-
-
 def spinor_probabilities(ups, downs):
     """|u|^2 + |d|^2 for each spinor, over sequences of Python complex values.
 
@@ -390,28 +380,6 @@ def occupied_sites(state: WalkState) -> tuple[list[int], list[float]]:
     else:
         sites = [i + state.x_min for i in nonzero.tolist()]
     return sites, probs[nonzero].tolist()
-
-
-def position_distribution(state: WalkState) -> dict[int, float]:
-    """Map x -> total probability at x, omitting exactly-zero sites."""
-    return dict(zip(*occupied_sites(state)))
-
-
-def return_probability(state: WalkState) -> float:
-    """Total probability at the origin x = 0."""
-    sp = state.spinor(0)
-    return float(abs(sp[0]) ** 2 + abs(sp[1]) ** 2)
-
-
-def fidelity(state: WalkState, reference: WalkState) -> float:
-    """|<reference|state>|^2 over the overlapping window."""
-    lo = max(state.x_min, reference.x_min)
-    hi = min(state.x_max, reference.x_max)
-    if lo > hi:
-        return 0.0
-    a = state.amplitudes[lo - state.x_min: hi - state.x_min + 1]
-    b = reference.amplitudes[lo - reference.x_min: hi - reference.x_min + 1]
-    return float(abs(np.vdot(b, a)) ** 2)
 
 
 def bloch_vector(state: WalkState, x: int) -> tuple[float, float, float]:

@@ -2,7 +2,10 @@
 
 The reference evolutions here are deliberately written with dictionaries and
 explicit loops — no shared code with the array kernels — so agreement between
-the two is meaningful evidence of correctness.
+the two is meaningful evidence of correctness. The single-walk helpers and
+spin constants in their own section are not independent: they call the
+package one walk, step or state at a time, and tests compare its batched
+forms with them.
 """
 
 from __future__ import annotations
@@ -17,9 +20,12 @@ from math import gcd
 import numpy as np
 import pytest
 
+from qpwalk.gauge import _coin_entries
 from qpwalk.momentum import trace_formula
+from qpwalk.noise import NoiseConfig
+from qpwalk.revivals import _closest_phase, _signed_deviations
 from qpwalk.spinops import rotation_x
-from qpwalk.walk import WalkParams, WalkState
+from qpwalk.walk import Field, TimeRule, WalkParams, WalkState, evolve, occupied_sites
 
 Amplitudes = dict[tuple[int, int], complex]
 
@@ -360,6 +366,63 @@ def nan_in_electric_evolve(monkeypatch, call: int) -> None:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(20260816)))
+
+
+# ---------------------------------------------------------------------------
+# single-walk helpers and spin constants
+# ---------------------------------------------------------------------------
+
+IDENTITY = np.eye(2, dtype=complex)
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+# Eigenbasis of sigma_x, which diagonalizes every x-rotation at once.
+HADAMARD_BASIS = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+
+
+def operator_norm_2x2(m: np.ndarray) -> float:
+    """Largest singular value of a 2x2 complex matrix (the SVD reference for
+    ``revivals._phase_distance``)."""
+    return float(np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)[0])
+
+
+def position_distribution(state: WalkState) -> dict[int, float]:
+    """Map x -> total probability at x, omitting exactly-zero sites."""
+    return dict(zip(*occupied_sites(state)))
+
+
+def return_probability(state: WalkState) -> float:
+    """Total probability at the origin x = 0."""
+    sp = state.spinor(0)
+    return float(abs(sp[0]) ** 2 + abs(sp[1]) ** 2)
+
+
+def noisy_evolve(state: WalkState, t: int, params: WalkParams,
+                 noise: NoiseConfig, trajectory: int = 0) -> WalkState:
+    """Evolve through steps 1..t with fluctuated fields (one trajectory, full run).
+
+    epsilon = 0 reproduces the clean ``evolve`` bit for bit, because the exact
+    field path is used instead of a float override.
+    """
+    if noise.epsilon == 0.0:
+        return evolve(state, 1, t, params)
+    fields = noise.draw_fields(params.field.value, t, trajectory)
+    return evolve(state, 1, t, params, field_values=fields)
+
+
+def gauged_step(state: WalkState, t: int, phi: float,
+                coin: np.ndarray) -> WalkState:
+    """One gauged-walk step W(t) = C * exp(-i*phi*(t-1)*sigma_z) * S."""
+    a, b = _coin_entries(coin)
+    params = WalkParams(field=Field.from_radians(phi), coin_a=a, coin_b=b,
+                        time_rule=TimeRule.GAUGED_SZ)
+    return evolve(state, t, t, params)
+
+
+def detect_sign(params: WalkParams, steps: int, grid: int = 256) -> int:
+    """The phase c in {+1, -1} minimizing the measured deviation at ``steps``."""
+    return _closest_phase(_signed_deviations(params, steps, grid))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -16,18 +16,17 @@ from math import gcd, isqrt
 import numpy as np
 import pytest
 
-from conftest import fibonacci, reference_evolve
+from conftest import (fibonacci, noisy_evolve, operator_norm_2x2, reference_evolve,
+                      return_probability)
 from qpwalk import cli
 from qpwalk.cfrac import approximation_check, cf_expand, classify_field, golden_ratio_fraction
 from qpwalk.gauge import electric_evolve, verify_gauge_equivalence
-from qpwalk.momentum import (alpha_tilde_sup, regrouped_block, step_block,
-                             trace_formula)
-from qpwalk.noise import NoiseConfig, noisy_evolve, return_series
+from qpwalk.momentum import alpha_tilde_sup, regrouped_block, trace_formula
+from qpwalk.noise import NoiseConfig, ensemble_series
 from qpwalk.revivals import expected_sign, revival_deviation, revival_time
-from qpwalk.spinops import operator_norm_2x2, rotation_x
+from qpwalk.spinops import rotation_x
 from qpwalk.walk import (Field, TimeRule, WalkParams, WalkState, evolve,
-                         evolve_tracking_origin, hadamard_params,
-                         return_probability, support_radius)
+                         evolve_tracking_origin, hadamard_params, support_radius)
 
 HALF = 1.0 / math.sqrt(2.0)
 
@@ -188,7 +187,7 @@ def test_criterion_03_solvable_coins_as_stated():
             if not dist <= 1e-12:
                 failures.append(("identity block", m, k, sign, dist))
     params = WalkParams(field=Field.rational(1, 2), coin_a=1.0, coin_b=0.0)
-    mats = [params.step_matrix(t) for t in (1, 2)]
+    mats = [params.step_matrices(t, t)[0] for t in (1, 2)]
     for spin, site in ((0, 2), (1, -2)):
         amps = reference_evolve({(0, spin): 1.0 + 0j}, mats,
                                 params.matrix_before_shift)
@@ -294,11 +293,11 @@ def test_criterion_07_noise_thresholds():
     params = hadamard_params(Field.rational(1, 100))
     for eps, golden in NOISE_GOLDENS.items():
         noise = NoiseConfig(epsilon=eps, seed=12345, ensemble_size=100)
-        series = return_series(params, noise, 100)
+        series = ensemble_series(params, [noise], 100)[0]
         assert series[100, 1] == pytest.approx(golden, abs=1e-9), eps
     assert NOISE_GOLDENS[1e-4] >= 0.9
     long_noise = NoiseConfig(epsilon=1e-3, seed=2024, ensemble_size=30)
-    long_series = return_series(params, long_noise, 1000)
+    long_series = ensemble_series(params, [long_noise], 1000)[0]
     assert long_series[1000, 1] == pytest.approx(NOISE_LONG_GOLDEN, abs=1e-9)
     assert long_series[1000, 1] <= 0.5
 
@@ -335,7 +334,7 @@ def test_criterion_08_golden_field_localization():
     assert max(radii) <= 20, radii
 
     noise = NoiseConfig(epsilon=1e-3, seed=777, ensemble_size=20)
-    noisy = return_series(params, noise, 1000)
+    noisy = ensemble_series(params, [noise], 1000)[0]
     assert noisy[1000, 1] == pytest.approx(GOLDEN_NOISY_RETURN, abs=1e-9)
     assert noisy[1000, 1] <= even_min / 2.0
 
@@ -356,8 +355,8 @@ def test_criterion_09_momentum_block_lipschitz():
         block_a = np.eye(2, dtype=complex)
         block_b = np.eye(2, dtype=complex)
         for s in range(1, t + 1):
-            block_a = step_block(k, s, pa) @ block_a
-            block_b = step_block(k, s, pb) @ block_b
+            block_a = regrouped_block(k, pa, 1, t_from=s) @ block_a
+            block_b = regrouped_block(k, pb, 1, t_from=s) @ block_b
         bound = t * (t + 1) / 2.0 * abs(dphi)
         assert operator_norm_2x2(block_a - block_b) <= bound + 1e-12
 

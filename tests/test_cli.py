@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -7,8 +8,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import (bits, nan_in_electric_evolve, reference_closest_phase,
-                      reference_cyclic_trace, reference_trace_check, reference_write_record)
+from conftest import (bits, nan_in_electric_evolve, position_distribution,
+                      reference_closest_phase, reference_cyclic_trace, reference_trace_check,
+                      reference_write_record)
 
 from qpwalk import __version__, cli
 from qpwalk.cli import (ConfigError, parse_coin, parse_field, parse_int_list,
@@ -16,8 +18,7 @@ from qpwalk.cli import (ConfigError, parse_coin, parse_field, parse_int_list,
 from qpwalk.cfrac import cf_expand, golden_ratio_fraction
 from qpwalk.revivals import irrational_revival_bound, revival_time
 from qpwalk.spinops import rotation_x
-from qpwalk.walk import (Field, WalkParams, WalkState, bloch_vector, evolve,
-                         position_distribution)
+from qpwalk.walk import Field, WalkParams, WalkState, bloch_vector, evolve
 
 ALL_EXPERIMENTS = ["evolve", "revival-scan", "trace-check", "cf",
                    "noise-series", "gauge-check", "appendix-table",
@@ -668,3 +669,22 @@ def test_console_script_installed():
                              "--tmax", "2"], capture_output=True, text=True)
     assert result.returncode == 0
     assert result.stdout.startswith("# qpwalk-csv v1")
+
+
+@pytest.mark.parametrize("argv, lines", [(["--tmax", "2000", "--stride", "1"], 1),
+                                         (["--tmax", "2"], 0)], ids=["head-1", "closed-first"])
+def test_closed_stdout_pipe_exits_without_a_traceback(argv, lines):
+    """A reader that stops early (``qpwalk ... | head -1``) ends the run with exit 1, quietly.
+
+    The long record meets the closed pipe in a write; the short one, whose
+    reader closes before the interpreter has started, only in the flush of
+    the block-buffered stdout (so PYTHONUNBUFFERED is left out).
+    """
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen([sys.executable, "-m", "qpwalk.cli", "evolve", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert [proc.stdout.readline() for _ in range(lines)] == [b"# qpwalk-csv v1\n"] * lines
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err == b""  # no traceback, and no "Exception ignored" from the flush at exit

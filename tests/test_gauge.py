@@ -3,21 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (max_diff, nan_in_electric_evolve, random_su2, reference_electric,
-                      state_to_dict)
-from qpwalk.gauge import (GaugePhase, apply_gauge, electric_evolve,
-                          electric_step, gauged_step, verify_gauge_equivalence)
-from qpwalk.walk import (Field, TimeRule, WalkParams, WalkState, evolve,
-                         position_distribution)
+from conftest import (gauged_step, max_diff, nan_in_electric_evolve, position_distribution,
+                      random_su2, reference_electric, state_to_dict)
+from qpwalk.gauge import GaugePhase, apply_gauge, electric_evolve, verify_gauge_equivalence
+from qpwalk.walk import Field, TimeRule, WalkParams, WalkState, evolve
 
 HALF = 1.0 / math.sqrt(2.0)
 HADAMARD = np.array([[HALF, HALF], [-HALF, HALF]], dtype=complex)
 
 
 def test_gauge_phase_values():
+    """G_{x,t} = exp(-i*phi*t*x), read off a unit spin-up amplitude at x."""
     g = GaugePhase(phi=0.3, t=4)
-    assert g.site_phase(2) == pytest.approx(np.exp(-1j * 0.3 * 4 * 2))
-    assert GaugePhase(phi=0.3, t=0).site_phase(5) == 1.0
+    at_two = apply_gauge(WalkState.single_site(x=2), g)
+    assert at_two.amplitude(2, +1) == pytest.approx(np.exp(-1j * 0.3 * 4 * 2))
+    at_five = apply_gauge(WalkState.single_site(x=5), GaugePhase(phi=0.3, t=0))
+    assert at_five.amplitude(5, +1) == 1.0
     with pytest.raises(ValueError):
         GaugePhase(phi=0.3, t=-1)
 
@@ -40,7 +41,7 @@ def test_electric_step_matches_dict_reference(rng):
         coin = WalkParams(field=Field.rational(1, 7), coin_a=a, coin_b=b).coin
         state = WalkState.single_site(x=int(rng.integers(-2, 3)),
                                       spinor=tuple(random_su2(rng)))
-        stepped = electric_step(state, phi, coin)
+        stepped = electric_evolve(state, 1, phi, coin)
         ref = reference_electric(state_to_dict(state), coin, phi, 1)
         assert max_diff(stepped, ref) < 1e-13
 
@@ -51,7 +52,7 @@ def test_electric_evolve_composes_steps(rng):
     multi = electric_evolve(state, 6, phi, HADAMARD)
     stepped = state
     for _ in range(6):
-        stepped = electric_step(stepped, phi, HADAMARD)
+        stepped = electric_evolve(stepped, 1, phi, HADAMARD)
     assert max_diff(multi, state_to_dict(stepped)) < 1e-13
 
 
@@ -66,10 +67,10 @@ def test_gauged_step_matches_time_rule_params():
         assert max_diff(via_gauge, state_to_dict(via_params)) < 1e-13
 
 
-def test_gauged_step_rejects_general_unitary():
+def test_gauge_check_rejects_general_unitary():
     not_su2_form = np.array([[1.0, 0.0], [0.0, 1j]], dtype=complex)
     with pytest.raises(ValueError):
-        gauged_step(WalkState.single_site(), 1, 0.3, not_su2_form)
+        verify_gauge_equivalence(0.3, not_su2_form, 1)
 
 
 def test_gauge_identity_explicit(rng):

@@ -19,14 +19,15 @@ import pytest
 
 from conftest import (REFERENCE_TRIM_THRESHOLD, max_diff, random_su2, reference_electric,
                       reference_evolve, reference_matrix_then_shift, reference_shift_then_matrix,
-                      reference_spin_product, reference_track_origin, run_padded, state_to_dict)
+                      reference_spin_product, reference_track_origin, return_probability,
+                      run_padded, state_to_dict)
 from qpwalk import _kernels, cli
 from qpwalk.gauge import electric_evolve
 from qpwalk.noise import NoiseConfig
 from qpwalk.spinops import make_coin
 from qpwalk.walk import (Field, TimeRule, WalkParams, WalkState, ensemble_tracking_origin, evolve,
-                         evolve_tracking_origin, hadamard_params, return_probability,
-                         spinor_probabilities, track_origin)
+                         evolve_tracking_origin, hadamard_params, spinor_probabilities,
+                         track_origin)
 
 
 def _random_case(rng, steps=9, width=5, tiny_edges=False):

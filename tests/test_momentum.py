@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import bits, random_su2, reference_cyclic_trace, reference_regrouped_block
+from conftest import (HADAMARD_BASIS, bits, random_su2, reference_cyclic_trace,
+                      reference_regrouped_block)
 from qpwalk.momentum import (_compose, alpha_tilde, alpha_tilde_sup, dispersion,
-                             regrouped_block, regrouped_trace, step_block, trace_formula)
-from qpwalk.spinops import HADAMARD_BASIS, is_unitary, rotation_x
+                             regrouped_block, regrouped_trace, trace_formula)
+from qpwalk.spinops import is_unitary, rotation_x
 from qpwalk.walk import (Field, TimeRule, WalkParams, WalkState, evolve,
                          hadamard_params)
 
@@ -38,7 +39,7 @@ def test_step_block_matches_real_space_fourier(rng, rule):
         for k in rng.uniform(-math.pi, math.pi, 5):
             before = fourier_component(state, k)
             after = fourier_component(stepped, k)
-            assert np.allclose(step_block(k, t, params) @ before, after,
+            assert np.allclose(regrouped_block(k, params, 1, t_from=t) @ before, after,
                                atol=1e-12)
 
 

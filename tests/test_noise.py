@@ -4,12 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import reference_track_origin
+from conftest import noisy_evolve, reference_track_origin
 from qpwalk.momentum import alpha_tilde_sup
 from qpwalk import noise as noise_module
 from qpwalk._kernels import probe_rows
 from qpwalk.noise import (NoiseConfig, check_step_angles, ensemble_series, noise_bound,
-                         noise_bound_for, noisy_evolve, return_series)
+                         noise_bound_for)
 from qpwalk.revivals import expected_sign, revival_time
 from qpwalk import cli
 from qpwalk.walk import (Field, WalkParams, WalkState, ensemble_tracking_origin, evolve,
@@ -115,14 +115,14 @@ def test_noisy_revival_deviation_within_bound(m, eps):
 def test_return_series_shape_and_envelope():
     params = hadamard_params(Field.rational(1, 10))
     noise = NoiseConfig(epsilon=1e-3, seed=1, ensemble_size=8)
-    series = return_series(params, noise, 30)
+    series = ensemble_series(params, [noise], 30)[0]
     assert series.shape == (31, 4)
     assert series[0, 1] == 1.0 and series[0, 2] == 1.0 and series[0, 3] == 1.0
     ts, mean, mini, maxi = series.T
     assert np.array_equal(ts, np.arange(31.0))
     assert np.all(mini <= mean + 1e-15) and np.all(mean <= maxi + 1e-15)
     # clean ensemble collapses the envelope
-    clean = return_series(params, NoiseConfig(epsilon=0.0, ensemble_size=3), 10)
+    clean = ensemble_series(params, [NoiseConfig(epsilon=0.0, ensemble_size=3)], 10)[0]
     assert np.array_equal(clean[:, 2], clean[:, 3])
     _, p0, _ = reference_track_origin(WalkState.single_site(), 10, params)
     for column in (1, 2, 3):
@@ -133,14 +133,14 @@ def test_return_series_rejects_overflowing_angles():
     """epsilon = 1e308 overflows t*phi_t: an error, not NaN rows or a RuntimeWarning."""
     params = hadamard_params(Field.rational(1, 100))
     with pytest.raises(ValueError, match="finite"):
-        return_series(params, NoiseConfig(epsilon=1e308, ensemble_size=2), 12)
+        ensemble_series(params, [NoiseConfig(epsilon=1e308, ensemble_size=2)], 12)[0]
 
 
 def test_return_series_matches_direct_trajectories():
     """Every row, bit for bit, from each trajectory evolved on its own to each t."""
     params = hadamard_params(Field.rational(1, 6))
     noise = NoiseConfig(epsilon=5e-3, seed=21, ensemble_size=4)
-    series = return_series(params, noise, 12)
+    series = ensemble_series(params, [noise], 12)[0]
     direct = np.empty((4, 13))
     for i in range(4):
         for t in range(13):
@@ -161,7 +161,7 @@ def _refusal(run):
 
 
 def test_check_step_angles_refuses_what_return_series_refuses():
-    """The up-front angle check refuses exactly the runs ``return_series`` refuses."""
+    """The up-front angle check refuses exactly the runs ``ensemble_series`` refuses."""
     cases = [(Field.rational(1, 100), 1e306, 181, seed) for seed in range(6)]
     cases += [(Field.rational(1, 100), 1e308, 40, 0), (Field.golden(), 5e305, 200, 0),
               (Field.from_turns(1e305), 0.0, 300, 0), (Field.from_turns(1e305), 0.0, 200, 0),
@@ -170,7 +170,7 @@ def test_check_step_angles_refuses_what_return_series_refuses():
     for field, epsilon, t_max, seed in cases:
         params = hadamard_params(field)
         noise = NoiseConfig(epsilon=epsilon, seed=seed, ensemble_size=20)
-        refused = _refusal(lambda: return_series(params, noise, t_max))
+        refused = _refusal(lambda: ensemble_series(params, [noise], t_max)[0])
         assert _refusal(lambda: check_step_angles(params, noise, t_max)) == refused
         outcomes.append(refused is None)
     # t_max*(|phi| + epsilon) overflows at 1e306 and 181 steps, yet some ensembles run

@@ -3,16 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import bits, random_su2, reference_signed_deviations
+from conftest import (bits, detect_sign, operator_norm_2x2, random_su2,
+                      reference_signed_deviations)
 from qpwalk import revivals
 from qpwalk.cfrac import cf_expand, golden_ratio_fraction
 from qpwalk.momentum import regrouped_block
 from qpwalk.revivals import (RevivalReport, _deviation_search, _phase_distance,
                              _signed_deviations, appendix_expected, appendix_table,
-                             detect_sign, expected_sign, irrational_revival_bound,
-                             revival_deviation, revival_report, revival_reports,
-                             revival_time)
-from qpwalk.spinops import operator_norm_2x2
+                             expected_sign, irrational_revival_bound, revival_deviation,
+                             revival_reports, revival_time)
 from qpwalk.walk import (Field, TimeRule, WalkParams, WalkState, evolve,
                          hadamard_params)
 
@@ -108,7 +107,7 @@ def test_revival_reports_match_revival_report_in_input_order():
     problems = [(hadamard_params(Field.rational(1, m)), m) for m in (12, 3, 7, 3, 2)]
     problems.append((WalkParams(Field.golden(), 0.6, 0.8j), 13))
     reports = revival_reports(problems)
-    assert reports == [revival_report(params, m) for params, m in problems]
+    assert reports == [revival_reports([(params, m)])[0] for params, m in problems]
     assert [r.m for r in reports] == [12, 3, 7, 3, 2, 13]
     assert revival_reports([]) == []
 
@@ -209,7 +208,7 @@ def test_detect_sign_agrees_with_expected():
 
 
 def test_revival_report_fields():
-    report = revival_report(hadamard_params(Field.rational(1, 6)), 6)
+    report = revival_reports([(hadamard_params(Field.rational(1, 6)), 6)])[0]
     assert report.m == 6
     assert report.parity == "even"
     assert report.revival_time == 6

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qpwalk.spinops import (HADAMARD_BASIS, IDENTITY, SIGMA_X, SIGMA_Y,
-                            SIGMA_Z, eigenbasis_unitary2, is_unitary,
-                            make_coin, operator_norm_2x2, rotation_x,
-                            rotation_y)
+from conftest import (HADAMARD_BASIS, IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z,
+                      operator_norm_2x2)
+from qpwalk.spinops import eigenbasis_unitary2, is_unitary, make_coin, rotation_x
 
 angles = st.floats(min_value=-50.0, max_value=50.0,
                    allow_nan=False, allow_infinity=False)
@@ -19,15 +18,6 @@ def test_rotation_x_special_values():
     assert np.allclose(rotation_x(math.pi / 2), 1j * SIGMA_X, atol=1e-15)
 
 
-def test_rotation_y_special_values():
-    assert np.allclose(rotation_y(0.0), IDENTITY)
-    # quarter turn: the balanced real coin
-    h = np.array([[1.0, 1.0], [-1.0, 1.0]]) / math.sqrt(2.0)
-    assert np.allclose(rotation_y(math.pi / 4), h, atol=1e-15)
-    # half turn: the off-diagonal real coin
-    assert np.allclose(rotation_y(math.pi / 2), 1j * SIGMA_Y, atol=1e-15)
-
-
 @given(angles, angles)
 def test_rotation_x_is_additive(a, b):
     assert np.allclose(rotation_x(a) @ rotation_x(b), rotation_x(a + b),
@@ -36,9 +26,9 @@ def test_rotation_x_is_additive(a, b):
 
 @given(angles)
 def test_rotations_are_special_unitary(a):
-    for rot in (rotation_x(a), rotation_y(a)):
-        assert is_unitary(rot, tol=1e-12)
-        assert abs(np.linalg.det(rot) - 1.0) < 1e-12
+    rot = rotation_x(a)
+    assert is_unitary(rot, tol=1e-12)
+    assert abs(np.linalg.det(rot) - 1.0) < 1e-12
 
 
 def test_make_coin_builds_su2():

@@ -4,14 +4,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import (bits, max_diff, reference_evolve, reference_rx_step_matrices,
-                      state_to_dict, random_su2)
+from conftest import (bits, max_diff, position_distribution, reference_evolve,
+                      reference_rx_step_matrices, return_probability, state_to_dict,
+                      random_su2)
 from qpwalk.noise import NoiseConfig
 from qpwalk.spinops import is_unitary, rotation_x
 from qpwalk.walk import (ANGLE_ARRAY_STEPS, ENSEMBLE_MATRIX_BLOCK, STEP_GEMM_ROWS, Field,
                          TimeRule, WalkParams, WalkState, bloch_vector, evolve,
-                         evolve_tracking_origin, fidelity, hadamard_params, occupied_sites,
-                         position_distribution, return_probability, step, support_radius)
+                         evolve_tracking_origin, hadamard_params, occupied_sites,
+                         support_radius)
 
 HALF = 1.0 / math.sqrt(2.0)
 
@@ -74,14 +75,14 @@ def test_step_matrices_are_unitary(rule):
     params = WalkParams(field=Field.rational(3, 7), coin_a=0.6, coin_b=0.8j,
                         time_rule=rule)
     for t in range(1, 20):
-        assert is_unitary(params.step_matrix(t), tol=1e-12)
+        assert is_unitary(params.step_matrices(t, t)[0], tol=1e-12)
 
 
 def test_rx_field_step_matrix_structure():
     params = hadamard_params(Field.rational(1, 5))
     for t in range(1, 12):
         expected = rotation_x(2.0 * math.pi * t / 5.0) @ params.coin
-        assert np.allclose(params.step_matrix(t), expected, atol=1e-12)
+        assert np.allclose(params.step_matrices(t, t)[0], expected, atol=1e-12)
 
 
 def test_gauged_step_matrix_structure():
@@ -90,7 +91,7 @@ def test_gauged_step_matrix_structure():
     for t in range(1, 12):
         alpha = 2.0 * math.pi * (t - 1) / 6.0
         phase = np.diag([np.exp(-1j * alpha), np.exp(1j * alpha)])
-        assert np.allclose(params.step_matrix(t), params.coin @ phase,
+        assert np.allclose(params.step_matrices(t, t)[0], params.coin @ phase,
                            atol=1e-12)
 
 
@@ -112,7 +113,7 @@ def test_step_matrices_noisy_override(rng, rule):
             expected = params.coin @ np.diag([np.exp(-1j * angle),
                                               np.exp(1j * angle)])
         assert np.abs(mat - expected).max() <= 1e-15
-        assert np.array_equal(params.step_matrix(t, field_value=phi), mat)
+        assert np.array_equal(params.step_matrices(t, t, field_values=[phi])[0], mat)
     with pytest.raises(ValueError):
         params.step_matrices(t_from, t_to, field_values=phis[:-1])
 
@@ -259,13 +260,6 @@ def test_evolve_preserves_norm_and_window():
     assert state.window == (-200, 200)
 
 
-def test_step_equals_single_evolve():
-    params = hadamard_params(Field.golden())
-    a = step(WalkState.single_site(), 1, params)
-    b = evolve(WalkState.single_site(), 1, 1, params)
-    assert state_to_dict(a) == state_to_dict(b)
-
-
 def test_evolve_composes():
     params = hadamard_params(Field.rational(2, 9))
     full = evolve(WalkState.single_site(), 1, 10, params)
@@ -302,7 +296,7 @@ def test_evolve_matches_dict_reference(rng, rule):
                             time_rule=rule)
         steps = int(rng.integers(5, 30))
         state = evolve(WalkState.single_site(), 1, steps, params)
-        matrices = [params.step_matrix(t) for t in range(1, steps + 1)]
+        matrices = [params.step_matrices(t, t)[0] for t in range(1, steps + 1)]
         ref = reference_evolve({(0, 0): 1.0 + 0j}, matrices,
                                params.matrix_before_shift)
         assert max_diff(state, ref) < 1e-12
@@ -365,13 +359,6 @@ def test_position_distribution_is_native_with_numpy_bits():
     expected = {state.x_min + i: float(p) for i, p in enumerate(probs) if p > 0.0}
     assert list(dist.items()) == list(expected.items())
     assert all(type(x) is int and type(p) is float for x, p in dist.items())
-
-
-def test_fidelity_basics():
-    s = WalkState.single_site(spinor=(HALF, HALF * 1j))
-    assert fidelity(s, s) == pytest.approx(1.0)
-    other = WalkState.single_site(x=4)
-    assert fidelity(s, other) == 0.0
 
 
 def test_bloch_vector_known_spinors():

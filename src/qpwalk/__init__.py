@@ -16,9 +16,8 @@ from .gauge import GaugePhase, apply_gauge, electric_evolve, verify_gauge_equiva
 from .momentum import (alpha_tilde, alpha_tilde_sup, dispersion, regrouped_block,
                        regrouped_trace, trace_formula)
 from .noise import NoiseConfig, ensemble_series, noise_bound, noise_bound_for
-from .revivals import (RevivalReport, appendix_expected, appendix_table, expected_sign,
-                       irrational_revival_bound, revival_deviation, revival_reports,
-                       revival_time)
+from .revivals import (RevivalReport, expected_sign, irrational_revival_bound,
+                       revival_deviation, revival_reports, revival_time)
 from .spinops import eigenbasis_unitary2, is_unitary, make_coin, rotation_x
 from .walk import (Field, TimeRule, WalkParams, WalkState, bloch_vector, evolve,
                    evolve_tracking_origin, support_radius)
@@ -37,8 +36,7 @@ __all__ = [
     "regrouped_trace", "dispersion",
     # revivals
     "RevivalReport", "revival_deviation", "expected_sign", "revival_time",
-    "revival_reports", "appendix_expected", "appendix_table",
-    "irrational_revival_bound",
+    "revival_reports", "irrational_revival_bound",
     # continued fractions
     "Convergent", "ContinuedFraction", "FieldClassification",
     "golden_ratio_fraction", "cf_expand", "evaluate", "approximation_check",

@@ -43,7 +43,7 @@ from .cfrac import approximation_check, cf_expand, classify_field, golden_ratio_
 from .gauge import verify_gauge_equivalence
 from .momentum import _closed_trace, _rotation_frame
 from .noise import NoiseConfig, check_step_angles, ensemble_series
-from .revivals import appendix_table, irrational_revival_bound, revival_reports
+from .revivals import irrational_revival_bound, revival_reports
 from .spinops import rotation_x
 from .walk import (Field, WalkParams, WalkState, bloch_vector, evolve, occupied_sites,
                    spinor_bloch_vector, track_origin)
@@ -375,10 +375,10 @@ def run_revival_scan(opts: Options) -> Record:
     reports = revival_reports((WalkParams(field=Field.rational(1, m), coin_a=a, coin_b=b), m)
                               for m in m_list)
     rows = [(report.m, report.parity, report.revival_time, report.sign,
-             report.measured_deviation, report.predicted_scale) for report in reports]
+             report.measured_deviation, report.exact_deviation) for report in reports]
     meta = {"coin": coin_label, "m_list": ",".join(str(m) for m in m_list)}
     return meta, ["m", "parity", "revival_time", "sign", "measured_deviation",
-                  "predicted_scale"], [list(zip(*rows))], 0
+                  "exact_deviation"], [list(zip(*rows))], 0
 
 
 def run_trace_check(opts: Options) -> Record:
@@ -537,11 +537,12 @@ def run_appendix_table(opts: Options) -> Record:
     m_list = parse_int_list(opts.get("m_list", "2,3,4,5,6,7,8,9,10,11,12", str))
     if any(m < 1 for m in m_list):
         raise ConfigError("m values must be positive")
-    rows = []
-    for coin_name, report, expected in appendix_table(m_list):
-        rows.append((coin_name, report.m, report.parity, report.revival_time,
-                     report.sign, report.measured_deviation, expected,
-                     abs(report.measured_deviation - expected) <= 1e-9))
+    cases = [(name, m) for name in ("identity", "i-sigma-y") for m in m_list]
+    reports = revival_reports((WalkParams(Field.rational(1, m), *NAMED_COINS[name]), m)
+                              for name, m in cases)
+    rows = [(name, r.m, r.parity, r.revival_time, r.sign, r.measured_deviation, r.exact_deviation,
+             abs(r.measured_deviation - r.exact_deviation) <= 1e-9)
+            for (name, _), r in zip(cases, reports)]
     meta = {"m_list": ",".join(str(m) for m in m_list)}
     return meta, ["coin", "m", "parity", "revival_time", "sign", "measured_deviation",
                   "expected_deviation", "match"], [list(zip(*rows))], 0

@@ -70,14 +70,15 @@ def regrouped_block(k, params: WalkParams, m: int, t_from: int = 1) -> np.ndarra
     if m < 1:
         raise ValueError("m must be positive")
     mats = params.step_matrices(t_from, t_from + m - 1)
-    return _compose(np.asarray(k, dtype=float)[None], mats[..., None],
+    return _compose(np.exp(1j * np.asarray(k, dtype=float))[None], mats[..., None],
                     params.matrix_before_shift)[0]
 
 
-def _compose(k: np.ndarray, mats, before: bool) -> np.ndarray:
+def _compose(phase: np.ndarray, mats, before: bool) -> np.ndarray:
     """Products W(T_p) ... W(1) for P problems at once, each over its own momenta.
 
-    ``k`` has shape (P,) + s: problem p's momenta are k[p]. ``mats`` is a
+    ``phase`` is exp(i*k) of shape (P,) + s, problem p's momenta being k[p]
+    (a search takes it once for a grid it scans many times). ``mats`` is a
     sequence over the steps t = 1, 2, ... of (2, 2, n_t) arrays, where column
     p is problem p's matrix M(t). The problems are sorted longest first, so
     the n_t never grow: problem p has T_p steps and leaves the product when
@@ -100,7 +101,6 @@ def _compose(k: np.ndarray, mats, before: bool) -> np.ndarray:
     every operand contiguous. The result is a view of shape
     (P,) + s + (2, 2).
     """
-    phase = np.exp(1j * k)
     flat = phase.reshape(phase.shape[0], -1)
     # work[0] is the shift stack, [1] the block, [2] the scratch, and [3] and
     # [4] the running products
@@ -169,15 +169,20 @@ def _step_operands(work: np.ndarray):
 def alpha_tilde(params: WalkParams, k):
     """a~(k), the first diagonal entry of C S(k) in the kick's eigenbasis.
 
-    ``k`` is a scalar or an array of momenta; the result has its shape. Under
-    RX_FIELD, a~ = u e^(ik) + v e^(-ik) with u = (a - conj(b))/2 and
-    v = (conj(a) + b)/2; under GAUGED_SZ, a~ = a e^(ik). Both give d~ = conj(a~).
+    ``k`` is a scalar or an array of momenta; the result has its shape:
+    u e^(ik) + v e^(-ik) (``_alpha_tilde_terms``). Both rules give d~ = conj(a~).
     """
     phase = np.exp(1j * np.asarray(k, dtype=float))
+    u, v = _alpha_tilde_terms(params)
+    return u * phase + v * phase.conj()
+
+
+def _alpha_tilde_terms(params: WalkParams) -> tuple[complex, complex]:
+    """(u, v) of a~: ((a - conj(b))/2, (conj(a) + b)/2) under RX_FIELD, (a, 0) under GAUGED_SZ."""
     a, b = complex(params.coin_a), complex(params.coin_b)
     if params.time_rule is TimeRule.RX_FIELD:
-        return (a - b.conjugate()) / 2.0 * phase + (a.conjugate() + b) / 2.0 * phase.conj()
-    return a * phase
+        return (a - b.conjugate()) / 2.0, (a.conjugate() + b) / 2.0
+    return a, 0j
 
 
 def alpha_tilde_sup(a: complex, b: complex) -> float:

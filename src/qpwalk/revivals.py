@@ -1,4 +1,4 @@
-"""Operator-norm revival deviations of the regrouped walk, with exact special cases.
+"""Operator-norm revival deviations of the regrouped walk, measured and in closed form.
 
 A revival at time T means the T-step product W^{[T,1]} is norm-close to a
 global phase c*I (c = +1 or -1 here, since the blocks are special-unitary up
@@ -15,27 +15,13 @@ search (``_deviation_search``) measures every report of a call: the grid
 scan runs per report, and each zoom round composes all reports' brackets in
 one pass (``revival_reports``). A single report is the one-problem case.
 
-Exact values for the balanced (Hadamard-class) coin under the RX_FIELD rule
-with field 2*pi/m, derived from the dispersion relation and verified
-numerically to machine precision:
-
-- m odd, T = 2m, c = -1: deviation = 2^(-m/2+1) exactly.
-- m even, T = m, c = (-1)^(m/2+1): deviation = 2^(-m/4+1) exactly. The trace
-  formula gives cos(omega) = c*(1 - 2^(-m/2)) - 2^(-m/2)*cos(m*k), so the
-  trace deficit sup_k(1 - c*cos(omega)) is 2^(-m/2+1) at T = m, but the
-  operator norm feels its square root: |e^(i*omega) - c| = sqrt(2*deficit).
-
-Identity-coin and i*sigma_y-coin special cases (exact):
-
-- C = I, m odd, T = 2m: deviation 2 (no revival).
-- C = I, m even: the deviation at T = m is exactly 0 when m = 0 (mod 4) and
-  exactly 2 when m = 2 (mod 4). At m = 2, R_x(pi) = -I and R_x(2*pi) = I make
-  W^{[2,1]} = -S^2, a pure shift power; at m = 6, 10, ... the walk spreads
-  instead, and the deviation 2 comes from the blocks -I at k = 0 and +I at
-  k = pi/2, which put both signed identities at distance 2.
-- C = i*sigma_y: deviation 0 at T = 2m (m odd) and T = m (m even); here
-  |a~| = |sin k| is not small, but the phase factor cos(m*theta) vanishes
-  identically, making every revival perfect.
+At a rational field 2*pi*n/m the deviation has a closed form in a~(k) alone
+(``_exact_deviations``): with q = m (odd m, T = 2m) or m/2 (even m, T = m)
+and c0 = ``expected_sign(m)``, ||W^{[T,1]}(k) - c0*I|| = 2|g(k)| with g =
+Im a~^q if 4 divides m, else Re a~^q; the two signs' squared distances sum to
+4 at every k, and g has a zero (a~ = u e^(ik) + v e^(-ik) winds around 0 or
+passes through it), so the other sign's deviation is 2. Under RX_FIELD: Hadamard
+2^(1-m/2) (odd m) or 2^(1-m/4), C = I 0 (4 | m) or 2, C = i*sigma_y 0 (g = 0).
 """
 
 from __future__ import annotations
@@ -46,11 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cfrac import ContinuedFraction
-from .momentum import _compose, alpha_tilde_sup
-from .walk import Field, TimeRule, WalkParams
+from .momentum import _alpha_tilde_terms, _compose
+from .walk import WalkParams
 
 _SIGNS = np.array([+1, -1])
 _ZOOM_POINTS = 17
+_SAMPLES_PER_DEGREE = 4  # start points of the closed form's Newton steps, per degree of g
+_NEWTON_STEPS = 3
 
 
 @dataclass(frozen=True)
@@ -58,15 +46,15 @@ class RevivalReport:
     """Measured deviation at one candidate revival time.
 
     ``sign`` is the detected global phase c with W^{[T,1]} closest to c*I;
-    ``predicted_scale`` is 2*sup_k|a~|^m, the crude scale suggested by the
-    trace analysis (vacuous at 2 when sup|a~| = 1).
+    ``exact_deviation`` is the closed form of ``measured_deviation``, the
+    smaller of ``_exact_deviations``' pair.
     """
 
     m: int
     parity: str
     revival_time: int
     measured_deviation: float
-    predicted_scale: float
+    exact_deviation: float
     sign: int
 
     def __post_init__(self):
@@ -102,11 +90,12 @@ def _deviation_search(problems, grid: int) -> np.ndarray:
     Per problem, one scan of ``grid`` momenta gives both curves; each curve's
     bracket (the neighbours of its best sample) is re-sampled at _ZOOM_POINTS
     momenta and narrowed around the best of them until it is below 1e-8 wide.
-    Each problem's step matrices are built once. The grid pass runs one
-    problem at a time, which keeps its temporaries at one grid's size. Every
-    problem runs the same zoom rounds, so each round composes all problems'
-    brackets in one ``_compose`` pass, longest problem first; each sign is
-    scored on its own bracket. Rows come back in input order. The problems
+    Each problem's step matrices are built once, and the grid's exp(i*k) once
+    per call. The grid pass runs one problem at a time, which keeps its
+    temporaries at one grid's size. Every problem runs the same zoom rounds,
+    so each round composes all problems' brackets in one ``_compose`` pass,
+    longest problem first; each sign is scored on its own bracket. Rows come
+    back in input order. The problems
     must share one step order (``WalkParams.matrix_before_shift``).
     """
     problems = list(problems)
@@ -126,11 +115,12 @@ def _deviation_search(problems, grid: int) -> np.ndarray:
     ragged = [mats[t, :, :, :sum(steps > t for steps in lengths)]
               for t in range(lengths[0])]
     ks = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
+    phases = np.exp(1j * ks)[None]
     centers = np.empty((len(problems), len(_SIGNS)))
     best = np.empty_like(centers)
     probs, rows = np.arange(len(problems))[:, None], np.arange(len(_SIGNS))
     for p, steps in enumerate(lengths):
-        curves = _phase_distance(_compose(ks[None], mats[:steps, :, :, p:p + 1], before)[0],
+        curves = _phase_distance(_compose(phases, mats[:steps, :, :, p:p + 1], before)[0],
                                  _SIGNS[:, None])
         peak = np.argmax(curves, axis=1)
         centers[p], best[p] = ks[peak], curves[rows, peak]
@@ -140,7 +130,7 @@ def _deviation_search(problems, grid: int) -> np.ndarray:
     while 2.0 * half > 1e-8:
         # (P, sign, point): sign c's bracket around its own center
         zoom = centers[:, :, None] + half * offsets
-        values = _phase_distance(_compose(zoom, ragged, before), _SIGNS[:, None])
+        values = _phase_distance(_compose(np.exp(1j * zoom), ragged, before), _SIGNS[:, None])
         peak = np.argmax(values, axis=2)
         centers = zoom[probs, rows, peak]
         best = np.maximum(best, values[probs, rows, peak])
@@ -171,9 +161,7 @@ def _closest_phase(deviations) -> tuple[int, float]:
 
 def expected_sign(m: int) -> int:
     """Theoretical revival phase: -1 for odd m (at 2m), (-1)^(m/2+1) for even m (at m)."""
-    if m % 2 == 1:
-        return -1
-    return +1 if (m // 2 + 1) % 2 == 0 else -1
+    return +1 if m % 4 == 2 else -1
 
 
 def revival_time(m: int) -> int:
@@ -188,53 +176,61 @@ def revival_reports(problems, grid: int = 1024) -> list[RevivalReport]:
     shows up as data; for clean revivals it coincides with ``expected_sign``.
     The deviations come from one ``_deviation_search``, so the problems share
     their zoom rounds; each report's bits are those of a call with it alone.
+    One ``_exact_deviations`` gives the exact deviations.
     """
     problems = list(problems)
     deviations = _deviation_search(
         [(params, revival_time(m)) for params, m in problems], grid)
     reports = []
-    for (params, m), signed in zip(problems, deviations):
+    for (params, m), signed, pair in zip(problems, deviations, _exact_deviations(problems)):
         sign, dev = _closest_phase(signed)
-        scale = 2.0 * alpha_tilde_sup(params.coin_a, params.coin_b) ** m
-        parity = "odd" if m % 2 == 1 else "even"
-        reports.append(RevivalReport(m=m, parity=parity, revival_time=revival_time(m),
-                                     measured_deviation=dev, predicted_scale=scale,
-                                     sign=sign))
+        reports.append(RevivalReport(m=m, parity="odd" if m % 2 == 1 else "even",
+                                     revival_time=revival_time(m), measured_deviation=dev,
+                                     exact_deviation=float(pair.min()), sign=sign))
     return reports
 
 
-def appendix_expected(coin_name: str, m: int) -> float:
-    """Exact deviation at the candidate revival time for the two special coins.
+def _exact_deviations(problems) -> np.ndarray:
+    """(c = +1, c = -1) deviations, shape (P, 2), at the revival time of every (params, m).
 
-    identity coin: 2 for odd m; for even m, 0 when m = 0 (mod 4) and 2 when
-    m = 2 (mod 4), where the block is -I at k = 0 and +I at k = pi/2 (a pure
-    shift power, -S^2, only at m = 2).
-    i-sigma-y coin: 0 for every m.
+    The module's closed form reads the coin, time rule and m, not the field (at
+    an irrational field, the walk at the convergent n/m). g = Re(turn a~^q) has
+    degree q; _NEWTON_STEPS Newton steps on g' = 0, none longer than a spacing,
+    start from _SAMPLES_PER_DEGREE * (q + 1) equally spaced momenta; sup|g| runs
+    over all momenta visited.
     """
-    if coin_name == "identity":
-        if m % 2 == 1:
-            return 2.0
-        return 0.0 if m % 4 == 0 else 2.0
-    if coin_name == "i-sigma-y":
-        return 0.0
-    raise ValueError("coin_name must be 'identity' or 'i-sigma-y'")
-
-
-def appendix_table(field_denominators, coins=("identity", "i-sigma-y"),
-                   field_numerator: int = 1):
-    """RevivalReports plus exact expectations for the special coins.
-
-    Returns a list of (coin_name, RevivalReport, expected_deviation) rows over
-    the given m values.
-    """
-    coin_entries = {"identity": (1.0, 0.0), "i-sigma-y": (0.0, 1.0)}
-    cases = [(name, m) for name in coins for m in field_denominators]
-    reports = revival_reports(
-        (WalkParams(field=Field.rational(field_numerator, m), coin_a=coin_entries[name][0],
-                    coin_b=coin_entries[name][1], time_rule=TimeRule.RX_FIELD), m)
-        for name, m in cases)
-    return [(name, report, appendix_expected(name, m))
-            for (name, m), report in zip(cases, reports)]
+    rows = [(m if m % 2 == 1 else m // 2, expected_sign(m), -1j if m % 4 == 0 else 1.0)
+            + _alpha_tilde_terms(params) for params, m in problems]
+    if not rows:
+        return np.empty((0, len(_SIGNS)))
+    q, c0, turn, u, v = (np.array(column) for column in zip(*rows))
+    counts = _SAMPLES_PER_DEGREE * (q + 1)
+    starts = np.cumsum(counts) - counts
+    # problem p's momenta are k[starts[p]:starts[p] + counts[p]]
+    owner = np.repeat(np.arange(len(rows)), counts)
+    spacing = (2.0 * math.pi / counts)[owner]
+    k = (np.arange(counts.sum()) - starts[owner]) * spacing
+    u, v, turn, q = u[owner], v[owner], turn[owner], q[owner]
+    low, last, bend = np.maximum(q - 2, 0), q > 1, turn * (q - 1)
+    samples = np.empty((_NEWTON_STEPS + 1, k.size))
+    for step in range(_NEWTON_STEPS + 1):
+        phase = np.exp(1j * k)
+        uz, vz = u * phase, v * phase.conj()
+        at = uz + vz
+        lower = at ** low  # a~^(q-2), or 1 when q = 1
+        upper = turn * lower * np.where(last, at, 1.0)  # turn * a~^(q-1)
+        samples[step] = g = (upper * at).real
+        if step == _NEWTON_STEPS:
+            break
+        # with a~' = i*w and a~'' = -a~: g'/q = -Im(upper * w) and
+        # g''/q = -Re(turn * (q-1) a~^(q-2) w^2) - g; steps past one spacing are not taken
+        w = uz - vz
+        slope = (upper * w).imag
+        curve = (bend * lower * w * w).real + g
+        newton = np.abs(slope) < spacing * np.abs(curve)
+        k = k - np.divide(slope, curve, out=np.zeros_like(slope), where=newton)
+    sup = np.maximum.reduceat(np.abs(samples).max(axis=0), starts)
+    return np.where(c0[:, None] == _SIGNS, 2.0 * sup[:, None], 2.0)
 
 
 def irrational_revival_bound(cf: ContinuedFraction, k_index: int) -> tuple[int, float]:

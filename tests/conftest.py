@@ -20,12 +20,11 @@ from math import gcd
 import numpy as np
 import pytest
 
-from qpwalk.gauge import _coin_entries
 from qpwalk.momentum import trace_formula
 from qpwalk.noise import NoiseConfig
 from qpwalk.revivals import _closest_phase, _signed_deviations
 from qpwalk.spinops import rotation_x
-from qpwalk.walk import Field, TimeRule, WalkParams, WalkState, evolve, occupied_sites
+from qpwalk.walk import WalkParams, WalkState, evolve, occupied_sites
 
 Amplitudes = dict[tuple[int, int], complex]
 
@@ -409,15 +408,6 @@ def noisy_evolve(state: WalkState, t: int, params: WalkParams,
         return evolve(state, 1, t, params)
     fields = noise.draw_fields(params.field.value, t, trajectory)
     return evolve(state, 1, t, params, field_values=fields)
-
-
-def gauged_step(state: WalkState, t: int, phi: float,
-                coin: np.ndarray) -> WalkState:
-    """One gauged-walk step W(t) = C * exp(-i*phi*(t-1)*sigma_z) * S."""
-    a, b = _coin_entries(coin)
-    params = WalkParams(field=Field.from_radians(phi), coin_a=a, coin_b=b,
-                        time_rule=TimeRule.GAUGED_SZ)
-    return evolve(state, t, t, params)
 
 
 def detect_sign(params: WalkParams, steps: int, grid: int = 256) -> int:

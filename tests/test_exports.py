@@ -12,7 +12,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 PUBLIC_NAMES = [
     "ContinuedFraction", "Convergent", "Field", "FieldClassification", "GaugePhase",
     "NoiseConfig", "RevivalReport", "TimeRule", "WalkParams", "WalkState", "__version__",
-    "alpha_tilde", "alpha_tilde_sup", "appendix_expected", "appendix_table", "apply_gauge",
+    "alpha_tilde", "alpha_tilde_sup", "apply_gauge",
     "approximation_check", "bloch_vector", "cf_expand", "classify_field", "dispersion",
     "eigenbasis_unitary2", "electric_evolve", "ensemble_series", "evaluate", "evolve",
     "evolve_tracking_origin", "expected_sign", "golden_ratio_fraction", "irrational_revival_bound",

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (gauged_step, max_diff, nan_in_electric_evolve, position_distribution,
-                      random_su2, reference_electric, state_to_dict)
+from conftest import (max_diff, nan_in_electric_evolve, position_distribution, random_su2,
+                      reference_electric, state_to_dict)
 from qpwalk.gauge import GaugePhase, apply_gauge, electric_evolve, verify_gauge_equivalence
 from qpwalk.walk import Field, TimeRule, WalkParams, WalkState, evolve
 
@@ -34,7 +34,7 @@ def test_apply_gauge_is_invertible_and_preserves_probabilities():
     assert max_diff(back, state_to_dict(state)) < 1e-15
 
 
-def test_electric_step_matches_dict_reference(rng):
+def test_one_step_electric_evolve_matches_dict_reference(rng):
     phi = 2.0 * math.pi / 7.0
     for _ in range(5):
         a, b = random_su2(rng)
@@ -54,17 +54,6 @@ def test_electric_evolve_composes_steps(rng):
     for _ in range(6):
         stepped = electric_evolve(stepped, 1, phi, HADAMARD)
     assert max_diff(multi, state_to_dict(stepped)) < 1e-13
-
-
-def test_gauged_step_matches_time_rule_params():
-    phi = 2.0 * math.pi / 9.0
-    params = WalkParams(field=Field.rational(1, 9), coin_a=HALF, coin_b=HALF,
-                        time_rule=TimeRule.GAUGED_SZ)
-    state = WalkState.single_site(spinor=(0.6, 0.8j))
-    for t in (1, 2, 5):
-        via_gauge = gauged_step(state, t, phi, HADAMARD)
-        via_params = evolve(state, t, t, params)
-        assert max_diff(via_gauge, state_to_dict(via_params)) < 1e-13
 
 
 def test_gauge_check_rejects_general_unitary():

@@ -25,7 +25,7 @@ def fourier_component(state: WalkState, k: float) -> np.ndarray:
 
 
 @pytest.mark.parametrize("rule", [TimeRule.RX_FIELD, TimeRule.GAUGED_SZ])
-def test_step_block_matches_real_space_fourier(rng, rule):
+def test_one_step_regrouped_block_matches_real_space_fourier(rng, rule):
     """The momentum block must reproduce the real-space step exactly."""
     for _ in range(4):
         a, b = random_su2(rng)
@@ -127,7 +127,7 @@ def test_compose_gives_each_problem_its_own_block(rng, rule, shape):
         mats[:steps, :, :, p] = par.step_matrices(1, steps)
     ragged = [mats[t, :, :, :sum(steps > t for steps in lengths)] for t in range(lengths[0])]
     k = rng.uniform(0.0, 2.0 * math.pi, size=(len(lengths),) + momenta)
-    got = _compose(k, ragged, params[0].matrix_before_shift)
+    got = _compose(np.exp(1j * k), ragged, params[0].matrix_before_shift)
     assert got.shape == k.shape + (2, 2)
     for p, (par, steps) in enumerate(zip(params, lengths)):
         want = reference_regrouped_block(k[p], par, steps)

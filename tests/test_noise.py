@@ -112,7 +112,7 @@ def test_noisy_revival_deviation_within_bound(m, eps):
         assert math.sqrt(diff2) <= bound
 
 
-def test_return_series_shape_and_envelope():
+def test_ensemble_series_shape_and_envelope():
     params = hadamard_params(Field.rational(1, 10))
     noise = NoiseConfig(epsilon=1e-3, seed=1, ensemble_size=8)
     series = ensemble_series(params, [noise], 30)[0]
@@ -129,14 +129,14 @@ def test_return_series_shape_and_envelope():
         assert clean[:, column].tobytes() == p0.tobytes()
 
 
-def test_return_series_rejects_overflowing_angles():
+def test_ensemble_series_rejects_overflowing_angles():
     """epsilon = 1e308 overflows t*phi_t: an error, not NaN rows or a RuntimeWarning."""
     params = hadamard_params(Field.rational(1, 100))
     with pytest.raises(ValueError, match="finite"):
         ensemble_series(params, [NoiseConfig(epsilon=1e308, ensemble_size=2)], 12)[0]
 
 
-def test_return_series_matches_direct_trajectories():
+def test_ensemble_series_matches_direct_trajectories():
     """Every row, bit for bit, from each trajectory evolved on its own to each t."""
     params = hadamard_params(Field.rational(1, 6))
     noise = NoiseConfig(epsilon=5e-3, seed=21, ensemble_size=4)
@@ -160,7 +160,7 @@ def _refusal(run):
     return None
 
 
-def test_check_step_angles_refuses_what_return_series_refuses():
+def test_check_step_angles_refuses_what_ensemble_series_refuses():
     """The up-front angle check refuses exactly the runs ``ensemble_series`` refuses."""
     cases = [(Field.rational(1, 100), 1e306, 181, seed) for seed in range(6)]
     cases += [(Field.rational(1, 100), 1e308, 40, 0), (Field.golden(), 5e305, 200, 0),
@@ -197,8 +197,9 @@ def test_one_draw_serves_every_epsilon():
 
 
 def _series_drawn_per_epsilon(params, noise, t_max, start=None):
-    """``return_series`` from every trajectory's fields drawn again by ``draw_fields`` and one
-    ``ensemble_tracking_origin`` call per epsilon, or the clean walk repeated at epsilon = 0."""
+    """``ensemble_series`` rows from every trajectory's fields drawn again by ``draw_fields``
+    and one ``ensemble_tracking_origin`` call per epsilon, or the clean walk repeated at
+    epsilon = 0."""
     start = start if start is not None else WalkState.single_site()
     if noise.epsilon == 0.0:
         tracks = np.repeat(ensemble_tracking_origin(start, t_max, params), noise.ensemble_size, 0)

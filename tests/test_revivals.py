@@ -8,10 +8,10 @@ from conftest import (bits, detect_sign, operator_norm_2x2, random_su2,
 from qpwalk import revivals
 from qpwalk.cfrac import cf_expand, golden_ratio_fraction
 from qpwalk.momentum import regrouped_block
-from qpwalk.revivals import (RevivalReport, _deviation_search, _phase_distance,
-                             _signed_deviations, appendix_expected, appendix_table,
-                             expected_sign, irrational_revival_bound, revival_deviation,
-                             revival_reports, revival_time)
+from qpwalk.revivals import (RevivalReport, _deviation_search, _exact_deviations,
+                             _phase_distance, _signed_deviations, expected_sign,
+                             irrational_revival_bound, revival_deviation, revival_reports,
+                             revival_time)
 from qpwalk.walk import (Field, TimeRule, WalkParams, WalkState, evolve,
                          hadamard_params)
 
@@ -103,7 +103,7 @@ def test_deviation_search_composes_each_zoom_round_once(monkeypatch):
     assert calls == [(1, 1024)] * 5 + [(5, 2, revivals._ZOOM_POINTS)] * rounds
 
 
-def test_revival_reports_match_revival_report_in_input_order():
+def test_revival_reports_match_one_problem_revival_reports_in_input_order():
     problems = [(hadamard_params(Field.rational(1, m)), m) for m in (12, 3, 7, 3, 2)]
     problems.append((WalkParams(Field.golden(), 0.6, 0.8j), 13))
     reports = revival_reports(problems)
@@ -213,7 +213,7 @@ def test_revival_report_fields():
     assert report.parity == "even"
     assert report.revival_time == 6
     assert report.sign == 1
-    assert report.predicted_scale == pytest.approx(2.0 * 2.0 ** (-6 / 2.0))
+    assert report.exact_deviation == pytest.approx(2.0 ** (-6 / 4.0 + 1.0), abs=1e-12)
     assert report.measured_deviation == pytest.approx(2.0 ** (-6 / 4.0 + 1.0),
                                                       abs=1e-9)
     # sign and deviation come from the same scan as revival_deviation's
@@ -224,32 +224,70 @@ def test_revival_report_fields():
 def test_revival_report_rejects_bad_values():
     with pytest.raises(ValueError):
         RevivalReport(m=0, parity="odd", revival_time=1,
-                      measured_deviation=0.0, predicted_scale=0.0, sign=-1)
+                      measured_deviation=0.0, exact_deviation=0.0, sign=-1)
     with pytest.raises(ValueError):
         RevivalReport(m=3, parity="odd", revival_time=6,
-                      measured_deviation=0.0, predicted_scale=0.0, sign=2)
+                      measured_deviation=0.0, exact_deviation=0.0, sign=2)
 
 
-def test_appendix_expected_identity_coin():
-    assert appendix_expected("identity", 3) == 2.0
-    assert appendix_expected("identity", 4) == 0.0
-    assert appendix_expected("identity", 6) == 2.0  # even but not 0 mod 4
-    assert appendix_expected("identity", 8) == 0.0
-    assert appendix_expected("i-sigma-y", 3) == 0.0
-    assert appendix_expected("i-sigma-y", 6) == 0.0
-    with pytest.raises(ValueError):
-        appendix_expected("hadamard", 3)
+def _exact(coin_name, m):
+    """The closed-form deviation at field 1/m, as ``RevivalReport.exact_deviation`` takes it."""
+    params = WalkParams(Field.rational(1, m), *COINS[coin_name])
+    return float(_exact_deviations([(params, m)])[0].min())
 
 
-def test_appendix_table_measures_match_expected():
-    rows = appendix_table(range(2, 13))
-    assert len(rows) == 2 * 11
-    for coin_name, report, expected in rows:
-        assert report.measured_deviation == pytest.approx(expected, abs=1e-9), (
+def test_exact_deviation_of_the_solvable_coins():
+    assert _exact("identity", 3) == 2.0
+    assert _exact("identity", 4) == 0.0
+    assert _exact("identity", 6) == 2.0  # even but not 0 mod 4
+    assert _exact("identity", 8) == 0.0
+    assert _exact("i-sigma-y", 3) == 0.0
+    assert _exact("i-sigma-y", 6) == 0.0
+
+
+def test_solvable_coin_reports_measure_their_exact_deviation():
+    cases = [(name, m) for name in ("identity", "i-sigma-y") for m in range(2, 13)]
+    reports = revival_reports((WalkParams(Field.rational(1, m), *COINS[name]), m)
+                              for name, m in cases)
+    assert len(reports) == 2 * 11
+    for (coin_name, _), report in zip(cases, reports):
+        assert report.measured_deviation == pytest.approx(report.exact_deviation, abs=1e-9), (
             coin_name, report.m)
         if coin_name == "identity" and report.m % 4 == 2:
             # both phases lie at distance exactly 2: ties go to +1
             assert report.sign == 1, report.m
+
+
+def test_exact_deviation_laws():
+    """Hadamard: 2^(1-m/2) at odd m, 2^(1-m/4) at even m; identity and i*sigma_y: 2 or 0 exactly."""
+    for m in range(1, 25):
+        law = 2.0 ** (1.0 - m / 2.0) if m % 2 == 1 else 2.0 ** (1.0 - m / 4.0)
+        assert abs(_exact("hadamard", m) - law) <= 1e-12, m
+        assert _exact("identity", m) == (0.0 if m % 4 == 0 else 2.0), m
+        assert _exact("i-sigma-y", m) == 0.0, m
+
+
+def _coprime_problems(coins, rule):
+    """(params, m) over the coins and m = 1..24, at n = 1 and the largest n < m coprime to m."""
+    problems = []
+    for a, b in coins:
+        for m in range(1, 25):
+            top = max((n for n in range(1, m) if math.gcd(n, m) == 1), default=1)
+            problems += [(WalkParams(Field.rational(n, m), a, b, time_rule=rule), m)
+                         for n in sorted({1, top})]
+    return problems
+
+
+@pytest.mark.parametrize("rule", [TimeRule.RX_FIELD, TimeRule.GAUGED_SZ])
+def test_exact_deviations_match_the_search(rng, rule):
+    """Both signs of the closed form against the numerical search, for any coin and numerator."""
+    coins = list(COINS.values()) + [(0.28, -0.96j)] + [random_su2(rng) for _ in range(3)]
+    problems = _coprime_problems(coins, rule)
+    exact = _exact_deviations(problems)
+    measured = _deviation_search([(params, revival_time(m)) for params, m in problems], 1024)
+    assert exact.shape == measured.shape == (len(problems), 2)
+    assert np.abs(exact - measured).max() <= 1e-12
+    assert _exact_deviations([]).shape == (0, 2)
 
 
 def test_identity_coin_two_step_is_pure_transport():

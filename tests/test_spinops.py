@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import (HADAMARD_BASIS, IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z,
-                      operator_norm_2x2)
+from conftest import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, random_su2
+from qpwalk.revivals import _phase_distance
 from qpwalk.spinops import eigenbasis_unitary2, is_unitary, make_coin, rotation_x
 
 angles = st.floats(min_value=-50.0, max_value=50.0,
@@ -53,15 +53,20 @@ def test_make_coin_rejects_non_finite(a, b):
 
 
 def test_hadamard_basis_diagonalizes_sigma_x():
-    d = HADAMARD_BASIS @ SIGMA_X @ HADAMARD_BASIS.conj().T
-    assert np.allclose(d, np.diag([1.0, -1.0]), atol=1e-15)
+    """The eigenbasis of an x-rotation diagonalizes sigma_x, with eigenvalues e^(+-i*theta)."""
+    for theta in (0.3, 1.0, 2.5, -0.7, 4.0):
+        basis, lam1, lam2 = eigenbasis_unitary2(rotation_x(theta))
+        d = basis @ SIGMA_X @ basis.conj().T
+        assert np.allclose(np.abs(d), np.eye(2), atol=1e-12)
+        assert np.allclose([lam1, lam2], np.exp(1j * theta * np.diag(d)), atol=1e-12)
 
 
 def test_operator_norm_matches_numpy(rng):
-    for _ in range(50):
-        mat = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        assert operator_norm_2x2(mat) == pytest.approx(
-            np.linalg.norm(mat, 2), abs=1e-12)
+    """The norm the package uses (``revivals._phase_distance``) is the 2-norm of U - c*I."""
+    blocks = np.array([make_coin(*random_su2(rng)) for _ in range(50)])
+    for sign in (+1, -1):
+        want = np.linalg.norm(blocks - sign * IDENTITY, 2, axis=(1, 2))
+        assert np.abs(_phase_distance(blocks, sign) - want).max() <= 1e-12
 
 
 def test_eigenbasis_unitary2_diagonalizes(rng):
@@ -87,7 +92,13 @@ def test_eigenbasis_unitary2_rejects_nonunitary():
         eigenbasis_unitary2(shear)
 
 
-def test_pauli_algebra():
-    for sigma in (SIGMA_X, SIGMA_Y, SIGMA_Z):
-        assert np.allclose(sigma @ sigma, IDENTITY)
-    assert np.allclose(SIGMA_X @ SIGMA_Y, 1j * SIGMA_Z)
+def test_coin_and_kick_expand_in_pauli_matrices(rng):
+    """C(a, b) = Re a + i(Im b sx + Re b sy + Im a sz); R_x(theta) = cos theta + i sin theta sx."""
+    for _ in range(10):
+        a, b = random_su2(rng)
+        expansion = a.real * IDENTITY + 1j * (b.imag * SIGMA_X + b.real * SIGMA_Y
+                                              + a.imag * SIGMA_Z)
+        assert np.allclose(make_coin(a, b), expansion, atol=1e-15)
+        theta = rng.uniform(-10.0, 10.0)
+        kick = math.cos(theta) * IDENTITY + 1j * math.sin(theta) * SIGMA_X
+        assert np.allclose(rotation_x(theta), kick, atol=1e-15)

@@ -235,7 +235,6 @@ def test_occupied_sites_keep_python_int_sites(x_min):
     sites, probs = occupied_sites(state)
     assert sites == [x_min, x_min + 2] and all(type(x) is int for x in sites)
     assert probs == [0.6 ** 2, 0.8 ** 2]
-    assert position_distribution(state) == dict(zip(sites, probs))
 
 
 # ---------------------------------------------------------------------------

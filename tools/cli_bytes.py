@@ -28,6 +28,7 @@ STARTS = ("-6", "-3", "-1", "0", "2")
 SPINORS = ("1,0", "0,1", "1,1", "1,1j", "0.6,0.8j")
 COINS = ("hadamard", "0.6,0.8j")
 BIG_RATIONAL = "1000000000000000001/1000000000000000007"
+M_TO_24 = ",".join(str(m) for m in range(1, 25))
 EPSILONS = ("0.002,0,0.0005,0.01", "0.001,0.001", "0,0", "0.003", "0.0001,0.0005,0.001")
 
 
@@ -86,6 +87,9 @@ def grid() -> list[list[str]]:
         ["revival-scan", "--m-list", "2,3,4,5,6,7", "--coin", "0.6,0.8j"],
         ["revival-scan", "--m-list", "3,5,8", "--coin", "0.6,0.8j", "--format", "json"],
         ["revival-scan", "--field", "golden", "--tmax", "30"],
+        # the closed-form column beyond m = 12, on coins with |u| = |v| and the solvable coins
+        *(["revival-scan", "--m-list", M_TO_24, "--coin", coin]
+          for coin in ("0.28,-0.96j", "identity", "i-sigma-y")),
         ["trace-check"],
         ["trace-check", "--trials", "20", "--seed", "1", "--format", "json"],
         ["cf"],
@@ -93,6 +97,7 @@ def grid() -> list[list[str]]:
         ["cf", "--field", "golden", "--depth", "12", "--format", "json"],
         ["appendix-table"],
         ["appendix-table", "--m-list", "2,3,4"],
+        ["appendix-table", "--m-list", M_TO_24],
         # refused configurations: exit 2
         ["evolve", "--field", "nan"],
         ["noise-series", "--epsilon", "1e308", "--tmax", "12"],

@@ -13,11 +13,11 @@ from .cfrac import (ContinuedFraction, Convergent, FieldClassification,
                     approximation_check, cf_expand, classify_field,
                     evaluate, golden_ratio_fraction)
 from .gauge import GaugePhase, apply_gauge, electric_evolve, verify_gauge_equivalence
-from .momentum import (alpha_tilde, alpha_tilde_sup, dispersion, regrouped_block,
-                       regrouped_trace, trace_formula)
-from .noise import NoiseConfig, ensemble_series, noise_bound, noise_bound_for
-from .revivals import (RevivalReport, expected_sign, irrational_revival_bound,
-                       revival_deviation, revival_reports, revival_time)
+from .momentum import (alpha_tilde, dispersion, regrouped_block, regrouped_trace,
+                       trace_formula)
+from .noise import NoiseConfig, ensemble_series
+from .revivals import (RevivalReport, deviation_bound, expected_sign, revival_deviation,
+                       revival_reports, revival_time)
 from .spinops import eigenbasis_unitary2, is_unitary, make_coin, rotation_x
 from .walk import (Field, TimeRule, WalkParams, WalkState, bloch_vector, evolve,
                    evolve_tracking_origin, support_radius)
@@ -32,17 +32,17 @@ __all__ = [
     "Field", "TimeRule", "WalkParams", "WalkState", "evolve",
     "evolve_tracking_origin", "bloch_vector", "support_radius",
     # momentum analysis
-    "regrouped_block", "alpha_tilde", "alpha_tilde_sup", "trace_formula",
+    "regrouped_block", "alpha_tilde", "trace_formula",
     "regrouped_trace", "dispersion",
     # revivals
     "RevivalReport", "revival_deviation", "expected_sign", "revival_time",
-    "revival_reports", "irrational_revival_bound",
+    "revival_reports", "deviation_bound",
     # continued fractions
     "Convergent", "ContinuedFraction", "FieldClassification",
     "golden_ratio_fraction", "cf_expand", "evaluate", "approximation_check",
     "classify_field",
     # noise
-    "NoiseConfig", "noise_bound", "noise_bound_for", "ensemble_series",
+    "NoiseConfig", "ensemble_series",
     # gauge
     "GaugePhase", "apply_gauge", "electric_evolve", "verify_gauge_equivalence",
 ]

@@ -7,11 +7,12 @@ byte-reproducible for a fixed config and seed: records carry no timestamps and
 all randomness is seeded.
 
 Each handler checks its inputs and returns metadata, columns and column
-blocks: each block holds one sequence per column, of Python int, float, bool
-or str cells. ``write_record`` then streams the blocks, so a run that fails its
-checks writes nothing. ``evolve`` hands over a generator of one block per
-time slice and ``bloch-trace`` one of ``SPINOR_BLOCK`` rows a block, so their
-memory stays bounded in --tmax; the other experiments hand over one block.
+blocks: each block holds one sequence per column, of Python int, float, bool,
+str or None (a missing value) cells. ``write_record`` then streams the blocks,
+so a run that fails its checks writes nothing. ``evolve`` hands over a
+generator of one block per time slice and ``bloch-trace`` one of
+``SPINOR_BLOCK`` rows a block, so their memory stays bounded in --tmax; the
+other experiments hand over one block.
 
 Field strings give phi as a fraction of a full turn: ``n/m`` (exact integers),
 ``golden`` for (sqrt(5)-1)/2, or a float literal. Coins are ``hadamard``,
@@ -43,7 +44,7 @@ from .cfrac import approximation_check, cf_expand, classify_field, golden_ratio_
 from .gauge import verify_gauge_equivalence
 from .momentum import _closed_trace, _rotation_frame
 from .noise import NoiseConfig, check_step_angles, ensemble_series
-from .revivals import irrational_revival_bound, revival_reports
+from .revivals import deviation_bound, revival_reports, revival_time
 from .spinops import rotation_x
 from .walk import (Field, WalkParams, WalkState, bloch_vector, evolve, occupied_sites,
                    spinor_bloch_vector, track_origin)
@@ -226,7 +227,8 @@ def _csv_rows(block) -> str:
 
     A column of floats is written with ``%r`` (which is ``str``), of ints and
     bools with ``%d`` (bools as 1/0) and of strs with ``%s``; any other
-    column goes through ``str`` cell by cell, with bools as 1/0.
+    column goes through ``str`` cell by cell, with bools as 1/0 and None as
+    an empty cell (JSON writes it as null).
     """
     width = len(block)
     cells = [None] * (width * len(block[0]))
@@ -240,7 +242,8 @@ def _csv_rows(block) -> str:
         else:
             formats.append("%s")
             if kinds != {str}:
-                column = [("1" if c else "0") if type(c) is bool else str(c) for c in column]
+                column = [("1" if c else "0") if type(c) is bool else "" if c is None
+                          else str(c) for c in column]
         cells[i::width] = column
     return (",".join(formats) + "\n") * len(block[0]) % tuple(cells)
 
@@ -254,7 +257,7 @@ def write_record(experiment: str, metadata: dict, columns: list[str], blocks: It
     """Stream one record to ``out_path`` ('-' for stdout), blocks gathered into writes.
 
     A block holds one sequence per column, all of one length (a block of no
-    columns has no rows), of Python int, float, bool or str cells. Each
+    columns has no rows), of Python int, float, bool, str or None cells. Each
     block is formatted as it arrives (``_csv_rows``, ``_json_rows``), and
     the texts are gathered into writes of at most ROWS_PER_WRITE rows, or of
     one block that alone holds more. JSON gives the bytes of
@@ -347,27 +350,32 @@ def run_revival_scan(opts: Options) -> Record:
     if field_spec == "golden":
         t_max = opts.get("tmax", 400, int)
         depth = opts.get("depth", 12, int)
-        # irrational_revival_bound reads c_{k+1}, so the scan needs depth >= 2
-        if t_max < 2 or depth < 2:
+        if t_max < 2 or depth < 1:
             raise ConfigError("golden revival-scan needs tmax >= 2 (the first golden "
-                              "revival time is 2*d_1 = 2) and depth >= 2")
+                              "revival time is 2*d_1 = 2) and depth >= 1")
         x = golden_ratio_fraction(max(60, 3 * depth))
-        cf = cf_expand(x, depth)
         field = Field.golden()
         params = WalkParams(field=field, coin_a=a, coin_b=b)
-        cases = []
-        for k_index in range(1, cf.depth()):
-            time, bound = irrational_revival_bound(cf, k_index)
-            if time > t_max:
+        convergents = []
+        for conv in cf_expand(x, depth).convergents:
+            if revival_time(conv.denominator) > t_max:
                 break
-            cases.append((k_index, cf.convergents[k_index - 1].denominator, time, bound))
-        # the convergent's revival time 2*d_k or d_k is revival_time(d_k)
-        reports = revival_reports((params, d_k) for _, d_k, _, _ in cases)
-        rows = [(k_index, d_k, time, report.sign, report.measured_deviation, bound)
-                for (k_index, d_k, time, bound), report in zip(cases, reports)]
+            convergents.append(conv)
+        reports = revival_reports((params, conv.denominator) for conv in convergents)
+        # the bound's drifts: each kick angle's distance mod 2*pi from the convergent walk's
+        angles = field.angles(1, max(report.revival_time for report in reports))
+        rows = []
+        for k_index, (conv, report) in enumerate(zip(convergents, reports), start=1):
+            time = report.revival_time
+            drift = np.abs(angles[:time] - Field.rational(conv.numerator, conv.denominator)
+                           .angles(1, time))
+            bound = deviation_bound(report.exact_deviation,
+                                    np.minimum(drift, 2.0 * math.pi - drift))
+            rows.append((k_index, conv.denominator, time, report.sign,
+                         report.measured_deviation, bound))
         meta = {"field": field.label, "coin": coin_label, "tmax": t_max, "depth": depth}
         return meta, ["k_index", "d_k", "revival_time", "sign", "measured_deviation",
-                      "bound_leading"], [list(zip(*rows))], 0
+                      "deviation_bound"], [list(zip(*rows))], 0
 
     m_list = parse_int_list(opts.get("m_list", "3,4,5,6,7,8,9,10,11,12", str))
     if any(m < 1 for m in m_list):
@@ -475,7 +483,7 @@ def run_cf(opts: Options) -> Record:
         bound = (Fraction(1, cf.coefficients[i] * conv.denominator ** 2)
                  if i < cf.depth() else None)
         rows.append((i, c, conv.numerator, conv.denominator, float(err),
-                     float(bound) if bound is not None else float("nan"),
+                     float(bound) if bound is not None else None,
                      checks[i - 1] if i - 1 < len(checks) else True))
     meta = {"field": label, "depth": depth, "finite": cf.finite,
             "truncated": cf.truncated, "classification": classification.kind}

@@ -185,18 +185,6 @@ def _alpha_tilde_terms(params: WalkParams) -> tuple[complex, complex]:
     return a, 0j
 
 
-def alpha_tilde_sup(a: complex, b: complex) -> float:
-    """sup over k of |a~(k)| for the x-rotation rule, in closed form.
-
-    It is |u| + |v| in the (u, v) form of ``alpha_tilde``, computed as
-    sqrt(1/2 + |a^2 - conj(b)^2|/2) since |u|^2 + |v|^2 = 1/2 and
-    |u v| = |a^2 - conj(b)^2|/4. Balanced coins (|a|=|b|=1/sqrt 2 with
-    a^2 = conj(b)^2) give 1/sqrt(2); a = i/sqrt(2), b = 1/sqrt(2) gives 1.
-    """
-    a, b = complex(a), complex(b)
-    return math.sqrt(0.5 + 0.5 * abs(a * a - np.conj(b) ** 2))
-
-
 def _primitive_order_check(eigenvalue: complex, m: int) -> None:
     angle = cmath.phase(eigenvalue)
     j = round(angle * m / TWO_PI) % m

@@ -1,11 +1,13 @@
-"""Per-step field fluctuations, ensemble return-probability series, and bounds.
+"""Per-step field fluctuations and ensemble return-probability series.
 
 The noisy walk replaces the field by phi_t = phi + epsilon*x_t at step t, with
 x_t drawn fresh each step (uniform on [-1, 1] by default, [0, 1] optionally).
 The whole step-t operator is the clean one evaluated at the fluctuated field,
-so the prefactor angle is t*phi_t: early fluctuations matter less than late
-ones, and a telescoping estimate gives the worst-case deviation from the clean
-walk as sum_t t*epsilon = t(t+1)/2 * epsilon after t steps.
+so the prefactor angle t*phi_t drifts from the clean t*phi by t*epsilon*|x_t|
+<= t*epsilon: early fluctuations matter less than late ones. Over the draws of
+either support, the worst-case revival deviation at field 2*pi*n/m is thus at
+most ``revivals.deviation_bound(exact_deviation, epsilon * t)`` over
+t = 1..revival_time(m), with the clean walk's closed form as exact_deviation.
 
 Reproducibility: trajectory i of a config with seed s draws from
 numpy's PCG64 seeded with SeedSequence((s, i)). All draws happen before the
@@ -40,7 +42,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .momentum import alpha_tilde_sup
 from ._kernels import probe_rows
 from .walk import WalkParams, WalkState, ensemble_tracking_origin
 
@@ -93,32 +94,6 @@ class NoiseConfig:
                     trajectory: int) -> np.ndarray:
         """Per-step field values phi + epsilon*x_t for one trajectory."""
         return base_field_value + self.epsilon * self.draw_steps(steps, trajectory)
-
-
-def noise_bound(m: int, epsilon: float, alpha_tilde_sup_value: float) -> float:
-    """Worst-case deviation bound at the candidate revival time.
-
-    m odd (time 2m): m*(2m+1)*epsilon; m even (time m): (m/2)*(m+1)*epsilon.
-    Both are the telescoped per-step errors sum_t t*epsilon with |x_t| <= 1.
-    The clean-walk remainder is reported as alpha_tilde_sup^m; its true
-    prefactor is not pinned down here, so compare with slack in regimes where
-    the accumulation term dominates.
-    """
-    if m < 1:
-        raise ValueError("m must be positive")
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
-    if not 0.0 <= alpha_tilde_sup_value <= 1.0:
-        raise ValueError("alpha_tilde_sup_value must lie in [0, 1]")
-    if m % 2 == 1:
-        leading = m * (2 * m + 1) * epsilon
-    else:
-        leading = (m / 2.0) * (m + 1) * epsilon
-    return leading + alpha_tilde_sup_value ** m
-
-
-def noise_bound_for(params: WalkParams, m: int, epsilon: float) -> float:
-    return noise_bound(m, epsilon, alpha_tilde_sup(params.coin_a, params.coin_b))
 
 
 def check_step_angles(params: WalkParams, noise: NoiseConfig, t_max: int) -> None:

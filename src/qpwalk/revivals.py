@@ -22,6 +22,13 @@ Im a~^q if 4 divides m, else Re a~^q; the two signs' squared distances sum to
 4 at every k, and g has a zero (a~ = u e^(ik) + v e^(-ik) winds around 0 or
 passes through it), so the other sign's deviation is 2. Under RX_FIELD: Hadamard
 2^(1-m/2) (odd m) or 2^(1-m/4), C = I 0 (4 | m) or 2, C = i*sigma_y 0 (g = 0).
+
+Any other walk with the same coin and time rule, at an irrational field or a
+noisy one, differs from a rational walk at n/m only in its kick angles, so
+its deviation at the same T is at most ``deviation_bound``: the closed form
+plus one term 2*sin(delta_t/2) per step whose kick angle drifts by delta_t.
+At an irrational field the rational walk is that of a convergent n_k/d_k,
+and under noise it is the clean walk, with delta_t = epsilon*t.
 """
 
 from __future__ import annotations
@@ -31,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cfrac import ContinuedFraction
 from .momentum import _alpha_tilde_terms, _compose
 from .walk import WalkParams
 
@@ -77,11 +83,6 @@ def _phase_distance(blocks: np.ndarray, sign) -> np.ndarray:
     diag = np.abs(blocks[..., 0, 0] - sign) ** 2 + np.abs(blocks[..., 1, 1] - sign) ** 2
     off = np.abs(blocks[..., 0, 1]) ** 2 + np.abs(blocks[..., 1, 0]) ** 2
     return np.sqrt((diag + off) / 2.0)
-
-
-def _signed_deviations(params: WalkParams, steps: int, grid: int) -> np.ndarray:
-    """sup_k || W^{[steps,1]}(k) - c*I || for c = +1, -1: ``_deviation_search`` of one problem."""
-    return _deviation_search([(params, steps)], grid)[0]
 
 
 def _deviation_search(problems, grid: int) -> np.ndarray:
@@ -149,7 +150,7 @@ def revival_deviation(params: WalkParams, steps: int, target_sign: int,
     """
     if target_sign not in (+1, -1):
         raise ValueError("target_sign must be +1 or -1")
-    dev_plus, dev_minus = _signed_deviations(params, steps, grid)
+    dev_plus, dev_minus = _deviation_search([(params, steps)], grid)[0]
     return float(dev_plus if target_sign == +1 else dev_minus)
 
 
@@ -233,21 +234,20 @@ def _exact_deviations(problems) -> np.ndarray:
     return np.where(c0[:, None] == _SIGNS, 2.0 * sup[:, None], 2.0)
 
 
-def irrational_revival_bound(cf: ContinuedFraction, k_index: int) -> tuple[int, float]:
-    """Predicted revival time and leading bound from the k-th convergent.
+def deviation_bound(exact_deviation: float, drifts) -> float:
+    """A revival deviation's bound: min(2, exact_deviation + sum_t 2*sin(min(delta_t, pi)/2)).
 
-    For convergent denominator d_k: time 2*d_k with bound 4*pi/c_{k+1} when
-    d_k is odd, time d_k with bound pi/c_{k+1} when d_k is even. ``k_index``
-    is 1-based and must leave c_{k+1} available. The bound carries an
-    unquantified O(1/d_k) remainder; callers compare measured deviations
-    against the leading term plus that allowance.
+    ``exact_deviation`` is ||W'^{[T,1]} - c*I|| of a walk at a field n/m (a
+    report's ``exact_deviation``), and ``drifts`` holds delta_t >= 0 for
+    t = 1..T, each bounding the distance mod 2*pi between the step-t kick
+    angle of the walk at hand and that of the n/m walk, which has the same
+    coin and time rule. Shift and coin are unitary and ||R_x(th) - R_x(th')||
+    = 2|sin((th - th')/2)|, as for exp(-i*th*sigma_z), so the triangle
+    inequality gives ||W^{[T,1]} - c*I|| at most this. A zero drift returns
+    ``exact_deviation`` itself.
     """
-    depth = cf.depth()
-    if not 1 <= k_index <= depth - 1:
-        raise ValueError("k_index must satisfy 1 <= k_index <= depth-1")
-    conv = cf.convergents[k_index - 1]
-    c_next = cf.coefficients[k_index]
-    d_k = conv.denominator
-    if d_k % 2 == 1:
-        return 2 * d_k, 4.0 * math.pi / c_next
-    return d_k, math.pi / c_next
+    drifts = np.asarray(drifts, dtype=float)
+    if not (drifts >= 0.0).all():
+        raise ValueError("drifts must be nonnegative")
+    half_kicks = np.sin(np.minimum(drifts, math.pi) / 2.0)  # ||R_x(th) - R_x(th')|| / 2 per step
+    return min(2.0, float(exact_deviation) + 2.0 * float(half_kicks.sum()))

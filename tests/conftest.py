@@ -22,7 +22,7 @@ import pytest
 
 from qpwalk.momentum import trace_formula
 from qpwalk.noise import NoiseConfig
-from qpwalk.revivals import _closest_phase, _signed_deviations
+from qpwalk.revivals import _closest_phase, _deviation_search
 from qpwalk.spinops import rotation_x
 from qpwalk.walk import WalkParams, WalkState, evolve, occupied_sites
 
@@ -412,7 +412,7 @@ def noisy_evolve(state: WalkState, t: int, params: WalkParams,
 
 def detect_sign(params: WalkParams, steps: int, grid: int = 256) -> int:
     """The phase c in {+1, -1} minimizing the measured deviation at ``steps``."""
-    return _closest_phase(_signed_deviations(params, steps, grid))[0]
+    return _closest_phase(_deviation_search([(params, steps)], grid)[0])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +426,8 @@ def _format_cell(value):
         return repr(value)
     if type(value) is int:
         return str(value)
+    if value is None:  # a missing value: an empty cell, as csv.writer writes None
+        return ""
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):

@@ -21,7 +21,7 @@ from conftest import (fibonacci, noisy_evolve, operator_norm_2x2, reference_evol
 from qpwalk import cli
 from qpwalk.cfrac import approximation_check, cf_expand, classify_field, golden_ratio_fraction
 from qpwalk.gauge import electric_evolve, verify_gauge_equivalence
-from qpwalk.momentum import alpha_tilde_sup, regrouped_block, trace_formula
+from qpwalk.momentum import alpha_tilde, regrouped_block, trace_formula
 from qpwalk.noise import NoiseConfig, ensemble_series
 from qpwalk.revivals import expected_sign, revival_deviation, revival_time
 from qpwalk.spinops import rotation_x
@@ -248,8 +248,9 @@ def test_criterion_04_rational_return_at_310(tmp_path, capsys):
 
 def test_criterion_05_norevival_coin_saturates():
     a, b = 1j * HALF, HALF
-    assert alpha_tilde_sup(a, b) == pytest.approx(1.0, abs=1e-9)
     params = WalkParams(field=Field.rational(1, 10), coin_a=a, coin_b=b)
+    ks = np.linspace(0.0, 2.0 * math.pi, 1024, endpoint=False)
+    assert np.abs(alpha_tilde(params, ks)).max() == pytest.approx(1.0, abs=1e-9)
     dev = min(revival_deviation(params, 20, +1),
               revival_deviation(params, 20, -1))
     # order-one: no revival at the odd-law candidate time (measured: 2.0)

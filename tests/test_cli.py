@@ -16,7 +16,7 @@ from qpwalk import __version__, cli
 from qpwalk.cli import (ConfigError, parse_coin, parse_field, parse_int_list,
                         parse_spinor)
 from qpwalk.cfrac import cf_expand, golden_ratio_fraction
-from qpwalk.revivals import irrational_revival_bound, revival_time
+from qpwalk.revivals import deviation_bound, revival_reports, revival_time
 from qpwalk.spinops import rotation_x
 from qpwalk.walk import Field, WalkParams, WalkState, bloch_vector, evolve
 
@@ -246,10 +246,10 @@ def _config_error_argvs(tmp_path):
             ["noise-series", "--epsilon", ","],
             ["revival-scan", "--m-list", ","],
             ["appendix-table", "--m-list", ","],
-            # the golden scan needs tmax >= 2 and c_{k+1}, so depth >= 2
+            # the golden scan needs tmax >= 2 and one convergent, so depth >= 1
             ["revival-scan", "--field", "golden", "--tmax", "0"],
             ["revival-scan", "--field", "golden", "--tmax", "-5"],
-            ["revival-scan", "--field", "golden", "--depth", "1"],
+            ["revival-scan", "--field", "golden", "--depth", "0"],
             # the first golden revival time is 2
             ["revival-scan", "--field", "golden", "--tmax", "1"],
             # --out in a directory that does not exist
@@ -359,7 +359,7 @@ def test_streamed_record_matches_reference_writer(name, fmt, rows_per_write, tmp
     opts = cli.Options(cli.build_parser().parse_args(argv), {})
     metadata, columns, blocks, _ = cli.HANDLERS[name](opts)
     rows = flatten_blocks(blocks)
-    native = (int, float, bool, str)
+    native = (int, float, bool, str, type(None))
     assert all(type(cell) in native for row in rows for cell in row)
     assert all(type(value) in native for value in metadata.values())
     record = {"experiment": name, "columns": columns, "rows": rows,
@@ -518,7 +518,7 @@ def test_revival_scan_golden_mode(capsys):
     assert code == 0
     meta, header, rows = parse_csv(out)
     assert header == ["k_index", "d_k", "revival_time", "sign",
-                      "measured_deviation", "bound_leading"]
+                      "measured_deviation", "deviation_bound"]
     for row in rows:
         assert float(row[4]) <= float(row[5]) + 1e-9
 
@@ -541,23 +541,74 @@ def test_revival_scan_rows_match_each_report(capsys):
         _assert_report_cells(row[3:5], WalkParams(Field.rational(1, m), *parse_coin("hadamard")[:2]), m)
 
 
-@pytest.mark.parametrize("tmax", [30, 200])
-def test_golden_revival_scan_rows_match_each_report(capsys, tmax):
-    """Every convergent up to the first revival time past --tmax, in k order."""
-    code, out, _ = run_cli(["revival-scan", "--field", "golden", "--tmax", str(tmax)], capsys)
+@pytest.mark.parametrize("tmax, depth", [(30, 12), (200, 12), (400, 1), (400, 3), (1000, 12)])
+def test_golden_revival_scan_rows_match_each_report(capsys, tmax, depth):
+    """Every computed convergent up to the first revival time past --tmax, in k order."""
+    code, out, _ = run_cli(["revival-scan", "--field", "golden", "--tmax", str(tmax),
+                            "--depth", str(depth)], capsys)
     assert code == 0
     _, _, rows = parse_csv(out)
-    cf = cf_expand(golden_ratio_fraction(60), 12)
     expected = []
-    for k_index in range(1, cf.depth()):
-        time, _ = irrational_revival_bound(cf, k_index)
-        if time > tmax:
+    for k_index, conv in enumerate(cf_expand(golden_ratio_fraction(60), depth).convergents, 1):
+        if revival_time(conv.denominator) > tmax:
             break
-        expected.append((k_index, cf.convergents[k_index - 1].denominator, time))
+        expected.append((k_index, conv.denominator, revival_time(conv.denominator)))
     assert [(int(r[0]), int(r[1]), int(r[2])) for r in rows] == expected
     params = WalkParams(Field.golden(), *parse_coin("hadamard")[:2])
     for row in rows:
         _assert_report_cells(row[3:5], params, int(row[1]))
+
+
+def test_golden_revival_scan_bound_column():
+    """The last column is ``deviation_bound`` of each report's exact deviation and
+    the kick-angle drifts from the convergent walk, and holds the measured value."""
+    a, b, _ = parse_coin("hadamard")
+    opts = cli.Options(cli.build_parser().parse_args(
+        ["revival-scan", "--field", "golden", "--tmax", "300"]), {})
+    _, columns, blocks, _ = cli.HANDLERS["revival-scan"](opts)
+    assert columns[-1] == "deviation_bound"
+    rows = flatten_blocks(blocks)
+    convergents = cf_expand(golden_ratio_fraction(60), 12).convergents[:len(rows)]
+    golden = WalkParams(Field.golden(), a, b)
+    reports = revival_reports((golden, conv.denominator) for conv in convergents)
+    for row, conv, report in zip(rows, convergents, reports):
+        time = report.revival_time
+        # t * 2*pi*(x - n_k/d_k), wrapped to [-pi, pi]: the drift of each kick angle
+        drift = np.abs(np.angle(np.exp(1j * (Field.golden().angles(1, time)
+                                             - 2.0 * math.pi * conv.numerator / conv.denominator
+                                             * np.arange(1, time + 1)))))
+        assert row[-1] == pytest.approx(deviation_bound(report.exact_deviation, drift),
+                                        abs=1e-11)
+        assert row[4] <= row[-1] <= 2.0
+    assert [row[1] for row in rows if row[-1] < 2.0] == [34, 144]
+
+
+def _strict_json(text):
+    """The document of RFC 8259 JSON text: a NaN or infinity token raises."""
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_every_experiment_writes_strict_json(capsys):
+    for name in ALL_EXPERIMENTS:
+        code, out, _ = run_cli([name, *SMALL_ARGV[name], "--format", "json"], capsys)
+        assert code == 0, name
+        assert _strict_json(out)["experiment"] == name
+    code, out, _ = run_cli(["revival-scan", "--field", "golden", "--tmax", "30",
+                            "--format", "json"], capsys)
+    assert code == 0 and _strict_json(out)["columns"][-1] == "deviation_bound"
+
+
+def test_cf_last_row_has_no_bound(capsys):
+    """The last convergent has no c_{k+1}: its bound is JSON null and an empty CSV cell."""
+    code, out, _ = run_cli(["cf", "--depth", "3", "--format", "json"], capsys)
+    assert code == 0
+    assert _strict_json(out)["rows"][-1] == [3, 1, 2, 3, 0.04863267791677182, None, True]
+    code, out, _ = run_cli(["cf", "--depth", "3"], capsys)
+    assert code == 0
+    assert out.splitlines()[-2:] == ["2,1,1,2,0.11803398874989485,0.25,1",
+                                     "3,1,2,3,0.04863267791677182,,1"]
 
 
 def test_appendix_table_rows_match_each_report(capsys):

@@ -12,13 +12,12 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 PUBLIC_NAMES = [
     "ContinuedFraction", "Convergent", "Field", "FieldClassification", "GaugePhase",
     "NoiseConfig", "RevivalReport", "TimeRule", "WalkParams", "WalkState", "__version__",
-    "alpha_tilde", "alpha_tilde_sup", "apply_gauge",
-    "approximation_check", "bloch_vector", "cf_expand", "classify_field", "dispersion",
-    "eigenbasis_unitary2", "electric_evolve", "ensemble_series", "evaluate", "evolve",
-    "evolve_tracking_origin", "expected_sign", "golden_ratio_fraction", "irrational_revival_bound",
-    "is_unitary", "make_coin", "noise_bound", "noise_bound_for", "regrouped_block",
-    "regrouped_trace", "revival_deviation", "revival_reports", "revival_time", "rotation_x",
-    "support_radius", "trace_formula", "verify_gauge_equivalence",
+    "alpha_tilde", "apply_gauge", "approximation_check", "bloch_vector", "cf_expand",
+    "classify_field", "deviation_bound", "dispersion", "eigenbasis_unitary2", "electric_evolve",
+    "ensemble_series", "evaluate", "evolve", "evolve_tracking_origin", "expected_sign",
+    "golden_ratio_fraction", "is_unitary", "make_coin", "regrouped_block", "regrouped_trace",
+    "revival_deviation", "revival_reports", "revival_time", "rotation_x", "support_radius",
+    "trace_formula", "verify_gauge_equivalence",
 ]
 
 

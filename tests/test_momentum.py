@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 
 from conftest import (HADAMARD_BASIS, bits, random_su2, reference_cyclic_trace,
                       reference_regrouped_block)
-from qpwalk.momentum import (_compose, alpha_tilde, alpha_tilde_sup, dispersion,
-                             regrouped_block, regrouped_trace, trace_formula)
+from qpwalk.momentum import (_compose, alpha_tilde, dispersion, regrouped_block,
+                             regrouped_trace, trace_formula)
 from qpwalk.spinops import is_unitary, rotation_x
 from qpwalk.walk import (Field, TimeRule, WalkParams, WalkState, evolve,
                          hadamard_params)
@@ -166,24 +166,6 @@ def test_alpha_tilde_polar_identity(theta, ka, kb, k):
     params = WalkParams(field=Field.rational(1, 3), coin_a=a, coin_b=b)
     expected = (abs(a) * math.cos(ka + k) + 1j * abs(b) * math.sin(kb - k))
     assert alpha_tilde(params, k) == pytest.approx(expected, abs=1e-12)
-
-
-def test_alpha_tilde_sup_closed_form_matches_grid(rng):
-    ks = np.linspace(-math.pi, math.pi, 4001)
-    for _ in range(8):
-        a, b = random_su2(rng)
-        params = WalkParams(field=Field.rational(1, 3), coin_a=a, coin_b=b)
-        grid_max = np.abs(alpha_tilde(params, ks)).max()
-        assert alpha_tilde_sup(a, b) == pytest.approx(grid_max, abs=1e-6)
-        u, v = (a - b.conjugate()) / 2.0, (a.conjugate() + b) / 2.0
-        assert abs(alpha_tilde_sup(a, b) - (abs(u) + abs(v))) <= 1e-15
-
-
-def test_alpha_tilde_sup_known_values():
-    assert alpha_tilde_sup(HALF, HALF) == pytest.approx(2.0 ** -0.5, abs=1e-12)
-    assert alpha_tilde_sup(1.0, 0.0) == pytest.approx(1.0)
-    assert alpha_tilde_sup(0.0, 1.0) == pytest.approx(1.0)
-    assert alpha_tilde_sup(1j * HALF, HALF) == pytest.approx(1.0)
 
 
 def test_trace_formula_matches_direct_products(rng):

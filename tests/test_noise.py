@@ -5,12 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import noisy_evolve, reference_track_origin
-from qpwalk.momentum import alpha_tilde_sup
 from qpwalk import noise as noise_module
 from qpwalk._kernels import probe_rows
-from qpwalk.noise import (NoiseConfig, check_step_angles, ensemble_series, noise_bound,
-                         noise_bound_for)
-from qpwalk.revivals import expected_sign, revival_time
+from qpwalk.noise import NoiseConfig, check_step_angles, ensemble_series
+from qpwalk.revivals import deviation_bound, expected_sign, revival_reports, revival_time
 from qpwalk import cli
 from qpwalk.walk import (Field, WalkParams, WalkState, ensemble_tracking_origin, evolve,
                          hadamard_params)
@@ -75,23 +73,6 @@ def test_noisy_state_obeys_accumulated_lipschitz():
         assert np.linalg.norm(a - b) <= t * (t + 1) / 2.0 * eps + 1e-12
 
 
-def test_noise_bound_values():
-    assert noise_bound(15, 5e-4, 0.0) == pytest.approx(15 * 31 * 5e-4)
-    assert noise_bound(24, 1e-3, 0.0) == pytest.approx(12 * 25 * 1e-3)
-    alpha = 2.0 ** -0.5
-    assert noise_bound(6, 0.0, alpha) == pytest.approx(alpha ** 6)
-    with pytest.raises(ValueError):
-        noise_bound(0, 1e-3, 0.5)
-    with pytest.raises(ValueError):
-        noise_bound(3, 1e-3, 1.5)
-
-
-def test_noise_bound_for_uses_coin_sup():
-    params = hadamard_params(Field.rational(1, 15))
-    expected = noise_bound(15, 1e-4, alpha_tilde_sup(HALF, HALF))
-    assert noise_bound_for(params, 15, 1e-4) == expected
-
-
 @pytest.mark.parametrize("m,eps", [(15, 5e-4), (24, 1e-3)])
 def test_noisy_revival_deviation_within_bound(m, eps):
     """In regimes where the accumulated-noise term dominates the clean
@@ -99,7 +80,8 @@ def test_noisy_revival_deviation_within_bound(m, eps):
     params = hadamard_params(Field.rational(1, m))
     time = revival_time(m)
     sign = expected_sign(m)
-    bound = noise_bound_for(params, m, eps)
+    [report] = revival_reports([(params, m)])
+    bound = deviation_bound(report.exact_deviation, eps * np.arange(1, time + 1))
     noise = NoiseConfig(epsilon=eps, seed=99)
     start = WalkState.single_site()
     for trajectory in range(10):
@@ -110,6 +92,34 @@ def test_noisy_revival_deviation_within_bound(m, eps):
             ref = sign * start.spinor(x)
             diff2 += float(np.abs(out.spinor(x) - ref).sum() ** 2)
         assert math.sqrt(diff2) <= bound
+
+
+NOISE_COINS = {"hadamard": (HALF, HALF), "complex": (0.6, 0.8j), "balanced": (0.28, -0.96j)}
+
+
+@pytest.mark.parametrize("support", ["pm1", "01"])
+@pytest.mark.parametrize("coin", NOISE_COINS.values(), ids=NOISE_COINS.keys())
+def test_noisy_revival_states_within_deviation_bound(coin, support):
+    """||psi_T - c0*psi_0|| <= deviation_bound(exact_deviation, epsilon*t), t = 1..T,
+    at the revival time T of every m = 2..24, for each epsilon and five draws.
+    At epsilon = 0 the bound is the clean walk's closed form itself."""
+    start = WalkState.single_site()
+    problems = [(WalkParams(Field.rational(1, m), *coin), m) for m in range(2, 25)]
+    for (params, m), report in zip(problems, revival_reports(problems)):
+        time, sign = revival_time(m), expected_sign(m)
+        for eps in (0.0, 1e-4, 1e-3, 1e-2):
+            bound = deviation_bound(report.exact_deviation, eps * np.arange(1, time + 1))
+            assert bound <= 2.0
+            if eps == 0.0:
+                assert bound == report.exact_deviation
+            noise = NoiseConfig(epsilon=eps, seed=m, support=support)
+            for trajectory in range(1 if eps == 0.0 else 5):
+                out = noisy_evolve(start, time, params, noise, trajectory=trajectory)
+                lo = min(out.x_min, 0)
+                diff = np.zeros((max(out.x_max, 0) - lo + 1, 2), dtype=complex)
+                diff[out.x_min - lo:out.x_max - lo + 1] = out.amplitudes
+                diff[-lo] -= sign * start.spinor(0)
+                assert np.linalg.norm(diff) <= bound, (m, eps, trajectory)
 
 
 def test_ensemble_series_shape_and_envelope():

@@ -6,12 +6,12 @@ import pytest
 from conftest import (bits, detect_sign, operator_norm_2x2, random_su2,
                       reference_signed_deviations)
 from qpwalk import revivals
-from qpwalk.cfrac import cf_expand, golden_ratio_fraction
+from qpwalk.cfrac import cf_expand, evaluate, golden_ratio_fraction
 from qpwalk.momentum import regrouped_block
+from qpwalk.spinops import rotation_x
 from qpwalk.revivals import (RevivalReport, _deviation_search, _exact_deviations,
-                             _phase_distance, _signed_deviations, expected_sign,
-                             irrational_revival_bound, revival_deviation, revival_reports,
-                             revival_time)
+                             _phase_distance, deviation_bound, expected_sign, revival_deviation,
+                             revival_reports, revival_time)
 from qpwalk.walk import (Field, TimeRule, WalkParams, WalkState, evolve,
                          hadamard_params)
 
@@ -43,10 +43,10 @@ def test_revival_deviation_refines_brute_force_grid():
     (Field.rational(1, 6), (1.0, 0.0), TimeRule.RX_FIELD, 6, 1024),
     (Field.rational(1, 7), (0.0, 1.0), TimeRule.GAUGED_SZ, 14, 1024),
 ])
-def test_signed_deviations_bits_match_reference_zoom(field, coin, rule, steps, grid):
+def test_one_problem_deviation_search_bits_match_reference_zoom(field, coin, rule, steps, grid):
     """Shared step matrices and the entry-by-entry composition keep every bit of the scan."""
     params = WalkParams(field=field, coin_a=coin[0], coin_b=coin[1], time_rule=rule)
-    got = _signed_deviations(params, steps, grid)
+    got = _deviation_search([(params, steps)], grid)[0]
     want = reference_signed_deviations(params, steps, grid)
     assert np.array_equal(bits(got), bits(want))
 
@@ -299,29 +299,52 @@ def test_identity_coin_two_step_is_pure_transport():
                                                                    abs=1e-9)
 
 
-def test_irrational_revival_bound_fibonacci():
-    cf = cf_expand(golden_ratio_fraction(), 12)
-    # d_4 = 5 (odd): check at doubled time with the 4*pi bound
-    time, bound = irrational_revival_bound(cf, 4)
-    assert (time, bound) == (10, pytest.approx(4.0 * math.pi))
-    # d_5 = 8 (even): plain time, pi bound
-    time, bound = irrational_revival_bound(cf, 5)
-    assert (time, bound) == (8, pytest.approx(math.pi))
-
-
-def test_irrational_bound_holds_for_golden_field():
-    params = hadamard_params(Field.golden())
-    cf = cf_expand(golden_ratio_fraction(), 12)
-    for k_index in range(1, 8):
-        time, bound = irrational_revival_bound(cf, k_index)
-        sign = detect_sign(params, time)
-        dev = revival_deviation(params, time, sign, grid=256)
-        assert dev <= bound + 1e-9
-
-
-def test_irrational_revival_bound_validates_index():
-    cf = cf_expand(golden_ratio_fraction(), 5)
+def test_deviation_bound_adds_one_kick_distance_per_step():
+    assert deviation_bound(0.25, np.zeros(40)) == 0.25
+    assert deviation_bound(0.0, []) == 0.0
+    assert deviation_bound(0.5, [1.0, 0.0]) == pytest.approx(0.5 + 2.0 * math.sin(0.5), abs=1e-15)
+    # a drift bound past pi bounds nothing more than the largest kick distance, 2
+    assert deviation_bound(0.0, [5.0]) == deviation_bound(0.0, [math.pi]) == 2.0
+    assert deviation_bound(1.9, [0.3, 0.3]) == 2.0
+    # ||R_x(th) - R_x(th')|| and ||exp(-i th sz) - exp(-i th' sz)|| are 2|sin((th - th')/2)|
+    for th, th2 in ((0.3, 1.1), (5.9, 0.2)):
+        kick = np.linalg.norm(rotation_x(th) - rotation_x(th2), 2)
+        gauged = np.linalg.norm(np.diag(np.exp(-1j * np.array([th, -th])))
+                                - np.diag(np.exp(-1j * np.array([th2, -th2]))), 2)
+        assert kick == pytest.approx(gauged, abs=1e-14)
+        wrapped = abs(th - th2) % (2.0 * math.pi)
+        assert deviation_bound(0.0, [min(wrapped, 2.0 * math.pi - wrapped)]) == pytest.approx(
+            kick, abs=1e-14)
     with pytest.raises(ValueError):
-        irrational_revival_bound(cf, 0)
+        deviation_bound(0.1, [0.2, -1e-3])
     with pytest.raises(ValueError):
-        irrational_revival_bound(cf, 5)  # needs c_{k+1}
+        deviation_bound(0.1, [float("nan")])
+
+
+IRRATIONAL_FIELDS = {
+    "golden": (Field.golden(), golden_ratio_fraction()),
+    "pi-3": (Field.from_turns(math.pi - 3.0), math.pi - 3.0),
+    "large-quotients": (Field.from_turns(float(evaluate([2, 40, 3, 400, 5, 7]))),
+                        float(evaluate([2, 40, 3, 400, 5, 7]))),
+}
+
+
+@pytest.mark.parametrize("field, x", IRRATIONAL_FIELDS.values(), ids=IRRATIONAL_FIELDS.keys())
+def test_deviation_bound_holds_on_irrational_convergents(field, x):
+    """At every convergent n_k/d_k with revival time T <= 300, the measured
+    deviation of the irrational walk is at most ``deviation_bound`` of the
+    convergent walk's closed form and the kick-angle drifts, with no slack."""
+    convergents = [conv for conv in cf_expand(x, 12).convergents
+                   if revival_time(conv.denominator) <= 300]
+    assert len(convergents) >= 2
+    angles = field.angles(1, 300)
+    for coin in ((HALF, HALF), (0.6, 0.8j), (1j * HALF, HALF)):
+        params = WalkParams(field, *coin)
+        reports = revival_reports((params, conv.denominator) for conv in convergents)
+        for conv, report in zip(convergents, reports):
+            time = report.revival_time
+            drift = np.abs(angles[:time] - Field.rational(conv.numerator, conv.denominator)
+                           .angles(1, time))
+            bound = deviation_bound(report.exact_deviation,
+                                    np.minimum(drift, 2.0 * math.pi - drift))
+            assert report.measured_deviation <= bound, (coin, conv, report, bound)

@@ -87,6 +87,12 @@ def grid() -> list[list[str]]:
         ["revival-scan", "--m-list", "2,3,4,5,6,7", "--coin", "0.6,0.8j"],
         ["revival-scan", "--m-list", "3,5,8", "--coin", "0.6,0.8j", "--format", "json"],
         ["revival-scan", "--field", "golden", "--tmax", "30"],
+        # the golden bound column on coins whose rows read below 2 or saturate, and
+        # --depth as the binding limit
+        *(["revival-scan", "--field", "golden", "--tmax", "200", "--coin", coin]
+          for coin in ("0.6,0.8j", "identity")),
+        ["revival-scan", "--field", "golden", "--depth", "1"],
+        ["revival-scan", "--field", "golden", "--depth", "3"],
         # the closed-form column beyond m = 12, on coins with |u| = |v| and the solvable coins
         *(["revival-scan", "--m-list", M_TO_24, "--coin", coin]
           for coin in ("0.28,-0.96j", "identity", "i-sigma-y")),
@@ -95,6 +101,7 @@ def grid() -> list[list[str]]:
         ["cf"],
         ["cf", "--field", "1/3"],
         ["cf", "--field", "golden", "--depth", "12", "--format", "json"],
+        ["cf", "--depth", "3", "--format", "json"],
         ["appendix-table"],
         ["appendix-table", "--m-list", "2,3,4"],
         ["appendix-table", "--m-list", M_TO_24],

@@ -12,7 +12,7 @@ a noisy-field ensemble model, the gauged/electric formulation, and a CLI.
 from .cfrac import (ContinuedFraction, Convergent, FieldClassification,
                     approximation_check, cf_expand, classify_field,
                     evaluate, golden_ratio_fraction)
-from .gauge import GaugePhase, apply_gauge, electric_evolve, verify_gauge_equivalence
+from .gauge import apply_gauge, electric_evolve, verify_gauge_equivalence
 from .momentum import (alpha_tilde, dispersion, regrouped_block, regrouped_trace,
                        trace_formula)
 from .noise import NoiseConfig, ensemble_series
@@ -44,5 +44,5 @@ __all__ = [
     # noise
     "NoiseConfig", "ensemble_series",
     # gauge
-    "GaugePhase", "apply_gauge", "electric_evolve", "verify_gauge_equivalence",
+    "apply_gauge", "electric_evolve", "verify_gauge_equivalence",
 ]

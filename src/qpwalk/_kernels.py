@@ -1,13 +1,13 @@
-"""Position-space evolution kernels: one step loop (``_steps``) behind three
-entry points, one per step order and an origin probe that runs one walk or
-many.
+"""Position-space evolution kernels: one step loop (``_steps``) behind two
+entry points, ``steps_window`` for either step order and an origin probe
+that runs one walk or many.
 
-Both step-order kernels take a state's window ``psi`` of shape
+``steps_window`` takes a state's window ``psi`` of shape
 ``(hi - lo + 1, 2)``, whose row i holds site ``lo + i`` (column 0 is the
-spin-up amplitude, column 1 spin-down), advance it through one step per
-entry of ``mats`` and return ``(lo, hi, window)``: the new inclusive site
+spin-up amplitude, column 1 spin-down), advances it through one step per
+entry of ``mats`` and returns ``(lo, hi, window)``: the new inclusive site
 bounds and a newly allocated window of shape ``(hi - lo + 1, 2)`` holding
-those sites. They never write to ``psi``.
+those sites. It never writes to ``psi``.
 
 The state convention: one walk step applies a 2x2 matrix in spin space and a
 spin-conditioned shift (up moves one site right, down one site left). The two
@@ -28,7 +28,7 @@ amplitude at its index and moves no data. A call first copies ``psi`` into
 the arrays; after the last step both offsets are zero and the live part of
 the arrays is copied into the returned window.
 
-``_steps`` runs every step of all three kernels: the shift's bookkeeping
+``_steps`` runs every step of both entry points: the shift's bookkeeping
 (before the product in shift-before-matrix, after it otherwise), the
 product, the electric walk's phase or the probe's cone, and the trim. It
 computes each product inline as numpy ufunc calls on contiguous slices,
@@ -168,36 +168,6 @@ def _stride(psi):
     return 2 if psi.shape[0] % 2 and not psi[1:-1:2].any() else 1
 
 
-def _layout(psi, lo, hi, steps):
-    """The compressed layout of a one-walk call: stride, first site, window, four arrays.
-
-    The stride is ``_stride(psi)``. Returns the site of compressed index 0,
-    the compressed bounds of [lo, hi], and the two comoving arrays, holding
-    ``psi`` before the first step and zeros elsewhere, and two scratch
-    arrays, each with room for the widest compressed window.
-    """
-    stride = _stride(psi)
-    dn_rate = 2 - stride
-    size = (hi - lo + 2 * steps) // stride + 1
-    up, dn = np.zeros(size, dtype=complex), np.zeros(size, dtype=complex)
-    c_lo, c_hi = dn_rate * steps, dn_rate * steps + (hi - lo) // stride
-    up[c_lo + steps:c_hi + steps + 1] = psi[::stride, 0]
-    dn[:c_hi - c_lo + 1] = psi[::stride, 1]
-    return (stride, lo - dn_rate * steps, c_lo, c_hi,
-            (up, dn, np.empty(size, dtype=complex), np.empty(size, dtype=complex)))
-
-
-def _window(up, dn, lo, hi, first, stride):
-    """The final arrays (offsets zero) as ``(lo, hi, window)`` in sites.
-
-    Compressed site j is site ``first + stride * j``; parity-empty sites hold +0.0.
-    """
-    window = np.zeros((stride * (hi - lo) + 1, 2), dtype=complex)
-    window[::stride, 0] = up[lo:hi + 1]
-    window[::stride, 1] = dn[lo:hi + 1]
-    return first + stride * lo, first + stride * hi, window
-
-
 def _steps(up, dn, x, y, lo, hi, ui, di, dn_rate, entries, shift_first=False, phase=None,
            cone=None):
     """Run one step per ``_step_entries`` tuple of ``entries``; after step t, yield
@@ -269,43 +239,47 @@ def _steps(up, dn, x, y, lo, hi, ui, di, dn_rate, entries, shift_first=False, ph
         yield t, lo, hi, ui, di
 
 
-def steps_matrix_then_shift(psi, lo, hi, mats):
-    """Apply ``mats[t]`` then the shift for each t."""
-    steps = mats.shape[0]
-    stride, first, lo, hi, (up, dn, x, y) = _layout(psi, lo, hi, steps)
-    dn_rate = 2 - stride  # compressed sites a down amplitude moves left per step
-    entries = _step_entries([mats[..., None]], 1)
-    for _, lo, hi, _, _ in _steps(up, dn, x, y, lo, hi, steps, -dn_rate * steps, dn_rate,
-                                  entries):
-        pass
-    return _window(up, dn, lo, hi, first - (stride - 1) * steps, stride)
+def steps_window(psi, lo, hi, mats, shift_first, site_phase=None):
+    """Apply one step per ``mats[t]``: the matrix then the shift, or the shift then
+    the matrix when ``shift_first``.
 
-
-def steps_shift_then_matrix(psi, lo, hi, mats, site_phase=None):
-    """Apply the shift then ``mats[t]`` for each t.
-
-    When ``site_phase`` is given, ``site_phase[i]`` is the phase of site
-    ``lo - steps + i``, for every site the call can reach; each site's new
-    spinor is multiplied by its phase after the matrix product.
+    When ``site_phase`` is given (shift first only), ``site_phase[i]`` is the
+    phase of site ``lo - steps + i``, for every site the call can reach; each
+    site's new spinor is multiplied by its phase after the matrix product.
     """
+    if site_phase is not None and not shift_first:
+        raise ValueError("site_phase is applied after a shift-first step only")
     steps = mats.shape[0]
-    phase_site = lo - steps  # the site of site_phase[0]
-    # the copy into the comoving arrays is the first shift
-    stride, first, lo, hi, (up, dn, x, y) = _layout(psi, lo, hi, steps)
+    stride = _stride(psi)
     dn_rate = 2 - stride  # compressed sites a down amplitude moves left per step
+    first = lo - dn_rate * steps  # the site of compressed index 0 before the first step
+    # the comoving arrays, and the scratch arrays below, have room for the
+    # widest compressed window; for shift_first the copy of psi is the first shift
+    size = (hi - lo + 2 * steps) // stride + 1
+    up, dn = np.zeros(size, dtype=complex), np.zeros(size, dtype=complex)
+    c_lo, c_hi = dn_rate * steps, dn_rate * steps + (hi - lo) // stride
+    up[c_lo + steps:c_hi + steps + 1] = psi[::stride, 0]
+    dn[:c_hi - c_lo + 1] = psi[::stride, 1]
     phase = None
     if site_phase is not None:
         # phase index stride * k + p is at phases[p][k], in contiguous memory
         phases = [np.ascontiguousarray(site_phase[p::stride]) for p in range(stride)]
 
-        def phase(t, lo, n):
-            k, p = divmod(first - (stride - 1) * t + stride * lo - phase_site, stride)
+        def phase(t, c, n):
+            k, p = divmod((stride - 1) * (steps - t) + stride * c, stride)
             return phases[p][k:k + n]
     entries = _step_entries([mats[..., None]], 1)
-    for _, lo, hi, _, _ in _steps(up, dn, x, y, lo, hi, steps, -dn_rate * steps, dn_rate,
-                                  entries, shift_first=True, phase=phase):
+    for _, c_lo, c_hi, _, _ in _steps(up, dn, np.empty(size, dtype=complex),
+                                      np.empty(size, dtype=complex), c_lo, c_hi, steps,
+                                      -dn_rate * steps, dn_rate, entries,
+                                      shift_first=shift_first, phase=phase):
         pass
-    return _window(up, dn, lo, hi, first - (stride - 1) * steps, stride)
+    # the offsets are zero now, and compressed site j is site first + stride * j
+    first -= (stride - 1) * steps
+    window = np.zeros((stride * (c_hi - c_lo) + 1, 2), dtype=complex)
+    window[::stride, 0] = up[c_lo:c_hi + 1]
+    window[::stride, 1] = dn[c_lo:c_hi + 1]
+    return first + stride * c_lo, first + stride * c_hi, window
 
 
 # Steps of a block checked at a time, so that the check's temporaries stay
@@ -404,7 +378,7 @@ def probe_ensemble(psi, origin, steps, walks, blocks):
     origin empty (out of reach, or on the sublattice the window leaves
     empty) yield nothing; their spinors are zero.
 
-    The layout is the step-order kernels', with one walk in 1-D arrays and
+    The layout is ``steps_window``'s, with one walk in 1-D arrays and
     E > 1 walks in arrays of shape (compressed sites, E): after t steps
     compressed index j holds row ``first + stride * j``, where ``first``
     starts at 0 and drops by ``stride - 1`` per step. Each step keeps only
@@ -415,7 +389,7 @@ def probe_ensemble(psi, origin, steps, walks, blocks):
     only when it is negligible in every walk.
 
     For unitary matrices the spinors differ from those of the walk's own
-    full run (``steps_matrix_then_shift``, which keeps every site and trims
+    full run (``steps_window``, which keeps every site and trims
     only its own) only through sites that one run zeroes and the other
     keeps: sites the walk's own run trims but another walk keeps in the
     shared window, and sites a trim at the cone's edge drops. Each has norm
@@ -440,7 +414,7 @@ def probe_ensemble(psi, origin, steps, walks, blocks):
     rows = slice(stride * lo, stride * hi + 1, stride)
     ups[lo + ui:hi + ui + 1] = psi[rows, 0:1]
     downs[lo + di:hi + di + 1] = psi[rows, 1:2]
-    # one walk steps 1-D views, as the step-order kernels do: a site is an
+    # one walk steps 1-D views, as steps_window does: a site is an
     # element, which the trim zeroes several times faster than a row
     up, dn = (ups[:, 0], downs[:, 0]) if walks == 1 else (ups, downs)
     # The origin's compressed index after t steps is (origin + (stride - 1) * t)

@@ -124,6 +124,19 @@ def parse_field(text: str) -> Field:
         raise ConfigError(f"bad field {text!r}: {exc}") from exc
 
 
+def expansion_turns(field: Field, depth: int) -> Fraction | float:
+    """phi/(2*pi) mod 1 as ``cf_expand`` takes it for ``depth`` terms.
+
+    Exact for an n/m field, (sqrt(5)-1)/2 to max(60, 3 * depth) digits for
+    golden, and the float's turns otherwise.
+    """
+    if field.is_rational:
+        return Fraction(field.numerator, field.denominator) % 1
+    if field.label == "golden":
+        return golden_ratio_fraction(max(60, 3 * depth))
+    return float(field.value / (2.0 * math.pi)) % 1.0
+
+
 def parse_coin(text: str) -> tuple[complex, complex, str]:
     text = text.strip()
     if text in NAMED_COINS:
@@ -337,27 +350,27 @@ def run_revival_scan(opts: Options) -> Record:
     field_spec = opts.get("field", "", str)
     a, b, coin_label = parse_coin(opts.get("coin", "hadamard", str))
 
-    if field_spec not in ("", "golden"):
+    field = parse_field(field_spec) if field_spec else None
+    if field is not None and field.label != "golden":
         raise ConfigError("revival-scan takes --field golden only; rational "
                           "fields 1/m are chosen with --m-list")
     # an explicit flag of the other mode is an error; config-file keys are ignored
-    other = ("m_list",) if field_spec == "golden" else ("tmax", "depth")
+    other = ("m_list",) if field is not None else ("tmax", "depth")
     given = ["--" + name.replace("_", "-") for name in other
              if getattr(opts.args, name, None) is not None]
     if given:
-        mode = "the golden scan (--field golden)" if field_spec else "the rational scan (--m-list)"
+        mode = ("the golden scan (--field golden)" if field is not None
+                else "the rational scan (--m-list)")
         raise ConfigError(f"revival-scan does not read {', '.join(given)} in {mode}")
-    if field_spec == "golden":
+    if field is not None:
         t_max = opts.get("tmax", 400, int)
         depth = opts.get("depth", 12, int)
         if t_max < 2 or depth < 1:
             raise ConfigError("golden revival-scan needs tmax >= 2 (the first golden "
                               "revival time is 2*d_1 = 2) and depth >= 1")
-        x = golden_ratio_fraction(max(60, 3 * depth))
-        field = Field.golden()
         params = WalkParams(field=field, coin_a=a, coin_b=b)
         convergents = []
-        for conv in cf_expand(x, depth).convergents:
+        for conv in cf_expand(expansion_turns(field, depth), depth).convergents:
             if revival_time(conv.denominator) > t_max:
                 break
             convergents.append(conv)
@@ -457,23 +470,13 @@ def _direct_cyclic_traces(mats: np.ndarray, rots: np.ndarray, m: int) -> np.ndar
 
 
 def run_cf(opts: Options) -> Record:
-    field_spec = opts.get("field", "golden", str)
     depth = opts.get("depth", 40, int)
     if depth < 1:
         raise ConfigError("depth must be positive")
-    if field_spec == "golden":
-        x = golden_ratio_fraction(max(60, 3 * depth))
-        label = "golden"
-    else:
-        field = parse_field(field_spec)
-        frac = field.turns_fraction
-        if frac is not None:
-            x = frac % 1
-        else:
-            x = float(field.value / (2.0 * math.pi)) % 1.0
-        label = field.label
-        if x == 0:
-            raise ConfigError("field reduces to a whole number of turns; nothing to expand")
+    field = parse_field(opts.get("field", "golden", str))
+    x = expansion_turns(field, depth)
+    if x == 0:
+        raise ConfigError("field reduces to a whole number of turns; nothing to expand")
     cf = cf_expand(x, depth)
     checks = approximation_check(cf)
     classification = classify_field(cf)
@@ -485,7 +488,7 @@ def run_cf(opts: Options) -> Record:
         rows.append((i, c, conv.numerator, conv.denominator, float(err),
                      float(bound) if bound is not None else None,
                      checks[i - 1] if i - 1 < len(checks) else True))
-    meta = {"field": label, "depth": depth, "finite": cf.finite,
+    meta = {"field": field.label, "depth": depth, "finite": cf.finite,
             "truncated": cf.truncated, "classification": classification.kind}
     columns = ["k", "c_k", "n_k", "d_k", "abs_error", "bound", "within_bound"]
     return meta, columns, [list(zip(*rows))], 0

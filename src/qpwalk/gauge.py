@@ -10,7 +10,7 @@ turns the spatial phase gradient into a time-dependent spin rotation: the
 gauged walk W(t) = C * exp(-i*phi*(t-1)*sigma_z) * S satisfies, by a
 telescoping product,
 
-    W(t) ... W(1) = G_t (W^E)^t G_0,      G_0 = I.
+    W(t) ... W(1) = G_t (W^E)^t G_0 = G_t (W^E)^t,      as G_0 = I.
 
 The identity is exact for every field value, rational or not. The gauged walk
 is the GAUGED_SZ time rule of the walk module.
@@ -18,24 +18,10 @@ is the GAUGED_SZ time rule of the walk module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .walk import Field, TimeRule, WalkParams, WalkState, evolve
 from . import _kernels
-
-
-@dataclass(frozen=True)
-class GaugePhase:
-    """G_{x,t} = exp(-i*phi*t*x), diagonal in position and trivial in spin."""
-
-    phi: float
-    t: int
-
-    def __post_init__(self):
-        if self.t < 0:
-            raise ValueError("t must be nonnegative")
 
 
 def _site_phases(rate: complex, lo: int, hi: int, phi: float) -> np.ndarray:
@@ -47,20 +33,13 @@ def _site_phases(rate: complex, lo: int, hi: int, phi: float) -> np.ndarray:
     return phases
 
 
-def apply_gauge(state: WalkState, g: GaugePhase) -> WalkState:
-    """Multiply the amplitude at each site x by exp(-i*phi*t*x)."""
-    phases = _site_phases(-1j * g.phi * g.t, state.x_min, state.x_max, g.phi)
+def apply_gauge(state: WalkState, phi: float, t: int) -> WalkState:
+    """G_t applied to the state: the amplitude at each site x times exp(-i*phi*t*x)."""
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    phases = _site_phases(-1j * phi * t, state.x_min, state.x_max, phi)
     return WalkState(x_min=state.x_min,
                      amplitudes=state.amplitudes * phases[:, None])
-
-
-def _electric_run(state: WalkState, phi: float, coin: np.ndarray,
-                  steps: int) -> WalkState:
-    mats = np.broadcast_to(np.asarray(coin, dtype=complex), (steps, 2, 2))
-    phases = _site_phases(1j * phi, state.x_min - steps, state.x_max + steps, phi)
-    lo, _, window = _kernels.steps_shift_then_matrix(state.amplitudes, state.x_min, state.x_max,
-                                                     mats, site_phase=phases)
-    return WalkState(x_min=lo, amplitudes=window)
 
 
 def electric_evolve(state: WalkState, steps: int, phi: float,
@@ -70,7 +49,11 @@ def electric_evolve(state: WalkState, steps: int, phi: float,
         raise ValueError("steps must be nonnegative")
     if steps == 0:
         return state.copy()
-    return _electric_run(state, phi, coin, steps)
+    mats = np.broadcast_to(np.asarray(coin, dtype=complex), (steps, 2, 2))
+    phases = _site_phases(1j * phi, state.x_min - steps, state.x_max + steps, phi)
+    lo, _, window = _kernels.steps_window(state.amplitudes, state.x_min, state.x_max, mats,
+                                          True, site_phase=phases)
+    return WalkState(x_min=lo, amplitudes=window)
 
 
 def _coin_entries(coin: np.ndarray) -> tuple[complex, complex]:
@@ -86,7 +69,7 @@ def _coin_entries(coin: np.ndarray) -> tuple[complex, complex]:
 def verify_gauge_equivalence(phi: float, coin: np.ndarray,
                              t: int, trials: int = 20, seed: int = 0,
                              max_offset: int = 40) -> float:
-    """Max state deviation of W^{[t,1]} psi = G_t (W^E)^t G_0 psi over random states.
+    """Max state deviation of W^{[t,1]} psi = G_t (W^E)^t psi over random states.
 
     Trial states are single-site spinors at uniformly drawn offsets
     |x0| <= max_offset with random unit spinors. Returns the largest Euclidean
@@ -109,9 +92,7 @@ def verify_gauge_equivalence(phi: float, coin: np.ndarray,
 
         gauged = evolve(psi, 1, t, params)
 
-        electric = apply_gauge(psi, GaugePhase(phi=phi, t=0))
-        electric = electric_evolve(electric, t, phi, coin)
-        electric = apply_gauge(electric, GaugePhase(phi=phi, t=t))
+        electric = apply_gauge(electric_evolve(psi, t, phi, coin), phi, t)
 
         lo = min(gauged.x_min, electric.x_min)
         hi = max(gauged.x_max, electric.x_max)

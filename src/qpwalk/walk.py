@@ -25,13 +25,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 import numpy as np
 
 from . import _kernels
-from .cfrac import golden_ratio_fraction
 from .spinops import make_coin
 
 TWO_PI = 2.0 * math.pi
@@ -108,15 +106,6 @@ class Field:
     @property
     def is_rational(self) -> bool:
         return self.numerator is not None
-
-    @property
-    def turns_fraction(self) -> Fraction | None:
-        """phi/(2*pi) as an exact Fraction when known (rational or golden)."""
-        if self.is_rational:
-            return Fraction(self.numerator, self.denominator)
-        if self.label == "golden":
-            return golden_ratio_fraction()
-        return None
 
     def angle(self, multiple: int) -> float:
         """multiple*phi reduced mod 2*pi; exact (integer-reduced) in the rational case."""
@@ -289,9 +278,8 @@ def evolve(state: WalkState, t_from: int, t_to: int, params: WalkParams,
     if t_from > t_to:
         return state.copy()
     mats = params.step_matrices(t_from, t_to, field_values=field_values)
-    kernel = (_kernels.steps_matrix_then_shift if params.matrix_before_shift
-              else _kernels.steps_shift_then_matrix)
-    lo, _, window = kernel(state.amplitudes, state.x_min, state.x_max, mats)
+    lo, _, window = _kernels.steps_window(state.amplitudes, state.x_min, state.x_max, mats,
+                                          not params.matrix_before_shift)
     return WalkState(x_min=lo, amplitudes=window)
 
 

@@ -43,7 +43,7 @@ SMALL_ARGV = {
 def test_parse_field_rational_is_exact():
     field = parse_field("1/155")
     assert (field.numerator, field.denominator) == (1, 155)
-    assert field.turns_fraction == Fraction(1, 155)
+    assert cli.expansion_turns(field, 40) == Fraction(1, 155)
 
 
 def test_parse_field_golden_and_float():
@@ -713,6 +713,20 @@ def test_cf_rational_field(capsys):
     meta, _, rows = parse_csv(out)
     assert meta["classification"] == "rational"
     assert meta["finite"] == "True"
+
+
+@pytest.mark.parametrize("argv", [["cf", "--depth", "200"],
+                                  ["revival-scan", "--tmax", "30"]], ids=["cf", "revival-scan"])
+def test_padded_golden_field_is_the_golden_field(capsys, argv):
+    """``--field " golden"`` reads as ``golden``: the same record, byte for byte, with
+    the golden expansion to max(60, 3 * depth) digits (all c_k = 1 at depth 200)."""
+    padded = run_cli(argv + ["--field", " golden"], capsys)
+    golden = run_cli(argv + ["--field", "golden"], capsys)
+    assert padded == golden and golden[0] == 0
+    if argv[0] == "cf":
+        meta, _, rows = parse_csv(golden[1])
+        assert meta["classification"] == "bounded-coefficients"
+        assert len(rows) == 200 and all(row[1] == "1" for row in rows)
 
 
 def test_console_script_installed():

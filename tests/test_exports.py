@@ -10,8 +10,8 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 # the public surface: one entry point per quantity
 PUBLIC_NAMES = [
-    "ContinuedFraction", "Convergent", "Field", "FieldClassification", "GaugePhase",
-    "NoiseConfig", "RevivalReport", "TimeRule", "WalkParams", "WalkState", "__version__",
+    "ContinuedFraction", "Convergent", "Field", "FieldClassification", "NoiseConfig",
+    "RevivalReport", "TimeRule", "WalkParams", "WalkState", "__version__",
     "alpha_tilde", "apply_gauge", "approximation_check", "bloch_vector", "cf_expand",
     "classify_field", "deviation_bound", "dispersion", "eigenbasis_unitary2", "electric_evolve",
     "ensemble_series", "evaluate", "evolve", "evolve_tracking_origin", "expected_sign",

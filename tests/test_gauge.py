@@ -5,32 +5,30 @@ import pytest
 
 from conftest import (max_diff, nan_in_electric_evolve, position_distribution, random_su2,
                       reference_electric, state_to_dict)
-from qpwalk.gauge import GaugePhase, apply_gauge, electric_evolve, verify_gauge_equivalence
+from qpwalk.gauge import apply_gauge, electric_evolve, verify_gauge_equivalence
 from qpwalk.walk import Field, TimeRule, WalkParams, WalkState, evolve
 
 HALF = 1.0 / math.sqrt(2.0)
 HADAMARD = np.array([[HALF, HALF], [-HALF, HALF]], dtype=complex)
 
 
-def test_gauge_phase_values():
+def test_apply_gauge_values():
     """G_{x,t} = exp(-i*phi*t*x), read off a unit spin-up amplitude at x."""
-    g = GaugePhase(phi=0.3, t=4)
-    at_two = apply_gauge(WalkState.single_site(x=2), g)
+    at_two = apply_gauge(WalkState.single_site(x=2), 0.3, 4)
     assert at_two.amplitude(2, +1) == pytest.approx(np.exp(-1j * 0.3 * 4 * 2))
-    at_five = apply_gauge(WalkState.single_site(x=5), GaugePhase(phi=0.3, t=0))
+    at_five = apply_gauge(WalkState.single_site(x=5), 0.3, 0)
     assert at_five.amplitude(5, +1) == 1.0
     with pytest.raises(ValueError):
-        GaugePhase(phi=0.3, t=-1)
+        apply_gauge(WalkState.single_site(), 0.3, -1)
 
 
 def test_apply_gauge_is_invertible_and_preserves_probabilities():
     amps = np.array([[0.5, 0.5j], [0.5, 0.0], [0.0, 0.5]], dtype=complex)
     state = WalkState(x_min=-1, amplitudes=amps)
-    g = GaugePhase(phi=1.234, t=3)
-    out = apply_gauge(state, g)
+    out = apply_gauge(state, 1.234, 3)
     assert position_distribution(out) == pytest.approx(
         position_distribution(state))
-    back = apply_gauge(out, GaugePhase(phi=-1.234, t=3))
+    back = apply_gauge(out, -1.234, 3)
     assert max_diff(back, state_to_dict(state)) < 1e-15
 
 
@@ -63,16 +61,14 @@ def test_gauge_check_rejects_general_unitary():
 
 
 def test_gauge_identity_explicit(rng):
-    """G_t (W^E)^t G_0 equals the gauged evolution, checked step by step."""
+    """G_t (W^E)^t equals the gauged evolution, checked step by step."""
     phi = 2.0 * math.pi * 0.3819
     params = WalkParams(field=Field.from_radians(phi), coin_a=HALF,
                         coin_b=HALF, time_rule=TimeRule.GAUGED_SZ)
     state = WalkState.single_site(x=2, spinor=tuple(random_su2(rng)))
     for t in (1, 3, 8, 20):
         gauged = evolve(state, 1, t, params)
-        hopped = apply_gauge(state, GaugePhase(phi=phi, t=0))
-        hopped = electric_evolve(hopped, t, phi, HADAMARD)
-        hopped = apply_gauge(hopped, GaugePhase(phi=phi, t=t))
+        hopped = apply_gauge(electric_evolve(state, t, phi, HADAMARD), phi, t)
         assert max_diff(gauged, state_to_dict(hopped)) < 1e-11
 
 
@@ -100,7 +96,7 @@ def test_overflowing_site_phases_raise():
     with pytest.raises(ValueError, match="field 1e[+]308 rad"):
         electric_evolve(state, 5, 1e308, HADAMARD)
     with pytest.raises(ValueError, match="overflows"):
-        apply_gauge(state, GaugePhase(phi=1e307, t=50))
+        apply_gauge(state, 1e307, 50)
 
 
 def test_revival_times_coincide_between_rules():

@@ -75,14 +75,14 @@ def _run_window(kernel, buf, lo, hi, mats, *args, **kwargs):
 
 
 def _matrix_then_shift(buf, lo, hi, mats):
-    return _run_window(_kernels.steps_matrix_then_shift, buf, lo, hi, mats)
+    return _run_window(_kernels.steps_window, buf, lo, hi, mats, False)
 
 
 def _shift_then_matrix(buf, lo, hi, mats, phase=None):
-    """``steps_shift_then_matrix`` with ``phase`` given per buffer index."""
+    """``steps_window`` shift first, with ``phase`` given per buffer index."""
     steps = mats.shape[0]
     site_phase = None if phase is None else phase[lo - steps:hi + steps + 1]
-    return _run_window(_kernels.steps_shift_then_matrix, buf, lo, hi, mats, site_phase)
+    return _run_window(_kernels.steps_window, buf, lo, hi, mats, True, site_phase)
 
 
 def _occupied(buf, lo, hi, steps):
@@ -500,6 +500,13 @@ def test_kernel_paths_leave_the_input_state_alone(rng):
             assert _same_bits(start.amplitudes, before)
 
 
+def test_site_phase_needs_shift_first():
+    """A per-site phase follows the product of a shift-first step only."""
+    psi, mats = np.ones((1, 2), dtype=complex), np.eye(2, dtype=complex)[None]
+    with pytest.raises(ValueError, match="shift-first"):
+        _kernels.steps_window(psi, 0, 0, mats, False, site_phase=np.ones(3, dtype=complex))
+
+
 def test_returned_windows_hold_no_larger_buffer(rng):
     """A final state keeps only its own window alive, not a padded buffer."""
     for start in _kernel_starts(rng):
@@ -544,7 +551,7 @@ def _unpacked_product(m, u, d, phase=None):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 40, 1317])
 def test_step_products_keep_the_bits_of_unpacked_entries(rng, n):
-    """One step of each step-order kernel on n sites against ``reference_spin_product``.
+    """One ``steps_window`` step in each step order on n sites against ``reference_spin_product``.
 
     The kernels read 0-d entry views and multiply contiguous copies in
     place; the reference takes the entries as unpacked numpy scalars, reads
@@ -559,7 +566,7 @@ def test_step_products_keep_the_bits_of_unpacked_entries(rng, n):
     occupied = np.arange(n + 2) % 2 == 0 if n == 1 else np.ones(n + 2, dtype=bool)
     want = np.zeros((n + 2, 2), dtype=complex)  # sites -1..n
     want[2:, 0], want[:n, 1] = _unpacked_product(m, psi[:, 0], psi[:, 1])
-    lo, hi, window = _kernels.steps_matrix_then_shift(psi, 0, n - 1, mats)
+    lo, hi, window = _kernels.steps_window(psi, 0, n - 1, mats, False)
     assert (lo, hi) == (-1, n)
     _assert_sublattice_bits(window, want, occupied)
 
@@ -567,7 +574,7 @@ def test_step_products_keep_the_bits_of_unpacked_entries(rng, n):
     shifted[2:, 0], shifted[:n, 1] = psi[:, 0], psi[:, 1]
     phase = np.exp(1j * rng.uniform(-np.pi, np.pi, n + 2))
     want = np.stack(_unpacked_product(m, shifted[:, 0], shifted[:, 1], phase), axis=1)
-    lo, hi, window = _kernels.steps_shift_then_matrix(psi, 0, n - 1, mats, phase)
+    lo, hi, window = _kernels.steps_window(psi, 0, n - 1, mats, True, phase)
     assert (lo, hi) == (-1, n)
     _assert_sublattice_bits(window, want, occupied)
 
@@ -635,8 +642,8 @@ def test_a_repeated_matrix_gives_the_bits_of_its_copy(rng):
 def test_every_step_runs_through_the_one_step_loop(rng, monkeypatch, width):
     """Each public kernel runs all of its steps through one ``_kernels._steps`` generator.
 
-    The spied runs of both step-order kernels (shift-then-matrix with and
-    without a site phase) and of the probe (E = 1 and E = 3) give the bits of
+    The spied runs of ``steps_window`` in both step orders (shift-then-matrix
+    with and without a site phase) and of the probe (E = 1 and E = 3) give the bits of
     the unspied ones, and each makes one ``_steps`` call that yields steps
     1..T in order.
     """
@@ -704,7 +711,7 @@ def _step_stacks(rng, steps):
 
 
 def _assert_loops_match_the_references(monkeypatch, buf, lo, hi, mats, phase):
-    """Both step-order kernels (shift-then-matrix with and without ``phase``) on [lo, hi],
+    """``steps_window`` in both step orders (shift first with and without ``phase``) on [lo, hi],
     bit for bit against the interleaved reference loops and the general path."""
     occupied = _occupied(buf, lo, hi, mats.shape[0])
     for run, reference, args in ((_matrix_then_shift, reference_matrix_then_shift, ()),
@@ -875,7 +882,7 @@ def test_balanced_steps_keep_the_signs_of_zeros(monkeypatch):
         four = (Q - P).view(np.uint64) != (N + Q).view(np.uint64)
         assert four.any() == (np.cos(theta) < 0)
         _assert_both_paths_match(
-            monkeypatch, lambda: _kernels.steps_matrix_then_shift(psi, 0, 3, mats))
+            monkeypatch, lambda: _kernels.steps_window(psi, 0, 3, mats, False))
         ref = np.zeros((8, 2), dtype=complex)
         ref[2:6] = psi
         bounds, window = _matrix_then_shift(ref.copy(), 2, 5, mats)
@@ -905,7 +912,7 @@ def test_nan_payloads_keep_the_operand_order(rng, monkeypatch):
     returns one operand's NaN (on x86 the first's, the second's in a loop's last
     n mod 4 elements),
     so the bits pin every sum's operand order, on the balanced and the general path:
-    both kernels against the interleaved reference loops, and the probe's first step,
+    both step orders against the interleaved reference loops, and the probe's first step,
     with one walk and with three, against ``reference_spin_product`` on the same window.
     The probe's later steps cover other windows than a full run's, so their NaNs need
     not match the reference loops'."""

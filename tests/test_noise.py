@@ -76,7 +76,12 @@ def test_noisy_state_obeys_accumulated_lipschitz():
 @pytest.mark.parametrize("m,eps", [(15, 5e-4), (24, 1e-3)])
 def test_noisy_revival_deviation_within_bound(m, eps):
     """In regimes where the accumulated-noise term dominates the clean
-    remainder, the measured noisy deviation must respect the bound."""
+    remainder, the measured noisy deviation must respect the bound.
+
+    The deviation is measured as sqrt(sum over x of (|a_x| + |b_x|)^2),
+    the 2-norm over sites of each spinor difference's 1-norm. It is at
+    least the state distance ||psi_T - sign*psi_0||, so passing implies
+    the bound on that distance too."""
     params = hadamard_params(Field.rational(1, m))
     time = revival_time(m)
     sign = expected_sign(m)
@@ -86,7 +91,7 @@ def test_noisy_revival_deviation_within_bound(m, eps):
     start = WalkState.single_site()
     for trajectory in range(10):
         out = noisy_evolve(start, time, params, noise, trajectory=trajectory)
-        # || psi_out - sign*psi_0 ||: subtract on the common origin site
+        # per-site 1-norms of psi_out - sign*psi_0, an upper bound on its 2-norm
         diff2 = 0.0
         for x in range(out.x_min, out.x_max + 1):
             ref = sign * start.spinor(x)

@@ -42,7 +42,7 @@ def test_field_golden():
     assert f.label == "golden"
     golden = (math.sqrt(5.0) - 1.0) / 2.0
     assert f.value == pytest.approx(2.0 * math.pi * golden, abs=1e-12)
-    assert float(f.turns_fraction) == pytest.approx(golden, abs=1e-15)
+    assert f.value / (2.0 * math.pi) == pytest.approx(golden, abs=1e-15)
 
 
 def test_field_from_turns_and_radians():

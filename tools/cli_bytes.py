@@ -69,6 +69,7 @@ def grid() -> list[list[str]]:
         ["gauge-check", "--field", "golden", "--tmax", "120", "--trials", "5", "--seed", "3"],
         ["gauge-check", "--field", "1/7", "--coin", "0.6,0.8j", "--tmax", "80", "--trials", "4"],
         ["gauge-check", "--field", "0.3", "--format", "json"],
+        ["gauge-check", "--field", "0.3", "--coin", "0.6,0.8j", "--trials", "50", "--tmax", "200"],
     ]
     for support, coin, field, eps in itertools.product(("pm1", "01"), COINS,
                                                        ("1/100", "golden", "1/7"), EPSILONS):
@@ -87,6 +88,7 @@ def grid() -> list[list[str]]:
         ["revival-scan", "--m-list", "2,3,4,5,6,7", "--coin", "0.6,0.8j"],
         ["revival-scan", "--m-list", "3,5,8", "--coin", "0.6,0.8j", "--format", "json"],
         ["revival-scan", "--field", "golden", "--tmax", "30"],
+        ["revival-scan", "--field", " golden", "--tmax", "30"],  # --field is parsed, then stripped
         # the golden bound column on coins whose rows read below 2 or saturate, and
         # --depth as the binding limit
         *(["revival-scan", "--field", "golden", "--tmax", "200", "--coin", coin]
@@ -101,6 +103,9 @@ def grid() -> list[list[str]]:
         ["cf"],
         ["cf", "--field", "1/3"],
         ["cf", "--field", "golden", "--depth", "12", "--format", "json"],
+        # a golden expansion deeper than the 60-digit default, and the same field padded
+        ["cf", "--field", "golden", "--depth", "200"],
+        ["cf", "--field", " golden", "--depth", "200"],
         ["cf", "--depth", "3", "--format", "json"],
         ["appendix-table"],
         ["appendix-table", "--m-list", "2,3,4"],
